@@ -6,6 +6,7 @@ become part of trajectory state. All operations are pure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -77,5 +78,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def is_finite(x: np.ndarray) -> bool:
-    """True iff every element is finite."""
-    return bool(np.all(np.isfinite(x)))
+    """True iff every element is finite.
+
+    A finite sum proves every element finite, since a NaN or an infinity
+    carries through any sum. A non-finite sum may also come from finite
+    elements whose sum overflows, so only then is every element tested.
+    numpy reports that overflow, or an inf - inf in the sum, as a
+    floating-point error under its error state (a RuntimeWarning by
+    default); only arrays that already hold huge or non-finite values
+    can cause one.
+    """
+    return math.isfinite(x.sum()) or bool(np.all(np.isfinite(x)))

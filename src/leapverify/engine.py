@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_finite
+from .core import freeze, is_finite
 from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
 from .predict import (
     HISTORY_REQUIRED,
@@ -248,6 +248,12 @@ def train_run(
     leap; accepted leaps fast-forward the run under `ff_policy`. Checkpoints
     are persisted to store_dir when given, and leap events are streamed to
     events.jsonl alongside them.
+
+    The run owns one writable parameter buffer and its optimizer state's
+    moment buffers, and every step updates them in place. Nothing outside
+    the run sees them while it trains: a checkpoint stores frozen copies of
+    the parameters and moments, and a landing leap copies the predicted
+    parameters into the buffer.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -259,7 +265,7 @@ def train_run(
         store_path.mkdir(parents=True, exist_ok=True)
     events_file = store_path / "events.jsonl" if store_path is not None else None
 
-    theta = task.init_params(seed)
+    theta = task.init_params(seed).copy()
     state = init_state(task.param_dim, hyper)
     window = HistoryWindow(delta)
     ckpts: list[Checkpoint] = []
@@ -273,7 +279,7 @@ def train_run(
     while step < total_steps:
         batch = task.batch(seed, step)
         tg = task.loss_and_grad(theta, batch)
-        state, theta = apply_update(state, theta, tg.grad)
+        apply_update(state, theta, tg.grad, out=theta)
         step += 1
         if step != next_ckpt:
             continue
@@ -290,7 +296,7 @@ def train_run(
         else:
             sim, label = None, RegimeLabel.UNKNOWN
         m, v = snapshot_moments(state)
-        ckpt = Checkpoint(step=step, theta=theta, m=m, v=v, val_loss=val_loss,
+        ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
                           fingerprint=fingerprint, regime=label, seed=seed)
         record_checkpoint(window, ckpt, store_path)
         ckpts.append(ckpt)
@@ -310,8 +316,8 @@ def train_run(
                         fh.write(json.dumps(event.to_json()) + "\n")
                 if event.applied:
                     assert pred is not None
-                    theta = pred.theta_hat
-                    state = fast_forward(state, speculation.k, ff_policy)
+                    np.copyto(theta, pred.theta_hat)
+                    fast_forward(state, speculation.k, ff_policy)
                     step += speculation.k
                     skipped += speculation.k
                     window.clear()
@@ -324,7 +330,7 @@ def train_run(
         loss_log=loss_log,
         similarities=sims,
         events=events,
-        theta_final=theta,
+        theta_final=freeze(theta),
         adam_final=state,
         skipped_steps=skipped,
     )

@@ -1,15 +1,16 @@
-"""AdamW with linear warmup + cosine decay, functional style.
+"""AdamW with linear warmup + cosine decay, updated in place.
 
-The optimizer state is a value: apply_update returns a new state rather than
-mutating, so snapshots taken at checkpoints stay valid while training
-continues. Raw (not bias-corrected) moment EMAs are exposed for the momentum
-weight predictor.
+An AdamState owns its run's moment buffers: apply_update and fast_forward
+write into them rather than building new arrays, so one training step
+allocates nothing. Anything that must outlive the step -- a checkpoint's
+moments -- is copied out with snapshot_moments. Raw (not bias-corrected)
+moment EMAs are exposed for the momentum weight predictor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,21 +38,26 @@ class AdamHyper:
             raise ValueError("need 0 <= warmup_steps <= total_steps")
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """Moment EMAs and update count of one run, advanced in place.
+
+    m and v must be writable for apply_update and fast_forward; the two
+    scratch buffers hold the update's intermediates.
+    """
+
     m: np.ndarray
     v: np.ndarray
     step: int
     hyper: AdamHyper
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_state(param_dim: int, hyper: AdamHyper) -> AdamState:
-    return AdamState(
-        m=freeze(np.zeros(param_dim)),
-        v=freeze(np.zeros(param_dim)),
-        step=0,
-        hyper=hyper,
-    )
+    return AdamState(m=np.zeros(param_dim), v=np.zeros(param_dim), step=0, hyper=hyper)
 
 
 def lr_at(hyper: AdamHyper, step: int) -> float:
@@ -72,28 +78,60 @@ def lr_at(hyper: AdamHyper, step: int) -> float:
     return hyper.lr * 0.5 * (1.0 + math.cos(phase))
 
 
-def apply_update(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One AdamW step: returns (new state, new theta). Inputs untouched.
+def apply_update(state: AdamState, theta: np.ndarray, g: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[AdamState, np.ndarray]:
+    """One AdamW step: advances `state` in place, returns (state, new theta).
+
+    The new parameters are written to `out`, which may be theta itself;
+    without `out` they go to a new array and theta is left as it was. Every
+    input is checked before the first write, so a raised error leaves the
+    moments, the step and theta unchanged. A non-finite gradient halts
+    training here instead of silently poisoning the moments.
 
     EMA recurrences with bias correction, decoupled weight decay at the
-    scheduled learning rate. A non-finite gradient halts training here
-    instead of silently poisoning the moments.
+    scheduled learning rate. The in-place passes keep the float operations
+    of the straight-line formula
+
+        m = b1*m + (1-b1)*g          v = b2*v + ((1-b2)*g)*g
+        theta - lr*(m_hat / (sqrt(v_hat) + eps)) - (lr*wd)*theta
+
+    so the result is bit-identical to evaluating it with temporaries.
     """
-    if g.shape != theta.shape or state.m.shape != theta.shape:
+    m, v = state.m, state.v
+    if not g.shape == m.shape == v.shape == theta.shape or (
+            out is not None and out.shape != theta.shape):
         raise ValueError("theta/gradient/moment length mismatch")
+    if not (m.flags.writeable and v.flags.writeable
+            and (out is None or out.flags.writeable)):
+        raise ValueError("moments and out must be writable")
     if not is_finite(g):
         raise NonFiniteError("non-finite gradient; training halted")
-
     h = state.hyper
-    t = state.step + 1
-    m = h.beta1 * state.m + (1.0 - h.beta1) * g
-    v = h.beta2 * state.v + (1.0 - h.beta2) * g * g
-    m_hat = m / (1.0 - h.beta1**t)
-    v_hat = v / (1.0 - h.beta2**t)
     lr = lr_at(h, state.step)
-    new_theta = theta - lr * (m_hat / (np.sqrt(v_hat) + h.eps)) - lr * h.weight_decay * theta
-    new_state = AdamState(m=freeze(m), v=freeze(v), step=t, hyper=h)
-    return new_state, freeze(new_theta)
+    t = state.step + 1
+    if out is None:
+        out = np.empty_like(theta)
+
+    s1, s2 = state.scratch
+    m *= h.beta1
+    np.multiply(g, 1.0 - h.beta1, out=s1)
+    m += s1
+    v *= h.beta2
+    np.multiply(g, 1.0 - h.beta2, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, 1.0 - h.beta1**t, out=s1)
+    np.divide(v, 1.0 - h.beta2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += h.eps
+    s1 /= s2
+    s1 *= lr
+    # the decay term reads theta before out, which may be theta, is written
+    np.multiply(theta, lr * h.weight_decay, out=s2)
+    np.subtract(theta, s1, out=out)
+    out -= s2
+    state.step = t
+    return state, out
 
 
 def snapshot_moments(state: AdamState) -> tuple[np.ndarray, np.ndarray]:
@@ -101,20 +139,17 @@ def snapshot_moments(state: AdamState) -> tuple[np.ndarray, np.ndarray]:
     return freeze(state.m.copy()), freeze(state.v.copy())
 
 
-def fast_forward(state: AdamState, k: int, policy: str = "carry") -> AdamState:
-    """Advance the optimizer clock by k skipped steps after an accepted leap.
+def fast_forward(state: AdamState, k: int, policy: str = "carry") -> None:
+    """Advance the optimizer clock in place by k skipped steps after a leap.
 
-    `carry` keeps the moments as-is; `decay` applies k rounds of the beta
-    decay (as if k zero-gradient steps had occurred).
+    `carry` keeps the moments as they are; `decay` scales them in place by
+    k rounds of the beta decay (as if k zero-gradient steps had occurred).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if policy == "carry":
-        m, v = state.m, state.v
-    elif policy == "decay":
-        h = state.hyper
-        m = freeze(state.m * h.beta1**k)
-        v = freeze(state.v * h.beta2**k)
-    else:
+    if policy == "decay":
+        state.m *= state.hyper.beta1**k
+        state.v *= state.hyper.beta2**k
+    elif policy != "carry":
         raise ValueError(f"unknown fast-forward policy {policy!r}")
-    return AdamState(m=m, v=v, step=state.step + k, hyper=state.hyper)
+    state.step += k

@@ -275,6 +275,8 @@ class CharSequence(Task):
         rng = np.random.default_rng((self.data_seed, _TAG_TEACHER))
         trans = rng.random((alphabet, alphabet)) ** 3
         self._transition = freeze(trans / trans.sum(axis=1, keepdims=True))
+        # row-wise running sums, so equal bit for bit to the cumsum of any row
+        self._cdf = freeze(np.cumsum(self._transition, axis=1))
         self._x_val, self._y_val = self._draw_sequences(
             np.random.default_rng((self.data_seed, _TAG_VAL)), n_val
         )
@@ -288,8 +290,7 @@ class CharSequence(Task):
         onehot = np.zeros((n, self.ctx * self.alphabet))
         for pos in range(self.ctx):
             onehot[np.arange(n), pos * self.alphabet + sym] = 1.0
-            cdf = np.cumsum(self._transition[sym], axis=1)
-            sym = (rng.random(n)[:, None] < cdf).argmax(axis=1)
+            sym = (rng.random(n)[:, None] < self._cdf[sym]).argmax(axis=1)
         return freeze(onehot), freeze(sym.astype(np.int64))
 
     def _unpack(self, theta: np.ndarray):

@@ -99,3 +99,18 @@ def test_is_finite():
     assert is_finite(np.array([1.0, -2.0]))
     assert not is_finite(np.array([1.0, float("nan")]))
     assert not is_finite(np.array([float("-inf")]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("values, expected", [
+    ([1e308, 1e308], True),  # the sum overflows; every element is finite
+    ([-1e308, -1e308, 5.0], True),
+    ([float("nan")], False),
+    ([float("inf")], False),
+    ([float("-inf")], False),
+    ([float("inf"), float("-inf")], False),
+    ([1.0, float("nan"), float("inf")], False),
+])
+def test_is_finite_is_exact_when_the_sum_is_not(values, expected):
+    assert is_finite(np.array(values)) is expected

@@ -246,6 +246,23 @@ def test_accepted_leaps_bookkeeping():
     assert all(e.step_from + e.k <= 500 for e in res.events)
 
 
+def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path):
+    task, hyper = smooth_bowl()
+    spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
+    res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
+                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec,
+                    store_dir=tmp_path)
+    assert any(e.applied for e in res.events)  # a leap landed in the buffer too
+    for ckpt in res.checkpoints:
+        saved = load_checkpoint(tmp_path / f"ckpt_{ckpt.step}.lpv")
+        for name in ("theta", "m", "v"):
+            arr = getattr(ckpt, name)
+            assert not arr.flags.writeable
+            assert arr.tobytes() == getattr(saved, name).tobytes(), (ckpt.step, name)
+    assert not np.shares_memory(res.checkpoints[-1].theta, res.theta_final)
+    assert not np.shares_memory(res.checkpoints[-1].m, res.adam_final.m)
+
+
 def test_leap_realigns_to_the_checkpoint_grid():
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=75, criterion="proximity")

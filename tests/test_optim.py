@@ -17,22 +17,32 @@ from leapverify.optim import (
 )
 
 
+def reference_step(hyper: AdamHyper, step: int, theta, m, v, g):
+    """Straight-line AdamW update with temporaries: returns (theta, m, v).
+
+    The operation order is the one apply_update must keep, so the two agree
+    bit for bit.
+    """
+    if step < hyper.warmup_steps:
+        lr = hyper.lr * (step + 1) / hyper.warmup_steps
+    else:
+        span = hyper.total_steps - hyper.warmup_steps
+        lr = hyper.lr * 0.5 * (1.0 + math.cos(math.pi * (step - hyper.warmup_steps) / span))
+    m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
+    v = hyper.beta2 * v + (1.0 - hyper.beta2) * g * g
+    m_hat = m / (1.0 - hyper.beta1 ** (step + 1))
+    v_hat = v / (1.0 - hyper.beta2 ** (step + 1))
+    theta = theta - lr * (m_hat / (np.sqrt(v_hat) + hyper.eps)) - lr * hyper.weight_decay * theta
+    return theta, m, v
+
+
 def reference_adamw(hyper: AdamHyper, theta0: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
     """Straight-line reimplementation of the update recurrences for oracle use."""
     theta = theta0.astype(np.float64).copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for step, g in enumerate(grads):
-        if step < hyper.warmup_steps:
-            lr = hyper.lr * (step + 1) / hyper.warmup_steps
-        else:
-            span = hyper.total_steps - hyper.warmup_steps
-            lr = hyper.lr * 0.5 * (1.0 + math.cos(math.pi * (step - hyper.warmup_steps) / span))
-        m = hyper.beta1 * m + (1 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1 - hyper.beta2) * g * g
-        m_hat = m / (1 - hyper.beta1 ** (step + 1))
-        v_hat = v / (1 - hyper.beta2 ** (step + 1))
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + hyper.eps) - lr * hyper.weight_decay * theta
+        theta, m, v = reference_step(hyper, step, theta, m, v, g)
     return theta
 
 
@@ -102,19 +112,59 @@ def test_multi_step_matches_reference():
     assert state.step == 60
 
 
-def test_apply_update_is_functional():
+def test_apply_update_in_place_is_bitwise_the_reference_formula():
+    # 200 steps: warmup, the peak, and the cosine decay down to lr 0
+    h = AdamHyper(lr=0.01, weight_decay=0.01, warmup_steps=20, total_steps=199)
+    rng = np.random.default_rng(11)
+    theta = rng.standard_normal(64)
+    ref_theta, ref_m, ref_v = theta.copy(), np.zeros(64), np.zeros(64)
+    state = init_state(64, h)
+    m_buf, v_buf = state.m, state.v
+    for step in range(200):
+        g = rng.standard_normal(64) * 10.0 ** rng.uniform(-6, 2)
+        ref_theta, ref_m, ref_v = reference_step(h, step, ref_theta, ref_m, ref_v, g)
+        _, returned = apply_update(state, theta, g, out=theta)
+        assert returned is theta and state.m is m_buf and state.v is v_buf
+        assert np.array_equal(theta, ref_theta), f"theta differs at step {step}"
+        assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+    assert state.step == 200
+
+
+def _bad_v(state, theta, g):
+    state.v = np.zeros(2)
+
+
+def _read_only_out(state, theta, g):
+    theta.flags.writeable = False
+
+
+def _past_schedule(state, theta, g):
+    state.step = state.hyper.total_steps + 1
+
+
+def _nan_gradient(state, theta, g):
+    g[1] = float("nan")
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_bad_v, ValueError),
+    (_read_only_out, ValueError),
+    (_past_schedule, ValueError),
+    (_nan_gradient, NonFiniteError),
+])
+def test_failed_update_writes_nothing(spoil, error):
     h = AdamHyper(lr=0.1, warmup_steps=0, total_steps=5)
+    state = init_state(3, h)
     theta = np.ones(3)
-    state0 = init_state(3, h)
-    g = np.full(3, 0.5)
-    state1, theta1 = apply_update(state0, theta, g)
-    assert np.array_equal(state0.m, np.zeros(3))
-    assert state0.step == 0
-    assert not theta1.flags.writeable
-    # replaying from the same inputs gives the same outputs
-    state1b, theta1b = apply_update(state0, theta, g)
-    assert np.array_equal(theta1, theta1b)
-    assert np.array_equal(state1.m, state1b.m)
+    apply_update(state, theta, np.array([0.5, -1.0, 2.0]), out=theta)
+    g = np.full(3, 0.25)
+    spoil(state, theta, g)
+    before = (state.m.copy(), state.v.copy(), state.step, theta.copy())
+    with pytest.raises(error):
+        apply_update(state, theta, g, out=theta)
+    assert np.array_equal(state.m, before[0]) and np.array_equal(state.v, before[1])
+    assert state.step == before[2]
+    assert np.array_equal(theta, before[3])
 
 
 def test_apply_update_rejects_bad_gradients():
@@ -137,19 +187,25 @@ def test_snapshot_moments_are_independent_copies():
 
 def test_fast_forward_carry_and_decay():
     h = AdamHyper(beta1=0.9, beta2=0.999, total_steps=100, warmup_steps=0)
-    state = AdamState(m=np.array([1.0, -2.0]), v=np.array([4.0, 9.0]), step=7, hyper=h)
+    m0, v0 = np.array([1.0, -2.0]), np.array([4.0, 9.0])
 
-    carried = fast_forward(state, 50, "carry")
+    carried = AdamState(m=m0.copy(), v=v0.copy(), step=7, hyper=h)
+    fast_forward(carried, 50, "carry")
     assert carried.step == 57
-    assert np.array_equal(carried.m, state.m)
-    assert np.array_equal(carried.v, state.v)
+    assert np.array_equal(carried.m, m0)
+    assert np.array_equal(carried.v, v0)
 
-    decayed = fast_forward(state, 3, "decay")
+    decayed = AdamState(m=m0.copy(), v=v0.copy(), step=7, hyper=h)
+    m_buf, v_buf = decayed.m, decayed.v
+    fast_forward(decayed, 3, "decay")
     assert decayed.step == 10
-    assert np.allclose(decayed.m, state.m * 0.9**3)
-    assert np.allclose(decayed.v, state.v * 0.999**3)
+    assert decayed.m is m_buf and decayed.v is v_buf  # scaled in place
+    assert np.array_equal(decayed.m, m0 * 0.9**3)
+    assert np.array_equal(decayed.v, v0 * 0.999**3)
 
     with pytest.raises(ValueError):
-        fast_forward(state, 0, "carry")
+        fast_forward(decayed, 0, "carry")
     with pytest.raises(ValueError):
-        fast_forward(state, 5, "bogus")
+        fast_forward(decayed, 5, "bogus")
+    assert decayed.step == 10
+    assert np.array_equal(decayed.m, m0 * 0.9**3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leapverify.core import NonFiniteError
-from leapverify.tasks import TASK_NAMES, make_task
+from leapverify.tasks import _TAG_BATCH, TASK_NAMES, make_task
 
 
 def central_diff_directional(loss_fn, theta, u, h=1e-5):
@@ -124,6 +124,28 @@ def test_char_seq_uniform_logits_score_log_alphabet():
     assert task.validation_loss(zeros) == pytest.approx(np.log(12.0), rel=1e-12)
     batch_loss = task.loss_and_grad(zeros, task.batch(0, 0)).loss
     assert batch_loss == pytest.approx(np.log(12.0), rel=1e-12)
+
+
+def per_row_cumsum_batch(task, seed: int, step: int):
+    """char-seq batch drawn with a cumsum of the gathered transition rows."""
+    rng = np.random.default_rng((task.data_seed, _TAG_BATCH, seed, step))
+    n = task.batch_size
+    sym = rng.integers(0, task.alphabet, size=n)
+    onehot = np.zeros((n, task.ctx * task.alphabet))
+    for pos in range(task.ctx):
+        onehot[np.arange(n), pos * task.alphabet + sym] = 1.0
+        cdf = np.cumsum(task._transition[sym], axis=1)
+        sym = (rng.random(n)[:, None] < cdf).argmax(axis=1)
+    return onehot, sym
+
+
+@pytest.mark.parametrize("seed, step", [(0, 0), (42, 7), (43, 1999), (2**40, 123456)])
+def test_char_seq_cdf_table_draws_the_per_row_cumsum_batch(seed, step):
+    task = make_task("char-seq")
+    x, y = task.batch(seed, step)
+    x_ref, y_ref = per_row_cumsum_batch(task, seed, step)
+    assert x.tobytes() == x_ref.tobytes()
+    assert y.tobytes() == y_ref.tobytes()
 
 
 def test_char_seq_batch_structure():
