@@ -14,6 +14,15 @@ speculation but never leaps. The thresholds label every checkpoint after the
 first as stable, so every eligible checkpoint speculates. The leap count is
 pinned with each hash, so the live modes are known to really leap.
 
+Replay cases pin the offline protocol the same way: `run_experiment` over one
+mlp-reg seed (400 steps, delta 20, K in {5, 25}, cascades 3x25, adaptive
+criterion, the same thresholds) must write the same sweep.csv,
+cascades.jsonl and report.txt, and `leapverify live` with the momentum or
+quadratic predictor the same events.jsonl. Each runs under the paper
+formulas and under the variant pair (momentum_variant = descent,
+quad_variant = exact), so every prediction formula is pinned byte for byte,
+including the later cascade stages that extrapolate from predicted states.
+
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
 (Python 3.11). Another numpy or BLAS build may round a matrix product
 differently and change them without any change to this package.
@@ -26,9 +35,10 @@ from dataclasses import replace
 
 import pytest
 
-from leapverify.config import RunConfig
+from leapverify.cli import main
+from leapverify.config import RunConfig, save_config
 from leapverify.engine import SpeculationSettings, train_run
-from leapverify.harness import build_hyper, write_loss_log
+from leapverify.harness import build_hyper, run_experiment, write_loss_log
 from leapverify.regime import Thresholds
 from leapverify.tasks import make_task
 
@@ -77,3 +87,57 @@ def run_digest(task_name: str, mode: str, out) -> tuple[str, int]:
 @pytest.mark.parametrize("task_name, mode", sorted(GOLDEN))
 def test_golden_hash(task_name, mode, tmp_path):
     assert run_digest(task_name, mode, tmp_path) == GOLDEN[(task_name, mode)]
+
+
+REPLAY = RunConfig(task="mlp-reg", seeds=(SEED,), steps=STEPS, delta=DELTA, k_set=(5, 25),
+                   cascades=((3, 25),), criterion="adaptive",
+                   tau_low=THRESHOLDS.tau_low, tau_high=THRESHOLDS.tau_high)
+VARIANTS = {"paper": ("paper", "paper"), "descent-exact": ("descent", "exact")}
+
+# variants -> sha256 of each replay output
+GOLDEN_REPLAY = {
+    "descent-exact": {
+        "sweep.csv": "3fe069626ca4f9b3f2c4d69f44bda0e650ef7fc47481f6ff607448740476b14f",
+        "cascades.jsonl": "3958d73ba06c473f0af5c509659f4b6709ae18fed34d0eea727eabb5902d33a1",
+        "report.txt": "50e9d42a78b2f66661cc9659b24c8a6579f8027368de29fbbcf56a3b019f5649",
+    },
+    "paper": {
+        "sweep.csv": "b9680f07ce86640f9dadc583e896dc43aba599fcedb50b0cb3c2fdc9decff929",
+        "cascades.jsonl": "85298c52e82e5ca6c0fe443aeefc5a964419d052c3f8166b5bc4b5f7bbaf3886",
+        "report.txt": "89f3a7cf24f9f5c04694386146b186392c56190b9048a47f769fa9840374ba5f",
+    },
+}
+
+# (live predictor, variants) -> sha256 of events.jsonl
+GOLDEN_LIVE_EVENTS = {
+    ("momentum", "descent-exact"): "dd90ff796ed6d7b0550f2e7548307486c5534f3feeee6b34ddbaa80493032ea1",
+    ("momentum", "paper"): "f1380d8a925edeb79e8c5cc5b9be43f44f09b06eedbc922dfc65b8e7f4d15d09",
+    ("quadratic", "descent-exact"): "0306b776e2d6f19ffa30881165afecf69a4efc435899d4e0d2a4fd293d487565",
+    ("quadratic", "paper"): "24d2c02df0a8b3b3d6058fc60c1257380f890c953ab99ac5a389c43d632fcb93",
+}
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("variants", sorted(VARIANTS))
+def test_golden_replay(variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    run_experiment(replace(REPLAY, momentum_variant=momentum_variant,
+                           quad_variant=quad_variant, out=str(tmp_path)))
+    run_dir = tmp_path / "runs" / "mlp-reg" / str(SEED)
+    digests = {name: sha256_file(run_dir / name) for name in ("sweep.csv", "cascades.jsonl")}
+    digests["report.txt"] = sha256_file(tmp_path / "report.txt")
+    assert digests == GOLDEN_REPLAY[variants]
+
+
+@pytest.mark.parametrize("predictor, variants", sorted(GOLDEN_LIVE_EVENTS))
+def test_golden_live_events(predictor, variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    config = tmp_path / "live.cfg"
+    save_config(replace(REPLAY, live_predictor=predictor, live_k=25,
+                        momentum_variant=momentum_variant, quad_variant=quad_variant), config)
+    assert main(["live", "--config", str(config), "--out", str(tmp_path)]) == 0
+    events = tmp_path / "live" / "mlp-reg" / str(SEED) / "events.jsonl"
+    assert sha256_file(events) == GOLDEN_LIVE_EVENTS[(predictor, variants)]
