@@ -8,100 +8,4 @@ gated on the training regime (chaotic / transition / stable), classified
 from the drift of activation fingerprints between checkpoints.
 """
 
-from .config import RunConfig, load_config, parse_config, save_config
-from .engine import (
-    CascadeConfig,
-    LeapEvent,
-    RunResult,
-    SpeculationSettings,
-    accepted_depth,
-    leap_or_continue,
-    run_cascade,
-    speculate,
-    train_run,
-)
-from .harness import (
-    ExperimentReport,
-    SweepCell,
-    aggregate,
-    calibrate_thresholds,
-    momentum_ratio_table,
-    pass1_train,
-    pass2_ksweep,
-    pass3_cascades,
-    run_experiment,
-)
-from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, lr_at
-from .predict import (
-    HISTORY_REQUIRED,
-    PREDICTORS,
-    Prediction,
-    predict_linear,
-    predict_momentum,
-    predict_momentum_descent,
-    predict_quadratic,
-    predict_quadratic_exact,
-)
-from .regime import RegimeLabel, Thresholds, calibrate, classify, regime_breakdown
-from .tasks import TASK_NAMES, CharSequence, MlpRegression, QuadBowl, Task, make_task
-from .trajectory import Checkpoint, HistoryWindow, load_checkpoint, save_checkpoint
-from .verify import CRITERIA, Decision, decide
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamHyper",
-    "AdamState",
-    "CRITERIA",
-    "CascadeConfig",
-    "CharSequence",
-    "Checkpoint",
-    "Decision",
-    "ExperimentReport",
-    "HISTORY_REQUIRED",
-    "HistoryWindow",
-    "LeapEvent",
-    "MlpRegression",
-    "PREDICTORS",
-    "Prediction",
-    "QuadBowl",
-    "RegimeLabel",
-    "RunConfig",
-    "RunResult",
-    "SpeculationSettings",
-    "SweepCell",
-    "TASK_NAMES",
-    "Task",
-    "Thresholds",
-    "accepted_depth",
-    "aggregate",
-    "apply_update",
-    "calibrate",
-    "calibrate_thresholds",
-    "classify",
-    "decide",
-    "fast_forward",
-    "init_state",
-    "leap_or_continue",
-    "load_checkpoint",
-    "load_config",
-    "lr_at",
-    "make_task",
-    "momentum_ratio_table",
-    "parse_config",
-    "pass1_train",
-    "pass2_ksweep",
-    "pass3_cascades",
-    "predict_linear",
-    "predict_momentum",
-    "predict_momentum_descent",
-    "predict_quadratic",
-    "predict_quadratic_exact",
-    "regime_breakdown",
-    "run_cascade",
-    "run_experiment",
-    "save_checkpoint",
-    "save_config",
-    "speculate",
-    "train_run",
-]

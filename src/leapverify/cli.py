@@ -4,8 +4,9 @@ Subcommands mirror the experiment protocol: `calibrate` fixes regime
 thresholds, `train`/`sweep`/`cascade` run the three passes individually,
 `live` trains with leaps actually applied, `report` re-aggregates existing
 outputs, and `run-all` does the whole pipeline. Options layer as
-defaults < config file (--config) < flags, and the effective config is
-always written next to the outputs.
+defaults < config file (--config) < flags. `run-all` writes the effective
+config to config.txt in the output root, and `report` reads it back from
+there; the single-pass commands and `live` write no config.
 """
 
 from __future__ import annotations
@@ -16,35 +17,29 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (
-    OUT_ENV_VAR,
-    QUAD_VARIANTS,
-    SWEEP_PREDICTORS,
-    RunConfig,
-    config_dict,
-    load_config,
-    resolve_out_root,
-)
-from .engine import FF_POLICIES, MOMENTUM_VARIANTS, SpeculationSettings, train_run
+from .config import OUT_ENV_VAR, RunConfig, config_dict, load_config, resolve_out_root
+from .engine import FF_POLICIES, SpeculationSettings, train_run
 from .harness import (
     aggregate,
     build_hyper,
     build_task,
     calibrate_thresholds,
+    fresh_run_dir,
     pass1_train,
     pass2_ksweep,
     pass3_cascades,
     read_cascade_rows,
     read_sweep_csv,
-    resolve_predictor,
     run_dir_for,
     run_experiment,
+    sweep_formulas,
     write_atomic,
     write_cascade_rows,
     write_loss_log,
     write_report,
     write_sweep_csv,
 )
+from .predict import MOMENTUM_VARIANTS, QUAD_VARIANTS, SWEEP_PREDICTORS, resolve_predictor
 from .regime import Thresholds
 from .tasks import TASK_NAMES
 from .trajectory import load_run_checkpoints
@@ -54,7 +49,7 @@ THRESHOLDS_FILE = "thresholds.txt"
 
 _OVERRIDE_FIELDS = (
     "task", "steps", "delta", "lr", "epsilon", "criterion", "momentum_variant",
-    "quad_variant", "ff_policy", "tau_low", "tau_high", "out", "jobs",
+    "quad_variant", "ff_policy", "tau_low", "tau_high", "out",
     "live_predictor", "live_k",
 )
 
@@ -78,7 +73,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-low", dest="tau_low", type=float)
     p.add_argument("--tau-high", dest="tau_high", type=float)
     p.add_argument("--out", type=str, help=f"output root (default ${OUT_ENV_VAR} or ./out)")
-    p.add_argument("--jobs", type=int, help="max concurrent seeds")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.add_argument("--lr", type=float, help="override the task's base learning rate")
     p.add_argument("--live-predictor", dest="live_predictor", choices=SWEEP_PREDICTORS)
@@ -130,14 +124,6 @@ def _resolve_thresholds(cfg: RunConfig, out_root: Path) -> Thresholds:
     return th
 
 
-def _refuse_existing(paths: list[Path], force: bool) -> None:
-    if force:
-        return
-    for path in paths:
-        if path.exists():
-            raise RuntimeError(f"{path} already exists; pass --force to overwrite")
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
@@ -157,8 +143,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     task = build_task(cfg)
     out_root = resolve_out_root(cfg)
-    _refuse_existing([run_dir_for(out_root, task.name, s) / f"ckpt_{cfg.delta}.lpv"
-                      for s in cfg.seeds], args.force)
+    for seed in cfg.seeds:
+        fresh_run_dir(run_dir_for(out_root, task.name, seed), args.force)
     thresholds = _resolve_thresholds(cfg, out_root)
     for seed in cfg.seeds:
         result = pass1_train(task, seed, cfg, thresholds, out_root)
@@ -176,8 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_dir = run_dir_for(out_root, task.name, seed)
         cells = pass2_ksweep(run_dir, task, hyper, k_set=cfg.k_set,
                              epsilon=cfg.epsilon, adaptive_window=cfg.adaptive_window,
-                             momentum_variant=cfg.momentum_variant,
-                             quad_variant=cfg.quad_variant)
+                             formulas=sweep_formulas(cfg))
         write_sweep_csv(cells, run_dir / "sweep.csv")
         eligible = sum(c.eligible for c in cells)
         print(f"seed {seed}: {len(cells)} cells ({eligible} eligible) -> {run_dir / 'sweep.csv'}")
@@ -194,8 +179,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         rows = pass3_cascades(run_dir, task, hyper, configs=cfg.cascades,
                               criterion=cfg.criterion, epsilon=cfg.epsilon,
                               adaptive_window=cfg.adaptive_window,
-                              momentum_variant=cfg.momentum_variant,
-                              quad_variant=cfg.quad_variant)
+                              formulas=sweep_formulas(cfg))
         write_cascade_rows(rows, run_dir / "cascades.jsonl")
         if rows:
             print(f"seed {seed}: {len(rows)} cascade evaluations -> {run_dir / 'cascades.jsonl'}")
@@ -209,24 +193,18 @@ def cmd_live(args: argparse.Namespace) -> int:
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
     out_root = resolve_out_root(cfg)
+    live_dirs = {seed: out_root / "live" / task.name / str(seed) for seed in cfg.seeds}
+    for live_dir in live_dirs.values():
+        fresh_run_dir(live_dir, args.force)
     thresholds = _resolve_thresholds(cfg, out_root)
     speculation = SpeculationSettings(
-        predictor=resolve_predictor(cfg.live_predictor, cfg.quad_variant),
+        predictor=resolve_predictor(cfg.live_predictor, cfg.quad_variant, cfg.momentum_variant),
         k=cfg.live_k, criterion=cfg.criterion, apply=True,
         regime_gating=cfg.regime_gating)
-    for seed in cfg.seeds:
-        live_dir = out_root / "live" / task.name / str(seed)
-        _refuse_existing([live_dir / f"ckpt_{cfg.delta}.lpv"], args.force)
-        live_dir.mkdir(parents=True, exist_ok=True)
-        for stale in live_dir.glob("ckpt_*.lpv"):
-            stale.unlink()
-        events_file = live_dir / "events.jsonl"
-        if events_file.exists():
-            events_file.unlink()
+    for seed, live_dir in live_dirs.items():
         result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
                            hyper=hyper, thresholds=thresholds, epsilon=cfg.epsilon,
                            adaptive_window=cfg.adaptive_window,
-                           momentum_variant=cfg.momentum_variant,
                            ff_policy=cfg.ff_policy, speculation=speculation,
                            store_dir=live_dir)
         write_loss_log(result, live_dir)
@@ -270,9 +248,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
-    markers = [out_root / "report.json"]
-    markers += [run_dir_for(out_root, cfg.task, s) for s in cfg.seeds]
-    _refuse_existing(markers, args.force)
+    if (out_root / "report.json").exists() and not args.force:
+        raise RuntimeError(f"{out_root / 'report.json'} already exists; pass --force to overwrite")
+    for seed in cfg.seeds:
+        fresh_run_dir(run_dir_for(out_root, cfg.task, seed), args.force)
     thresholds = _resolve_thresholds(cfg, out_root)
     cfg = replace(cfg, tau_low=thresholds.tau_low, tau_high=thresholds.tau_high,
                   out=str(out_root))

@@ -12,13 +12,11 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .engine import FF_POLICIES, MOMENTUM_VARIANTS, CascadeConfig
-from .predict import LINEAR, MOMENTUM, QUADRATIC
+from .engine import FF_POLICIES, CascadeConfig
+from .predict import LINEAR, SWEEP_PREDICTORS, resolve_predictor
 from .tasks import TASK_NAMES
 from .verify import CRITERIA
 
-QUAD_VARIANTS = ("paper", "exact")
-SWEEP_PREDICTORS = (MOMENTUM, LINEAR, QUADRATIC)
 OUT_ENV_VAR = "LEAPVERIFY_OUT"
 
 DEFAULT_K_SET = (5, 10, 25, 50, 75, 100)
@@ -70,7 +68,6 @@ class RunConfig:
     data_seed: int = 7
 
     out: str | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.task not in TASK_NAMES:
@@ -105,20 +102,16 @@ class RunConfig:
             raise ValueError("adaptive_window must be >= 2")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.momentum_variant not in MOMENTUM_VARIANTS:
-            raise ValueError(f"unknown momentum_variant {self.momentum_variant!r}")
-        if self.quad_variant not in QUAD_VARIANTS:
-            raise ValueError(f"unknown quad_variant {self.quad_variant!r}")
         if self.ff_policy not in FF_POLICIES:
             raise ValueError(f"unknown ff_policy {self.ff_policy!r}")
         if self.live_predictor not in SWEEP_PREDICTORS:
             raise ValueError(f"live_predictor must be one of {SWEEP_PREDICTORS}")
+        # raises on an unknown momentum_variant or quad_variant
+        resolve_predictor(self.live_predictor, self.quad_variant, self.momentum_variant)
         if self.live_k < 1:
             raise ValueError("live_k must be >= 1")
         for d, k in self.cascades:
             CascadeConfig(depth=d, k=k)  # reuse its validation
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _fmt_value(value) -> str:
@@ -191,7 +184,6 @@ _PARSERS = {
     "dim": _opt(int),
     "data_seed": int,
     "out": _opt(str),
-    "jobs": int,
 }
 
 

@@ -7,7 +7,6 @@ become part of trajectory state. All operations are pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,30 +29,9 @@ def freeze(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def as_params(values: Sequence[float] | np.ndarray, *, check_finite: bool = True) -> np.ndarray:
-    """Build a parameter vector: 1-D float64, read-only copy of `values`.
-
-    Raises NonFiniteError if `check_finite` and any element is NaN/Inf.
-    Vectors produced by extrapolation may legitimately contain non-finite
-    values; build those with check_finite=False and test with is_finite().
-    """
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("parameter vector must be non-empty")
-    if check_finite and not np.all(np.isfinite(arr)):
-        raise NonFiniteError("parameter vector contains NaN/Inf")
-    return freeze(arr)
-
-
 def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return a*x + y elementwise; inputs unmodified."""
-    _check_same_length(x, y)
-    return a * x + y
 
 
 def l2_norm(x: np.ndarray) -> float:

@@ -19,27 +19,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import freeze, is_finite
 from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
-from .predict import (
-    HISTORY_REQUIRED,
-    LINEAR,
-    MOMENTUM,
-    PREDICTORS,
-    QUADRATIC,
-    QUADRATIC_EXACT,
-    Prediction,
-    predict_linear,
-    predict_momentum,
-    predict_momentum_descent,
-    predict_quadratic,
-    predict_quadratic_exact,
-)
+from .predict import FORMULAS, LINEAR, Prediction, predict, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import Task
 from .trajectory import (
@@ -52,7 +39,6 @@ from .trajectory import (
 from .verify import Decision, decide
 
 FF_POLICIES = ("carry", "decay")
-MOMENTUM_VARIANTS = ("paper", "descent")
 
 
 class RunDivergedError(RuntimeError):
@@ -67,7 +53,7 @@ class IneligibleError(ValueError):
 class SpeculationSettings:
     """How the live loop speculates at each eligible checkpoint."""
 
-    predictor: str = LINEAR
+    predictor: str = LINEAR     # formula name (see predict.FORMULAS)
     k: int = 50
     criterion: str = "strict"
     apply: bool = True          # False: verify but never leap (force-reject)
@@ -137,10 +123,6 @@ class RunResult:
         return [c.regime for c in self.checkpoints]
 
 
-def eligible(predictor: str, window_size: int) -> bool:
-    return window_size >= HISTORY_REQUIRED[predictor]
-
-
 def speculate(
     ckpts: Sequence[Checkpoint],
     delta: int,
@@ -148,38 +130,22 @@ def speculate(
     k: int,
     task: Task,
     hyper: AdamHyper,
-    momentum_variant: str = "paper",
 ) -> tuple[Prediction, float]:
     """Predict K steps ahead of the newest checkpoint and score it held-out.
 
     `ckpts` is the history window, oldest first, newest = the speculation
-    origin. Returns the prediction and its validation loss; training state is
-    untouched. Raises InsufficientHistoryError when the window is too short
-    for the predictor.
+    origin; `predictor` is a formula name. Returns the prediction and its
+    validation loss; training state is untouched. Raises
+    InsufficientHistoryError when the window is too short for the formula.
     """
-    if predictor not in PREDICTORS:
-        raise ValueError(f"unknown predictor {predictor!r}")
-    if momentum_variant not in MOMENTUM_VARIANTS:
-        raise ValueError(f"unknown momentum variant {momentum_variant!r}")
-    if len(ckpts) < HISTORY_REQUIRED[predictor]:
-        raise InsufficientHistoryError(
-            f"{predictor} needs {HISTORY_REQUIRED[predictor]} checkpoints, have {len(ckpts)}"
-        )
     curr = ckpts[-1]
-    if predictor == MOMENTUM:
-        if momentum_variant == "paper":
-            pred = predict_momentum(curr.theta, curr.m, curr.v, k, hyper.eps)
-        else:
-            state = AdamState(m=curr.m, v=curr.v, step=curr.step, hyper=hyper)
-            pred = predict_momentum_descent(curr.theta, state, k)
-    elif predictor == LINEAR:
-        pred = predict_linear(curr.theta, ckpts[-2].theta, delta, k)
-    elif predictor == QUADRATIC:
-        pred = predict_quadratic(curr.theta, ckpts[-2].theta, ckpts[-3].theta, delta, k)
-    else:
-        pred = predict_quadratic_exact(curr.theta, ckpts[-2].theta, ckpts[-3].theta, delta, k)
-    l_hat = task.validation_loss(pred.theta_hat) if pred.finite else float("nan")
-    return pred, l_hat
+    pred = predict(predictor, [c.theta for c in ckpts], delta, k,
+                   curr.m, curr.v, curr.step, hyper)
+    return pred, _held_out_loss(pred, task)
+
+
+def _held_out_loss(pred: Prediction, task: Task) -> float:
+    return task.validation_loss(pred.theta_hat) if pred.finite else float("nan")
 
 
 def leap_or_continue(
@@ -191,7 +157,6 @@ def leap_or_continue(
     *,
     epsilon: float,
     adaptive_window: int,
-    momentum_variant: str = "paper",
 ) -> tuple[LeapEvent | None, Prediction | None]:
     """One speculation attempt at the current checkpoint.
 
@@ -202,11 +167,11 @@ def leap_or_continue(
     curr = window.current
     if settings.regime_gating and curr.regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
         return None, None
-    if not eligible(settings.predictor, window.size):
+    if window.size < FORMULAS[settings.predictor].history:
         return None, None
 
     pred, l_hat = speculate(window.checkpoints, window.delta, settings.predictor,
-                            settings.k, task, hyper, momentum_variant)
+                            settings.k, task, hyper)
     try:
         sigma = recent_loss_std(loss_log, adaptive_window)
     except InsufficientHistoryError:
@@ -245,9 +210,10 @@ def train_run(
 
     Without thresholds every checkpoint is labeled `unknown` (calibration
     runs). With `speculation` set, each eligible checkpoint attempts one
-    leap; accepted leaps fast-forward the run under `ff_policy`. Checkpoints
-    are persisted to store_dir when given, and leap events are streamed to
-    events.jsonl alongside them.
+    leap; accepted leaps fast-forward the run under `ff_policy`, and
+    `momentum_variant` picks the formula of a `momentum` predictor, through
+    predict.resolve_predictor. Checkpoints are persisted to store_dir when
+    given, and leap events are streamed to events.jsonl alongside them.
 
     The run owns one writable parameter buffer and its optimizer state's
     moment buffers, and every step updates them in place. Nothing outside
@@ -259,6 +225,9 @@ def train_run(
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
     if total_steps < 1 or delta < 1:
         raise ValueError("total_steps and delta must be >= 1")
+    if speculation is not None:
+        speculation = replace(speculation, predictor=resolve_predictor(
+            speculation.predictor, momentum_variant=momentum_variant))
 
     store_path = Path(store_dir) if store_dir is not None else None
     if store_path is not None:
@@ -307,7 +276,6 @@ def train_run(
             event, pred = leap_or_continue(
                 window, loss_log, task, hyper, speculation,
                 epsilon=epsilon, adaptive_window=adaptive_window,
-                momentum_variant=momentum_variant,
             )
             if event is not None:
                 events.append(event)
@@ -336,31 +304,6 @@ def train_run(
     )
 
 
-def _cascade_step(predictor: str, chain: list[np.ndarray], k: int,
-                  start: Checkpoint, hyper: AdamHyper,
-                  momentum_variant: str) -> Prediction:
-    """Stage >= 2 prediction from the synthetic chain of predicted states.
-
-    The chain holds [theta_start, stage-1 prediction, ...] at uniform spacing
-    K, so finite-difference predictors run with delta = K on it. Momentum
-    stages reuse the start checkpoint's moment snapshot. Quadratic falls back
-    to the linear form while the chain is too short for a second difference.
-    """
-    if predictor == MOMENTUM:
-        if momentum_variant == "paper":
-            return predict_momentum(chain[-1], start.m, start.v, k, hyper.eps)
-        state = AdamState(m=start.m, v=start.v, step=start.step, hyper=hyper)
-        return predict_momentum_descent(chain[-1], state, k)
-    if predictor == LINEAR or len(chain) < 3:
-        pred = predict_linear(chain[-1], chain[-2], k, k)
-        if predictor == LINEAR:
-            return pred
-        return Prediction(predictor=predictor, k=k, theta_hat=pred.theta_hat,
-                          displacement_norm=pred.displacement_norm, finite=pred.finite)
-    fn = predict_quadratic if predictor == QUADRATIC else predict_quadratic_exact
-    return fn(chain[-1], chain[-2], chain[-3], k, k)
-
-
 def run_cascade(
     start_window: Sequence[Checkpoint],
     cfg: CascadeConfig,
@@ -371,23 +314,21 @@ def run_cascade(
     *,
     sigma_l: float | None,
     epsilon: float,
-    momentum_variant: str = "paper",
 ) -> list[LeapEvent]:
     """Chain up to `cfg.depth` predictions of horizon K from a stable checkpoint.
 
     Stage 1 extrapolates from the real history window; each later stage starts
     from the previous stage's predicted weights and is verified against the
-    previous stage's predicted loss. Stages stop at the first rejection under
-    `criterion`; the returned events cover every evaluated stage, so the
-    accepted depth is len(events) minus the trailing rejection if any.
+    previous stage's predicted loss. Later stages run the formula on the chain
+    [theta_start, stage-1 prediction, ...] at spacing K with the start
+    checkpoint's moments, in the linear form while the chain is too short for
+    the formula. Stages stop at the first rejection under `criterion`; the
+    returned events cover every evaluated stage, so the accepted depth is
+    len(events) minus the trailing rejection if any.
     """
     start = start_window[-1]
     if start.regime != RegimeLabel.STABLE:
         raise IneligibleError(f"cascades start from stable checkpoints, got {start.regime.value}")
-    if len(start_window) < HISTORY_REQUIRED[predictor]:
-        raise InsufficientHistoryError(
-            f"{predictor} needs {HISTORY_REQUIRED[predictor]} checkpoints at the cascade start"
-        )
     delta = start_window[1].step - start_window[0].step if len(start_window) > 1 else cfg.k
 
     events: list[LeapEvent] = []
@@ -395,11 +336,11 @@ def run_cascade(
     baseline = start.val_loss
     for stage in range(1, cfg.depth + 1):
         if stage == 1:
-            pred, l_hat = speculate(start_window, delta, predictor, cfg.k,
-                                    task, hyper, momentum_variant)
+            pred, l_hat = speculate(start_window, delta, predictor, cfg.k, task, hyper)
         else:
-            pred = _cascade_step(predictor, chain, cfg.k, start, hyper, momentum_variant)
-            l_hat = task.validation_loss(pred.theta_hat) if pred.finite else float("nan")
+            formula = predictor if len(chain) >= FORMULAS[predictor].history else LINEAR
+            pred = predict(formula, chain, cfg.k, cfg.k, start.m, start.v, start.step, hyper)
+            l_hat = _held_out_loss(pred, task)
         if not (math.isfinite(baseline) and baseline > 0):
             break  # previous stage's loss cannot anchor a verification
         decision = decide(l_hat, baseline, sigma_l, epsilon)

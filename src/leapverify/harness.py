@@ -16,19 +16,12 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    SWEEP_PREDICTORS,
-    RunConfig,
-    config_dict,
-    format_config,
-    resolve_out_root,
-)
+from .config import RunConfig, config_dict, format_config, resolve_out_root
 from .engine import (
     CascadeConfig,
     LeapEvent,
@@ -39,7 +32,7 @@ from .engine import (
     train_run,
 )
 from .optim import AdamHyper
-from .predict import HISTORY_REQUIRED, MOMENTUM, QUADRATIC, QUADRATIC_EXACT
+from .predict import FORMULAS, SWEEP_PREDICTORS, resolve_predictor
 from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (
@@ -155,11 +148,30 @@ def run_dir_for(out_root: str | Path, task_name: str, seed: int) -> Path:
     return Path(out_root) / "runs" / task_name / str(seed)
 
 
-def resolve_predictor(predictor: str, quad_variant: str) -> str:
-    """Map the user-facing predictor id to the formula actually evaluated."""
-    if predictor == QUADRATIC and quad_variant == "exact":
-        return QUADRATIC_EXACT
-    return predictor
+def sweep_formulas(cfg: RunConfig) -> tuple[str, ...]:
+    """The formula each predictor family evaluates under cfg's variants."""
+    return tuple(resolve_predictor(p, cfg.quad_variant, cfg.momentum_variant)
+                 for p in SWEEP_PREDICTORS)
+
+
+RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", "loss_log.csv", "sweep.csv", "cascades.jsonl")
+
+
+def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
+    """Clear the outputs of any earlier run from `run_dir`.
+
+    Checkpoints, events and the loss log are replaced by the new run, and
+    the sweep and cascade files derived from the old checkpoints go with
+    them, so no later pass mixes the two runs. With force=False a run dir
+    that holds any of them is refused instead.
+    """
+    run_dir = Path(run_dir)
+    stale = sorted(p for pattern in RUN_OUTPUTS for p in run_dir.glob(pattern))
+    if stale and not force:
+        raise RuntimeError(f"{stale[0]} already exists; pass --force to overwrite")
+    for path in stale:
+        path.unlink()
+    return run_dir
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -202,19 +214,11 @@ def calibrate_thresholds(cfg: RunConfig, task: Task | None = None) -> Thresholds
 def pass1_train(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
                 out_root: str | Path) -> RunResult:
     """Train one seed, persisting checkpoints and the loss log to its run dir."""
-    run_dir = run_dir_for(out_root, task.name, seed)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for stale in run_dir.glob("ckpt_*.lpv"):
-        stale.unlink()  # a shorter rerun must not leave orphan steps behind
-    events = run_dir / "events.jsonl"
-    if events.exists():
-        events.unlink()
-
+    run_dir = fresh_run_dir(run_dir_for(out_root, task.name, seed))
     hyper = build_hyper(cfg, task)
     result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
                        hyper=hyper, thresholds=thresholds, epsilon=cfg.epsilon,
                        adaptive_window=cfg.adaptive_window,
-                       momentum_variant=cfg.momentum_variant,
                        ff_policy=cfg.ff_policy, store_dir=run_dir)
     write_loss_log(result, run_dir)
     return result
@@ -232,13 +236,14 @@ def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
 
 def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                  k_set: tuple[int, ...], epsilon: float, adaptive_window: int = 5,
-                 momentum_variant: str = "paper",
-                 quad_variant: str = "paper") -> list[SweepCell]:
+                 formulas: tuple[str, ...] = SWEEP_PREDICTORS) -> list[SweepCell]:
     """Score the full predictor x K grid at every non-chaotic checkpoint.
 
-    All three criteria are recorded per cell; checkpoints whose history is
-    too short for a predictor yield ineligible placeholder cells so the grid
-    stays rectangular.
+    `formulas` names the formula evaluated for each predictor family (see
+    sweep_formulas); cells carry the family label. All three criteria are
+    recorded per cell; checkpoints whose history is too short for a
+    predictor yield ineligible placeholder cells so the grid stays
+    rectangular.
     """
     ckpts = load_run_checkpoints(run_dir)
     delta = _checkpoint_spacing(ckpts)
@@ -250,9 +255,9 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
             continue
         sigma = _sigma_at(losses, i, adaptive_window)
         window = tuple(ckpts[max(0, i - 2): i + 1])
-        for predictor in SWEEP_PREDICTORS:
-            internal = resolve_predictor(predictor, quad_variant)
-            usable = len(window) >= HISTORY_REQUIRED[internal]
+        for formula in formulas:
+            predictor = FORMULAS[formula].family
+            usable = len(window) >= FORMULAS[formula].history
             for k in k_set:
                 if not usable:
                     cells.append(SweepCell(
@@ -261,8 +266,7 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                         l_hat=float("nan"), l_t=ckpt.val_loss, decision=None,
                         displacement_norm=float("nan"), eligible=False))
                     continue
-                pred, l_hat = speculate(window, delta, internal, k, task,
-                                        hyper, momentum_variant)
+                pred, l_hat = speculate(window, delta, formula, k, task, hyper)
                 decision = decide(l_hat, ckpt.val_loss, sigma, epsilon)
                 cells.append(SweepCell(
                     seed=ckpt.seed, checkpoint_step=ckpt.step,
@@ -275,8 +279,7 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
 def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                    configs: tuple[tuple[int, int], ...], criterion: str,
                    epsilon: float, adaptive_window: int = 5,
-                   momentum_variant: str = "paper",
-                   quad_variant: str = "paper") -> list[CascadeRow]:
+                   formulas: tuple[str, ...] = SWEEP_PREDICTORS) -> list[CascadeRow]:
     """Evaluate cascaded predictions from every stable checkpoint.
 
     Returns one row per (stable checkpoint, config, predictor) whose history
@@ -292,17 +295,15 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
         sigma = _sigma_at(losses, i, adaptive_window)
         window = tuple(ckpts[max(0, i - 2): i + 1])
         for d, k in configs:
-            for predictor in SWEEP_PREDICTORS:
-                internal = resolve_predictor(predictor, quad_variant)
-                if len(window) < HISTORY_REQUIRED[internal]:
+            for formula in formulas:
+                if len(window) < FORMULAS[formula].history:
                     continue
                 events = run_cascade(window, CascadeConfig(depth=d, k=k),
-                                     internal, criterion, task, hyper,
-                                     sigma_l=sigma, epsilon=epsilon,
-                                     momentum_variant=momentum_variant)
+                                     formula, criterion, task, hyper,
+                                     sigma_l=sigma, epsilon=epsilon)
                 rows.append(CascadeRow(
                     seed=ckpt.seed, start_step=ckpt.step, depth=d, k=k,
-                    predictor=predictor, criterion=criterion,
+                    predictor=FORMULAS[formula].family, criterion=criterion,
                     accepted_depth=accepted_depth(events, criterion),
                     events=tuple(events)))
     return rows
@@ -439,10 +440,6 @@ def ratio_table(cells: list[SweepCell], predictor: str) -> list[dict]:
             "ratio": mean_pred / mean_actual if mean_actual > 0 else None,
         })
     return table
-
-
-def momentum_ratio_table(cells: list[SweepCell]) -> list[dict]:
-    return ratio_table(cells, MOMENTUM)
 
 
 def aggregate(cells: list[SweepCell], cascade_rows: list[CascadeRow],
@@ -709,15 +706,13 @@ def _seed_passes(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
         stage = "pass2 (sweep)"
         cells = pass2_ksweep(run_dir, task, hyper, k_set=cfg.k_set, epsilon=cfg.epsilon,
                              adaptive_window=cfg.adaptive_window,
-                             momentum_variant=cfg.momentum_variant,
-                             quad_variant=cfg.quad_variant)
+                             formulas=sweep_formulas(cfg))
         write_sweep_csv(cells, run_dir / "sweep.csv")
         stage = "pass3 (cascade)"
         rows = pass3_cascades(run_dir, task, hyper, configs=cfg.cascades,
                               criterion=cfg.criterion, epsilon=cfg.epsilon,
                               adaptive_window=cfg.adaptive_window,
-                              momentum_variant=cfg.momentum_variant,
-                              quad_variant=cfg.quad_variant)
+                              formulas=sweep_formulas(cfg))
         write_cascade_rows(rows, run_dir / "cascades.jsonl")
     except Exception as exc:
         raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
@@ -736,14 +731,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     else:
         thresholds = Thresholds(tau_low=cfg.tau_low, tau_high=cfg.tau_high)
 
-    if cfg.jobs > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {seed: pool.submit(_seed_passes, task, seed, cfg, thresholds, out_root)
-                       for seed in cfg.seeds}
-            per_seed = {seed: fut.result() for seed, fut in futures.items()}
-    else:
-        per_seed = {seed: _seed_passes(task, seed, cfg, thresholds, out_root)
-                    for seed in cfg.seeds}
+    per_seed = {seed: _seed_passes(task, seed, cfg, thresholds, out_root)
+                for seed in cfg.seeds}
 
     labels_by_seed = {seed: labels for seed, (labels, _, _) in per_seed.items()}
     cells = [c for seed in sorted(per_seed) for c in per_seed[seed][1]]

@@ -1,19 +1,27 @@
-"""Analytic weight predictors: pure functions from history to predicted state.
+"""Analytic weight predictors: one table of formulas, one dispatch.
 
-Four extrapolators forecast parameters K steps ahead of a checkpoint:
+Five formulas forecast parameters K steps ahead of a checkpoint. FORMULAS
+names each by the formula actually evaluated and records the checkpoints of
+history it needs and the family label that sweep rows and reports print:
 
-* ``momentum``        -- theta + K * m / (sqrt(v) + eps) from the optimizer's
+* ``momentum``         -- theta + K * m / (sqrt(v) + eps) from the optimizer's
   raw moment EMAs. Extrapolates the current update direction at constant
   velocity; prone to norm explosion at large K.
-* ``linear``          -- theta + (K/delta) * (theta - theta_prev), the
+* ``momentum_descent`` -- theta - K * lr * m_hat / (sqrt(v_hat) + eps), K
+  repeats of the current Adam update (bias-corrected moments, scheduled lr).
+* ``linear``           -- theta + (K/delta) * (theta - theta_prev), the
   finite-difference velocity of the observed trajectory.
-* ``quadratic``       -- adds a curvature term with coefficient
+* ``quadratic``        -- adds a curvature term with coefficient
   K(K-delta)/(2 delta^2) on the second difference of the last three
   checkpoints.
-* ``quadratic_exact`` -- same structure with coefficient K(K+delta)/(2 delta^2),
+* ``quadratic_exact``  -- same structure with coefficient K(K+delta)/(2 delta^2),
   which is the polynomial-interpolation coefficient that reproduces
-  trajectories exactly quadratic in the step index. Kept as a separate,
-  always-labeled variant; ``quadratic`` is the default.
+  trajectories exactly quadratic in the step index.
+
+The user names a family (``momentum``, ``linear``, ``quadratic``) plus the
+``momentum_variant`` and ``quad_variant`` settings; resolve_predictor is the
+one place that turns that choice into a formula name. Live speculation, the
+offline sweep and every cascade stage then predict through predict().
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
 is recorded in Prediction.finite rather than raised, and the verifier treats
@@ -22,22 +30,25 @@ it as an automatic rejection.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import freeze, is_finite, l2_norm
-from .optim import AdamState, lr_at
+from .optim import AdamHyper, lr_at
+from .trajectory import InsufficientHistoryError
 
 MOMENTUM = "momentum"
+MOMENTUM_DESCENT = "momentum_descent"
 LINEAR = "linear"
 QUADRATIC = "quadratic"
 QUADRATIC_EXACT = "quadratic_exact"
 
-PREDICTORS = (MOMENTUM, LINEAR, QUADRATIC, QUADRATIC_EXACT)
-
-# checkpoints of history each predictor needs (current one included)
-HISTORY_REQUIRED = {MOMENTUM: 1, LINEAR: 2, QUADRATIC: 3, QUADRATIC_EXACT: 3}
+# the families a user selects; the variants pick the formula within a family
+SWEEP_PREDICTORS = (MOMENTUM, LINEAR, QUADRATIC)
+MOMENTUM_VARIANTS = ("paper", "descent")
+QUAD_VARIANTS = ("paper", "exact")
 
 
 @dataclass(frozen=True)
@@ -81,19 +92,20 @@ def predict_momentum(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
     return _finish(MOMENTUM, k, theta_t + k * unit, displacement_norm=k * l2_norm(unit))
 
 
-def predict_momentum_descent(theta_t: np.ndarray, state: AdamState, k: int) -> Prediction:
-    """Descent-flavored momentum variant: theta - K * lr * m_hat/(sqrt(v_hat)+eps).
+def predict_momentum_descent(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
+                             step: int, hyper: AdamHyper, k: int) -> Prediction:
+    """Descent-flavored momentum: theta - K * lr * m_hat/(sqrt(v_hat)+eps).
 
-    Uses bias-corrected moments and the scheduled learning rate at the
-    checkpoint step, i.e. K repeats of the current Adam update direction.
+    Uses the moments bias-corrected for `step` updates and the scheduled
+    learning rate at that step, i.e. K repeats of the current Adam update
+    direction.
     """
     _check_k_delta(k)
-    h = state.hyper
-    t = max(state.step, 1)
-    m_hat = state.m / (1.0 - h.beta1**t)
-    v_hat = state.v / (1.0 - h.beta2**t)
-    unit = lr_at(h, min(state.step, h.total_steps)) * m_hat / (np.sqrt(v_hat) + h.eps)
-    return _finish(MOMENTUM, k, theta_t - k * unit, displacement_norm=k * l2_norm(unit))
+    t = max(step, 1)
+    m_hat = m / (1.0 - hyper.beta1**t)
+    v_hat = v / (1.0 - hyper.beta2**t)
+    unit = lr_at(hyper, min(step, hyper.total_steps)) * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    return _finish(MOMENTUM_DESCENT, k, theta_t - k * unit, displacement_norm=k * l2_norm(unit))
 
 
 def predict_linear(theta_t: np.ndarray, theta_prev: np.ndarray,
@@ -126,3 +138,65 @@ def predict_quadratic_exact(theta_t: np.ndarray, theta_prev: np.ndarray,
     _check_k_delta(k, delta)
     return _quadratic(QUADRATIC_EXACT, float(k) * (k + delta), theta_t, theta_prev,
                       theta_prev2, delta, k)
+
+
+@dataclass(frozen=True)
+class Formula:
+    family: str   # label of sweep rows and reports
+    history: int  # checkpoints needed, the current one included
+    fn: Callable[..., Prediction]
+
+
+# Each fn takes (thetas, spacing, k, m, v, step, hyper) and calls its
+# predict_* function by module-level name, so a wrapper installed on the
+# module attribute sees every call.
+FORMULAS = {
+    MOMENTUM: Formula(MOMENTUM, 1, lambda th, dt, k, m, v, step, h:
+                      predict_momentum(th[-1], m, v, k, h.eps)),
+    MOMENTUM_DESCENT: Formula(MOMENTUM, 1, lambda th, dt, k, m, v, step, h:
+                              predict_momentum_descent(th[-1], m, v, step, h, k)),
+    LINEAR: Formula(LINEAR, 2, lambda th, dt, k, *_:
+                    predict_linear(th[-1], th[-2], dt, k)),
+    QUADRATIC: Formula(QUADRATIC, 3, lambda th, dt, k, *_:
+                       predict_quadratic(th[-1], th[-2], th[-3], dt, k)),
+    QUADRATIC_EXACT: Formula(QUADRATIC, 3, lambda th, dt, k, *_:
+                             predict_quadratic_exact(th[-1], th[-2], th[-3], dt, k)),
+}
+
+
+def resolve_predictor(predictor: str, quad_variant: str = "paper",
+                      momentum_variant: str = "paper") -> str:
+    """Map a predictor family and its variant settings to the formula evaluated.
+
+    A formula name maps to itself whatever the variants say, so resolving
+    twice is harmless.
+    """
+    if predictor not in FORMULAS:
+        raise ValueError(f"unknown predictor {predictor!r}")
+    if quad_variant not in QUAD_VARIANTS:
+        raise ValueError(f"unknown quad variant {quad_variant!r}")
+    if momentum_variant not in MOMENTUM_VARIANTS:
+        raise ValueError(f"unknown momentum variant {momentum_variant!r}")
+    if predictor == QUADRATIC and quad_variant == "exact":
+        return QUADRATIC_EXACT
+    if predictor == MOMENTUM and momentum_variant == "descent":
+        return MOMENTUM_DESCENT
+    return predictor
+
+
+def predict(formula: str, thetas: Sequence[np.ndarray], spacing: int, k: int,
+            m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper) -> Prediction:
+    """Predict K steps past thetas[-1] with the named formula.
+
+    `thetas` is the trajectory history, oldest first, at uniform `spacing`
+    steps. m, v and step are the raw Adam moments and update count the
+    momentum formulas extrapolate. Raises InsufficientHistoryError when the
+    history is too short for the formula.
+    """
+    entry = FORMULAS.get(formula)
+    if entry is None:
+        raise ValueError(f"unknown predictor {formula!r}")
+    if len(thetas) < entry.history:
+        raise InsufficientHistoryError(
+            f"{formula} needs {entry.history} checkpoints, have {len(thetas)}")
+    return entry.fn(thetas, spacing, k, m, v, step, hyper)

@@ -25,11 +25,6 @@ class RegimeLabel(str, Enum):
     TRANSITION = "transition"
     STABLE = "stable"
 
-    @property
-    def rank(self) -> int:
-        """chaotic < transition < stable ordering; unknown has no rank."""
-        return {"chaotic": 0, "transition": 1, "stable": 2}.get(self.value, -1)
-
 
 # single byte used in the binary checkpoint format
 REGIME_CODES = {

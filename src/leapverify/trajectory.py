@@ -23,7 +23,7 @@ import math
 import os
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +63,6 @@ class Checkpoint:
     regime: RegimeLabel
     seed: int
 
-    def with_regime(self, regime: RegimeLabel) -> "Checkpoint":
-        return replace(self, regime=regime)
-
 
 class HistoryWindow:
     """Most recent <= 3 checkpoints at spacing delta.
@@ -104,14 +101,6 @@ class HistoryWindow:
     @property
     def current(self) -> Checkpoint:
         return self._ckpts[-1]
-
-    @property
-    def prev(self) -> Checkpoint:
-        return self._ckpts[-2]
-
-    @property
-    def prev2(self) -> Checkpoint:
-        return self._ckpts[-3]
 
 
 def record_checkpoint(window: HistoryWindow, ckpt: Checkpoint,

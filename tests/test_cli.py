@@ -114,6 +114,37 @@ def test_train_sweep_cascade_pipeline(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_rerun_with_another_delta_refuses_without_force(tmp_path, capsys):
+    out = tmp_path / "exp"
+    for command in ("train", "live"):
+        assert main([command, *BASE, "--out", str(out)]) == 0
+        sub = "runs" if command == "train" else "live"
+        run_dir = out / sub / "quad-bowl" / "42"
+        before = sorted(p.name for p in run_dir.iterdir())
+        assert "ckpt_50.lpv" in before
+        capsys.readouterr()
+        # a delta-25 rerun writes no ckpt_25.lpv of the old run, yet must refuse
+        assert main([command, *BASE, "--delta", "25", "--out", str(out)]) == 1
+        assert "already exists; pass --force" in capsys.readouterr().err
+        assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
+def test_forced_retrain_drops_the_stale_sweep(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["train", *BASE, "--out", str(out)]) == 0
+    assert main(["sweep", *BASE, "--out", str(out)]) == 0
+    assert main(["cascade", *BASE, "--out", str(out)]) == 0
+    assert main(["train", *BASE, "--delta", "25", "--force", "--out", str(out)]) == 0
+    run_dir = out / "runs" / "quad-bowl" / "42"
+    assert not (run_dir / "sweep.csv").exists()
+    assert not (run_dir / "cascades.jsonl").exists()
+    assert (run_dir / "ckpt_25.lpv").exists()
+    capsys.readouterr()
+    # the delta-50 sweep can no longer be aggregated against delta-25 checkpoints
+    assert main(["report", "--task", "quad-bowl", "--out", str(out)]) == 1
+    assert "run the sweep pass first" in capsys.readouterr().err
+
+
 def test_calibrate_stores_thresholds(tmp_path, capsys):
     out = tmp_path / "exp"
     cmd = ["calibrate", "--task", "quad-bowl", "--steps", "300", "--delta", "50",

@@ -23,7 +23,7 @@ def custom_config() -> RunConfig:
         epsilon=0.1, criterion="proximity", momentum_variant="descent",
         quad_variant="exact", ff_policy="decay", regime_gating=False,
         live_predictor="momentum", live_k=20, cascades=((2, 20), (3, 5)),
-        batch_size=16, probe_count=10, out="results", jobs=2,
+        batch_size=16, probe_count=10, out="results",
     )
 
 
@@ -119,7 +119,7 @@ def test_save_load_round_trip(tmp_path):
     {"live_predictor": "quadratic_exact"},
     {"live_k": 0},
     {"cascades": ((0, 25),)},
-    {"jobs": 0},
+    {"live_predictor": "momentum_descent"},  # formulas come from the variants
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -143,3 +143,8 @@ def test_resolve_out_root_precedence(monkeypatch):
     monkeypatch.setenv(OUT_ENV_VAR, "/tmp/from-env")
     assert str(resolve_out_root(RunConfig())) == "/tmp/from-env"
     assert str(resolve_out_root(RunConfig(out="explicit"))) == "explicit"
+
+
+def test_retired_jobs_key_is_rejected_by_name():
+    with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+        parse_config("task = mlp-reg\njobs = 2\n")

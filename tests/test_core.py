@@ -6,9 +6,6 @@ import pytest
 from leapverify.core import (
     DegenerateVectorError,
     DimensionError,
-    NonFiniteError,
-    as_params,
-    axpy,
     cosine_similarity,
     freeze,
     is_finite,
@@ -16,51 +13,11 @@ from leapverify.core import (
 )
 
 
-def test_as_params_builds_readonly_float64_copy():
-    src = [1, 2, 3]
-    arr = as_params(src)
-    assert arr.dtype == np.float64
-    assert arr.shape == (3,)
-    assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        arr[0] = 9.0
-
-
-def test_as_params_copies_input():
-    src = np.array([1.0, 2.0])
-    arr = as_params(src)
-    src[0] = 99.0
-    assert arr[0] == 1.0
-
-
-def test_as_params_flattens_and_rejects_empty():
-    assert as_params(np.ones((2, 2))).shape == (4,)
-    with pytest.raises(ValueError):
-        as_params([])
-
-
-def test_as_params_finiteness():
-    with pytest.raises(NonFiniteError):
-        as_params([1.0, float("nan")])
-    arr = as_params([1.0, float("inf")], check_finite=False)
-    assert not is_finite(arr)
-
-
 def test_freeze_marks_readonly_without_copy():
     x = np.ones(3)
     y = freeze(x)
     assert y is x
     assert not x.flags.writeable
-
-
-def test_axpy():
-    x = np.array([1.0, 2.0])
-    y = np.array([10.0, 20.0])
-    out = axpy(3.0, x, y)
-    assert np.array_equal(out, [13.0, 26.0])
-    assert np.array_equal(x, [1.0, 2.0])  # inputs untouched
-    with pytest.raises(DimensionError):
-        axpy(1.0, x, np.ones(3))
 
 
 def test_l2_norm():

@@ -1,25 +1,25 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from leapverify.engine import (
     FF_POLICIES,
-    MOMENTUM_VARIANTS,
     CascadeConfig,
     IneligibleError,
     RunDivergedError,
     SpeculationSettings,
     accepted_depth,
-    eligible,
     leap_or_continue,
     run_cascade,
     speculate,
     train_run,
 )
 from leapverify.optim import AdamHyper
+from leapverify.predict import MOMENTUM_VARIANTS, predict_momentum_descent
 from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.tasks import QuadBowl, make_task
 from leapverify.trajectory import HistoryWindow, InsufficientHistoryError, load_checkpoint
@@ -43,12 +43,18 @@ def test_constant_tables():
 
 
 def test_eligibility_follows_history_requirements():
-    assert eligible("momentum", 1)
-    assert not eligible("linear", 1)
-    assert eligible("linear", 2)
-    assert not eligible("quadratic", 2)
-    assert eligible("quadratic", 3)
-    assert eligible("quadratic_exact", 3)
+    task, hyper = smooth_bowl()
+    window = [make_checkpoint(50 * (i + 1), task.init_params(i)) for i in range(3)]
+    needed = {"momentum": 1, "momentum_descent": 1, "linear": 2,
+              "quadratic": 3, "quadratic_exact": 3}
+    for formula, history in needed.items():
+        for size in (1, 2, 3):
+            if size >= history:
+                pred, _ = speculate(window[-size:], 50, formula, 10, task, hyper)
+                assert pred.predictor == formula
+            else:
+                with pytest.raises(InsufficientHistoryError):
+                    speculate(window[-size:], 50, formula, 10, task, hyper)
 
 
 def test_cascade_config_validation():
@@ -65,7 +71,7 @@ def test_speculate_validates_inputs():
     with pytest.raises(ValueError):
         speculate([ck], 50, "oracle", 10, task, hyper)
     with pytest.raises(ValueError):
-        speculate([ck], 50, "momentum", 10, task, hyper, momentum_variant="turbo")
+        speculate([ck], 50, "descent", 10, task, hyper)  # a variant, not a formula
     with pytest.raises(InsufficientHistoryError):
         speculate([ck], 50, "linear", 10, task, hyper)
 
@@ -167,6 +173,9 @@ def test_train_run_validates_arguments():
         train_run(task, 0, total_steps=0, delta=50, hyper=hyper)
     with pytest.raises(ValueError):
         train_run(task, 0, total_steps=100, delta=0, hyper=hyper)
+    with pytest.raises(ValueError):
+        train_run(task, 0, total_steps=100, delta=50, hyper=hyper,
+                  momentum_variant="turbo", speculation=SpeculationSettings())
 
 
 class PoisonedBowl(QuadBowl):
@@ -323,7 +332,7 @@ def stable_window():
 
 def test_cascade_requires_stable_start(stable_window):
     task, hyper, window = stable_window
-    demoted = list(window[:-1]) + [window[-1].with_regime(RegimeLabel.TRANSITION)]
+    demoted = list(window[:-1]) + [replace(window[-1], regime=RegimeLabel.TRANSITION)]
     with pytest.raises(IneligibleError):
         run_cascade(demoted, CascadeConfig(2, 25), "linear", "strict",
                     task, hyper, sigma_l=None, epsilon=0.05)
@@ -404,3 +413,31 @@ def test_accepted_depth_counts_leading_acceptances(stable_window):
                          task, hyper, sigma_l=1e9, epsilon=0.05)
     assert accepted_depth(events, "adaptive") == len(events) == 4
     assert accepted_depth([], "strict") == 0
+
+
+def test_momentum_variant_resolves_the_live_formula(tmp_path):
+    task, hyper = smooth_bowl()
+    spec = SpeculationSettings(predictor="momentum", k=30, criterion="proximity", apply=False)
+    res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
+                    thresholds=PERMISSIVE, epsilon=0.9, momentum_variant="descent",
+                    speculation=spec, store_dir=tmp_path)
+    assert res.events
+    # the event names the formula that ran, on disk too
+    assert {e.predictor for e in res.events} == {"momentum_descent"}
+    lines = (tmp_path / "events.jsonl").read_text().splitlines()
+    assert {json.loads(line)["predictor"] for line in lines} == {"momentum_descent"}
+    first = next(c for c in res.checkpoints if c.step == res.events[0].step_from)
+    expected = predict_momentum_descent(first.theta, first.m, first.v, first.step, hyper, 30)
+    assert res.events[0].displacement_norm == expected.displacement_norm
+
+
+def test_cascade_later_stages_reuse_the_start_moments(stable_window):
+    task, hyper, window = stable_window
+    start = window[-1]
+    events = run_cascade(window, CascadeConfig(3, 25), "momentum_descent", "adaptive",
+                         task, hyper, sigma_l=1e9, epsilon=0.05)
+    assert [e.stage for e in events] == [1, 2, 3]
+    assert all(e.predictor == "momentum_descent" for e in events)
+    # every stage repeats the start checkpoint's Adam update: equal displacements
+    unit = predict_momentum_descent(start.theta, start.m, start.v, start.step, hyper, 25)
+    assert [e.displacement_norm for e in events] == [unit.displacement_norm] * 3

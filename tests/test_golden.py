@@ -22,6 +22,8 @@ quadratic predictor the same events.jsonl. Each runs under the paper
 formulas and under the variant pair (momentum_variant = descent,
 quad_variant = exact), so every prediction formula is pinned byte for byte,
 including the later cascade stages that extrapolate from predicted states.
+Events name the formula that ran, so the descent events read
+"momentum_descent".
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
 (Python 3.11). Another numpy or BLAS build may round a matrix product
@@ -98,7 +100,7 @@ VARIANTS = {"paper": ("paper", "paper"), "descent-exact": ("descent", "exact")}
 GOLDEN_REPLAY = {
     "descent-exact": {
         "sweep.csv": "3fe069626ca4f9b3f2c4d69f44bda0e650ef7fc47481f6ff607448740476b14f",
-        "cascades.jsonl": "3958d73ba06c473f0af5c509659f4b6709ae18fed34d0eea727eabb5902d33a1",
+        "cascades.jsonl": "6247876f062e7d80160ccc7118433248d42290f6c576326f1f64c6bc43638716",
         "report.txt": "50e9d42a78b2f66661cc9659b24c8a6579f8027368de29fbbcf56a3b019f5649",
     },
     "paper": {
@@ -110,7 +112,7 @@ GOLDEN_REPLAY = {
 
 # (live predictor, variants) -> sha256 of events.jsonl
 GOLDEN_LIVE_EVENTS = {
-    ("momentum", "descent-exact"): "dd90ff796ed6d7b0550f2e7548307486c5534f3feeee6b34ddbaa80493032ea1",
+    ("momentum", "descent-exact"): "7897eecf79e153fa182b0f66275e04dcc413444f65df2bb80383c981dd1f2fa4",
     ("momentum", "paper"): "f1380d8a925edeb79e8c5cc5b9be43f44f09b06eedbc922dfc65b8e7f4d15d09",
     ("quadratic", "descent-exact"): "0306b776e2d6f19ffa30881165afecf69a4efc435899d4e0d2a4fd293d487565",
     ("quadratic", "paper"): "24d2c02df0a8b3b3d6058fc60c1257380f890c953ab99ac5a389c43d632fcb93",

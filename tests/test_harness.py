@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from leapverify.harness import (
     build_hyper,
     build_task,
     calibrate_thresholds,
-    momentum_ratio_table,
     pass1_train,
     pass2_ksweep,
     pass3_cascades,
@@ -26,6 +27,7 @@ from leapverify.harness import (
     resolve_predictor,
     run_dir_for,
     run_experiment,
+    sweep_formulas,
     write_cascade_rows,
     write_sweep_csv,
 )
@@ -74,25 +76,31 @@ def test_no_tmp_files_left_behind(experiment):
     assert list(out.rglob("*.tmp")) == []
 
 
-def test_pass1_rerun_is_bit_identical(experiment):
+def test_pass1_rerun_is_bit_identical(experiment, tmp_path):
     cfg, _, out = experiment
     task = build_task(cfg)
+    # rerun on a copy: a rerun clears the sweep outputs later tests read
+    copy = shutil.copytree(out, tmp_path / "out")
     run_dir = run_dir_for(out, "quad-bowl", 42)
     before = {p.name: p.read_bytes() for p in run_dir.glob("ckpt_*.lpv")}
     before["loss_log.csv"] = (run_dir / "loss_log.csv").read_bytes()
-    pass1_train(task, 42, cfg, PERMISSIVE, out)
+    pass1_train(task, 42, cfg, PERMISSIVE, copy)
     for name, blob in before.items():
-        assert (run_dir / name).read_bytes() == blob
+        assert (run_dir_for(copy, "quad-bowl", 42) / name).read_bytes() == blob
 
 
-def test_pass1_clears_stale_checkpoints(experiment):
+def test_pass1_clears_stale_checkpoints(experiment, tmp_path):
     cfg, _, out = experiment
     task = build_task(cfg)
-    run_dir = run_dir_for(out, "quad-bowl", 42)
+    copy = shutil.copytree(out, tmp_path / "out")
+    run_dir = run_dir_for(copy, "quad-bowl", 42)
     stale = run_dir / "ckpt_9999.lpv"
     save_checkpoint(make_checkpoint(9999, np.ones(task.param_dim)), stale)
-    pass1_train(task, 42, cfg, PERMISSIVE, out)
+    pass1_train(task, 42, cfg, PERMISSIVE, copy)
     assert not stale.exists()
+    # the sweep and cascades of the replaced checkpoints go with them
+    assert not (run_dir / "sweep.csv").exists()
+    assert not (run_dir / "cascades.jsonl").exists()
 
 
 def test_pass2_grid_is_rectangular(experiment):
@@ -155,7 +163,7 @@ def test_pass2_quad_variant_changes_the_formula(experiment):
     run_dir = run_dir_for(out, "quad-bowl", 42)
     paper = pass2_ksweep(run_dir, task, hyper, k_set=(25,), epsilon=cfg.epsilon)
     exact = pass2_ksweep(run_dir, task, hyper, k_set=(25,), epsilon=cfg.epsilon,
-                         quad_variant="exact")
+                         formulas=sweep_formulas(replace(cfg, quad_variant="exact")))
     paper_q = {c.checkpoint_step: c for c in paper if c.predictor == "quadratic" and c.eligible}
     exact_q = {c.checkpoint_step: c for c in exact if c.predictor == "quadratic" and c.eligible}
     assert set(paper_q) == set(exact_q) != set()
@@ -335,7 +343,7 @@ def test_ratio_table_excludes_nonfinite():
 
 def test_ratio_table_all_nonfinite_and_empty():
     cells = [_cell(1, 50, 5, float("nan"))]
-    (row,) = momentum_ratio_table(cells)
+    (row,) = ratio_table(cells, "momentum")
     assert row["n"] == 0
     assert row["excluded_nonfinite"] == 1
     assert row["ratio"] is None
@@ -347,6 +355,22 @@ def test_resolve_predictor_variants():
     assert resolve_predictor("quadratic", "paper") == "quadratic"
     assert resolve_predictor("momentum", "exact") == "momentum"
     assert resolve_predictor("linear", "exact") == "linear"
+    assert resolve_predictor("momentum", "paper", "descent") == "momentum_descent"
+    assert resolve_predictor("quadratic", "paper", "descent") == "quadratic"
+    # formula names resolve to themselves, so resolving twice is harmless
+    for formula in ("momentum_descent", "quadratic_exact"):
+        assert resolve_predictor(formula) == formula
+        assert resolve_predictor(formula, "exact", "descent") == formula
+    for bad in (("oracle", "paper", "paper"), ("linear", "cubic", "paper"),
+                ("momentum", "paper", "nesterov")):
+        with pytest.raises(ValueError):
+            resolve_predictor(*bad)
+
+
+def test_sweep_formulas_follow_the_variants():
+    assert sweep_formulas(RunConfig()) == ("momentum", "linear", "quadratic")
+    assert sweep_formulas(RunConfig(momentum_variant="descent", quad_variant="exact")) == (
+        "momentum_descent", "linear", "quadratic_exact")
 
 
 def test_calibrate_thresholds_produces_valid_band(tmp_path):
@@ -395,14 +419,3 @@ def test_report_regime_counts(experiment):
 def test_pass_error_is_a_runtime_error():
     assert issubclass(PassError, RuntimeError)
 
-
-def test_run_experiment_parallel_matches_serial(tmp_path):
-    serial_out = tmp_path / "serial"
-    parallel_out = tmp_path / "parallel"
-    from dataclasses import replace
-    serial = run_experiment(small_config(serial_out))
-    parallel = run_experiment(replace(small_config(parallel_out), jobs=2))
-    a, b = report_to_json(serial), report_to_json(parallel)
-    a["config"].pop("out"), b["config"].pop("out")
-    a["config"].pop("jobs"), b["config"].pop("jobs")
-    assert a == b

@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from leapverify.optim import AdamHyper, AdamState
+from leapverify.optim import AdamHyper
 from leapverify.predict import (
-    HISTORY_REQUIRED,
-    PREDICTORS,
+    FORMULAS,
+    SWEEP_PREDICTORS,
+    predict,
     predict_linear,
     predict_momentum,
     predict_momentum_descent,
@@ -16,10 +17,15 @@ from leapverify.predict import (
 
 
 def test_history_requirements():
-    assert HISTORY_REQUIRED == {
-        "momentum": 1, "linear": 2, "quadratic": 3, "quadratic_exact": 3,
+    assert {name: f.history for name, f in FORMULAS.items()} == {
+        "momentum": 1, "momentum_descent": 1, "linear": 2,
+        "quadratic": 3, "quadratic_exact": 3,
     }
-    assert set(PREDICTORS) == set(HISTORY_REQUIRED)
+    assert {name: f.family for name, f in FORMULAS.items()} == {
+        "momentum": "momentum", "momentum_descent": "momentum", "linear": "linear",
+        "quadratic": "quadratic", "quadratic_exact": "quadratic",
+    }
+    assert SWEEP_PREDICTORS == ("momentum", "linear", "quadratic")
 
 
 def test_momentum_hand_example():
@@ -54,8 +60,9 @@ def test_momentum_nonfinite_is_flagged_not_raised():
 def test_momentum_descent_variant_moves_against_update_direction():
     h = AdamHyper(lr=0.1, warmup_steps=0, total_steps=100, weight_decay=0.0)
     theta = np.zeros(2)
-    state = AdamState(m=np.array([0.09, 0.0]), v=np.array([0.0081, 0.0]), step=20, hyper=h)
-    pred = predict_momentum_descent(theta, state, k=10)
+    pred = predict_momentum_descent(theta, np.array([0.09, 0.0]), np.array([0.0081, 0.0]),
+                                    step=20, hyper=h, k=10)
+    assert pred.predictor == "momentum_descent"
     # positive gradient EMA means descent goes negative
     assert pred.theta_hat[0] < 0
     assert pred.theta_hat[1] == 0.0
@@ -130,3 +137,24 @@ def test_predictions_do_not_alias_inputs():
     assert pred.theta_hat is not theta
     assert not pred.theta_hat.flags.writeable
     assert pred.displacement_norm == pytest.approx(np.sqrt(3.0))
+
+
+def test_predict_dispatches_each_formula_on_the_history():
+    h = AdamHyper(lr=0.1, warmup_steps=0, total_steps=100)
+    rng = np.random.default_rng(3)
+    t0, t1, t2, m = (rng.standard_normal(4) for _ in range(4))
+    v = rng.random(4)
+    thetas = [t0, t1, t2]
+    expected = {
+        "momentum": predict_momentum(t2, m, v, 25, h.eps),
+        "momentum_descent": predict_momentum_descent(t2, m, v, 30, h, 25),
+        "linear": predict_linear(t2, t1, 10, 25),
+        "quadratic": predict_quadratic(t2, t1, t0, 10, 25),
+        "quadratic_exact": predict_quadratic_exact(t2, t1, t0, 10, 25),
+    }
+    for name, want in expected.items():
+        got = predict(name, thetas, 10, 25, m, v, 30, h)
+        assert got.predictor == name
+        assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert got.displacement_norm == want.displacement_norm
+

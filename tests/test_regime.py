@@ -42,11 +42,6 @@ def test_thresholds_validation():
         Thresholds(0.5, 1.0001)
 
 
-def test_rank_orders_regimes_by_stability():
-    assert RegimeLabel.CHAOTIC.rank < RegimeLabel.TRANSITION.rank < RegimeLabel.STABLE.rank
-    assert RegimeLabel.UNKNOWN.rank == -1
-
-
 def test_regime_codes_round_trip():
     assert sorted(REGIME_CODES.values()) == [0, 1, 2, 3]
     for label, code in REGIME_CODES.items():

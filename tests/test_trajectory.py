@@ -31,8 +31,6 @@ def test_window_orders_and_trims_to_capacity():
     assert w.size == WINDOW_CAPACITY == 3
     assert [c.step for c in w.checkpoints] == [100, 150, 200]
     assert w.current.step == 200
-    assert w.prev.step == 150
-    assert w.prev2.step == 100
 
 
 def test_window_rejects_wrong_spacing():
