@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .engine import FF_POLICIES, CascadeConfig
 from .predict import LINEAR, SWEEP_PREDICTORS, resolve_predictor
@@ -151,40 +152,19 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-_PARSERS = {
-    "task": str,
-    "seeds": _parse_int_tuple,
-    "steps": int,
-    "delta": int,
-    "lr": _opt(float),
-    "beta1": float,
-    "beta2": float,
-    "weight_decay": float,
-    "eps": float,
-    "warmup_steps": int,
-    "tau_low": _opt(float),
-    "tau_high": _opt(float),
-    "q_low": float,
-    "q_high": float,
-    "calibration_seeds": _parse_int_tuple,
-    "k_set": _parse_int_tuple,
-    "epsilon": float,
-    "adaptive_window": int,
-    "criterion": str,
-    "momentum_variant": str,
-    "quad_variant": str,
-    "ff_policy": str,
-    "regime_gating": _parse_bool,
-    "live_predictor": str,
-    "live_k": int,
-    "cascades": _parse_cascades,
-    "batch_size": _opt(int),
-    "probe_count": _opt(int),
-    "noise": _opt(float),
-    "dim": _opt(int),
-    "data_seed": int,
-    "out": _opt(str),
-}
+def _parser_for(hint):
+    if hint is bool:
+        return _parse_bool
+    if hint == tuple[int, ...]:
+        return _parse_int_tuple
+    if hint == tuple[tuple[int, int], ...]:
+        return _parse_cascades
+    optional = [a for a in get_args(hint) if a is not type(None)]
+    return _opt(optional[0]) if optional else hint
+
+
+# one parser per RunConfig field, from its annotated type
+PARSERS = {name: _parser_for(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -206,12 +186,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _PARSERS:
+        if key not in PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in overrides:
             raise ValueError(f"line {lineno}: duplicate config key {key!r}")
         try:
-            overrides[key] = _PARSERS[key](value)
+            overrides[key] = PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     base = base if base is not None else RunConfig()

@@ -118,10 +118,6 @@ class RunResult:
     adam_final: AdamState
     skipped_steps: int = 0
 
-    @property
-    def labels(self) -> list[RegimeLabel]:
-        return [c.regime for c in self.checkpoints]
-
 
 def speculate(
     ckpts: Sequence[Checkpoint],

@@ -3,10 +3,16 @@
 Pass 1 trains each seed with periodic checkpoints and regime labels. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
-run). Pass 3 chains cascaded predictions from stable checkpoints. Statistics
-follow the per-seed-first convention: rates are computed within each seed,
-then summarized as mean/std/CoV across seeds, with denominators carried
+run). Pass 3 chains cascaded predictions from stable checkpoints. The report
+is aggregated from the files the passes leave on disk. Statistics follow the
+per-seed-first convention: rates are computed within each seed, then
+summarized as mean/std/CoV across seeds, with denominators carried
 alongside every rate so each percentage is auditable.
+
+Every command that runs many seeds goes through `each_seed`, one seed at a
+time, so a failure names its pass and seed. `run_experiment` (`run-all`) is
+the composition of the per-pass functions `train_seeds`, `sweep_seeds`,
+`cascade_seeds` and `make_report` that the single-pass commands call.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ import io
 import json
 import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -43,6 +52,10 @@ from .trajectory import (
     recent_loss_std,
 )
 from .verify import CRITERIA, Decision, decide
+
+T = TypeVar("T")
+
+THRESHOLDS_FILE = "thresholds.txt"
 
 SWEEP_CSV_HEADER = (
     "seed,step,regime,predictor,K,L_hat,L_t,"
@@ -154,16 +167,17 @@ def sweep_formulas(cfg: RunConfig) -> tuple[str, ...]:
                  for p in SWEEP_PREDICTORS)
 
 
-RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", "loss_log.csv", "sweep.csv", "cascades.jsonl")
+RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", "loss_log.csv", "sweep.csv", "cascades.jsonl",
+               "config.txt")
 
 
 def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
     """Clear the outputs of any earlier run from `run_dir`.
 
-    Checkpoints, events and the loss log are replaced by the new run, and
-    the sweep and cascade files derived from the old checkpoints go with
-    them, so no later pass mixes the two runs. With force=False a run dir
-    that holds any of them is refused instead.
+    Checkpoints, events, the loss log and a live run's config are replaced
+    by the new run, and the sweep and cascade files derived from the old
+    checkpoints go with them, so no later pass mixes the two runs. With
+    force=False a run dir that holds any of them is refused instead.
     """
     run_dir = Path(run_dir)
     stale = sorted(p for pattern in RUN_OUTPUTS for p in run_dir.glob(pattern))
@@ -199,9 +213,9 @@ def _sigma_at(losses: list[float], upto: int, window: int) -> float | None:
 
 # ------------------------------------------------------------- the passes
 
-def calibrate_thresholds(cfg: RunConfig, task: Task | None = None) -> Thresholds:
+def calibrate_thresholds(cfg: RunConfig) -> Thresholds:
     """Quantile-calibrate regime thresholds from fresh calibration runs."""
-    task = task if task is not None else build_task(cfg)
+    task = build_task(cfg)
     hyper = build_hyper(cfg, task)
     traces = []
     for seed in cfg.calibration_seeds:
@@ -209,6 +223,38 @@ def calibrate_thresholds(cfg: RunConfig, task: Task | None = None) -> Thresholds
                            hyper=hyper)
         traces.append([s for s in result.similarities if s is not None])
     return calibrate(traces, cfg.q_low, cfg.q_high)
+
+
+def write_thresholds(th: Thresholds, out_root: str | Path) -> Path:
+    path = Path(out_root) / THRESHOLDS_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, f"tau_low = {th.tau_low!r}\ntau_high = {th.tau_high!r}\n")
+    return path
+
+
+def read_thresholds(path: str | Path) -> Thresholds:
+    values = {}
+    for line in Path(path).read_text().splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() in ("tau_low", "tau_high"):
+            values[key.strip()] = float(value.strip())
+    if set(values) != {"tau_low", "tau_high"}:
+        raise ValueError(f"{path}: expected tau_low and tau_high entries")
+    return Thresholds(tau_low=values["tau_low"], tau_high=values["tau_high"])
+
+
+def resolve_thresholds(cfg: RunConfig, out_root: str | Path) -> Thresholds:
+    """Explicit taus win; else the calibration stored in out_root; else calibrate now."""
+    if cfg.tau_low is not None:
+        return Thresholds(tau_low=cfg.tau_low, tau_high=cfg.tau_high)
+    stored = Path(out_root) / THRESHOLDS_FILE
+    if stored.exists():
+        return read_thresholds(stored)
+    print("no thresholds configured; calibrating...")
+    th = calibrate_thresholds(cfg)
+    write_thresholds(th, out_root)
+    print(f"calibrated tau_low={th.tau_low:.6f} tau_high={th.tau_high:.6f} -> {stored}")
+    return th
 
 
 def pass1_train(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
@@ -696,57 +742,105 @@ def write_report(report: ExperimentReport, out_root: str | Path) -> None:
 
 # ------------------------------------------------------------ experiment
 
-def _seed_passes(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
-                 out_root: Path) -> tuple[list[RegimeLabel], list[SweepCell], list[CascadeRow]]:
-    hyper = build_hyper(cfg, task)
-    stage = "pass1 (train)"
-    try:
-        result = pass1_train(task, seed, cfg, thresholds, out_root)
+def each_seed(stage: str, seeds: tuple[int, ...],
+              fn: Callable[[int], T]) -> Iterator[tuple[int, T]]:
+    """Yield (seed, fn(seed)) seed by seed; a failure raises a PassError naming both."""
+    for seed in seeds:
+        try:
+            result = fn(seed)
+        except Exception as exc:
+            raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
+        yield seed, result
+
+
+def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds,
+                     out_root: str | Path) -> RunConfig:
+    """cfg with the learning rate, thresholds and output root a run resolved."""
+    return replace(cfg, lr=build_hyper(cfg, task).lr, tau_low=thresholds.tau_low,
+                   tau_high=thresholds.tau_high, out=str(out_root))
+
+
+def train_seeds(cfg: RunConfig, task: Task, thresholds: Thresholds,
+                out_root: str | Path) -> Iterator[tuple[int, RunResult]]:
+    """Pass 1 for every seed of cfg."""
+    return each_seed("pass1 (train)", cfg.seeds,
+                     lambda seed: pass1_train(task, seed, cfg, thresholds, out_root))
+
+
+def sweep_seeds(cfg: RunConfig, task: Task,
+                out_root: str | Path) -> Iterator[tuple[int, list[SweepCell]]]:
+    """Pass 2 for every seed of cfg, each seed's cells written to its sweep.csv."""
+    hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
+
+    def sweep(seed: int) -> list[SweepCell]:
         run_dir = run_dir_for(out_root, task.name, seed)
-        stage = "pass2 (sweep)"
         cells = pass2_ksweep(run_dir, task, hyper, k_set=cfg.k_set, epsilon=cfg.epsilon,
-                             adaptive_window=cfg.adaptive_window,
-                             formulas=sweep_formulas(cfg))
+                             adaptive_window=cfg.adaptive_window, formulas=formulas)
         write_sweep_csv(cells, run_dir / "sweep.csv")
-        stage = "pass3 (cascade)"
+        return cells
+
+    return each_seed("pass2 (sweep)", cfg.seeds, sweep)
+
+
+def cascade_seeds(cfg: RunConfig, task: Task,
+                  out_root: str | Path) -> Iterator[tuple[int, list[CascadeRow]]]:
+    """Pass 3 for every seed of cfg, each seed's rows written to its cascades.jsonl."""
+    hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
+
+    def cascade(seed: int) -> list[CascadeRow]:
+        run_dir = run_dir_for(out_root, task.name, seed)
         rows = pass3_cascades(run_dir, task, hyper, configs=cfg.cascades,
                               criterion=cfg.criterion, epsilon=cfg.epsilon,
-                              adaptive_window=cfg.adaptive_window,
-                              formulas=sweep_formulas(cfg))
+                              adaptive_window=cfg.adaptive_window, formulas=formulas)
         write_cascade_rows(rows, run_dir / "cascades.jsonl")
-    except Exception as exc:
-        raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
-    return result.labels, cells, rows
+        return rows
+
+    return each_seed("pass3 (cascade)", cfg.seeds, cascade)
+
+
+def make_report(cfg: RunConfig) -> ExperimentReport:
+    """Aggregate the stored outputs of cfg's seeds; write report.json and report.txt.
+
+    `run-all` and `report` both build their report here, from the files on
+    disk, so re-running `report` reproduces `run-all`'s report exactly.
+    """
+    out_root = resolve_out_root(cfg)
+    task_dir = out_root / "runs" / cfg.task
+    if not task_dir.is_dir():
+        raise FileNotFoundError(f"no run directories under {task_dir}")
+
+    cells, cascade_rows, labels_by_seed = [], [], {}
+
+    def load(seed: int) -> None:
+        run_dir = task_dir / str(seed)
+        labels_by_seed[seed] = [c.regime for c in load_run_checkpoints(run_dir)]
+        sweep_file = run_dir / "sweep.csv"
+        if not sweep_file.exists():
+            raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
+        cells.extend(read_sweep_csv(sweep_file, cfg.epsilon))
+        cascade_file = run_dir / "cascades.jsonl"
+        if cascade_file.exists():
+            cascade_rows.extend(read_cascade_rows(cascade_file))
+
+    for _ in each_seed("report", cfg.seeds, load):
+        pass
+    report = aggregate(cells, cascade_rows, labels_by_seed, config_dict(cfg))
+    write_report(report, out_root)
+    return report
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
-    """Passes 1-3 for every seed, then aggregate and write the report."""
+    """Pass 1 for every seed, then pass 2, then pass 3, then the report.
+
+    The effective config is written to config.txt before the report is
+    aggregated from disk, as `leapverify report` aggregates it.
+    """
     task = build_task(cfg)
     out_root = resolve_out_root(cfg)
-    out_root.mkdir(parents=True, exist_ok=True)
-
-    auto_calibrated = cfg.tau_low is None
-    if auto_calibrated:
-        thresholds = calibrate_thresholds(cfg, task)
-    else:
-        thresholds = Thresholds(tau_low=cfg.tau_low, tau_high=cfg.tau_high)
-
-    per_seed = {seed: _seed_passes(task, seed, cfg, thresholds, out_root)
-                for seed in cfg.seeds}
-
-    labels_by_seed = {seed: labels for seed, (labels, _, _) in per_seed.items()}
-    cells = [c for seed in sorted(per_seed) for c in per_seed[seed][1]]
-    cascade_rows = [r for seed in sorted(per_seed) for r in per_seed[seed][2]]
-
-    effective = replace(cfg, lr=build_hyper(cfg, task).lr,
-                        tau_low=thresholds.tau_low, tau_high=thresholds.tau_high,
-                        out=str(out_root))
-    report = aggregate(cells, cascade_rows, labels_by_seed, config_dict(effective))
-    if auto_calibrated:
-        report.notes.append(
-            f"thresholds calibrated from seeds {list(cfg.calibration_seeds)}: "
-            f"tau_low={thresholds.tau_low:.6f}, tau_high={thresholds.tau_high:.6f}")
-
+    thresholds = resolve_thresholds(cfg, out_root)
+    for _ in chain(train_seeds(cfg, task, thresholds, out_root),
+                   sweep_seeds(cfg, task, out_root), cascade_seeds(cfg, task, out_root)):
+        pass
+    effective = effective_config(cfg, task, thresholds, out_root)
     write_atomic(out_root / "config.txt", format_config(effective))
-    write_report(report, out_root)
-    return report
+    return make_report(effective)

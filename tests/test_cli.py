@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -85,6 +86,31 @@ def test_report_rebuilds_identically_from_stored_outputs(tmp_path, capsys):
     assert "report over seeds [42]" in capsys.readouterr().out
 
 
+def test_report_aggregates_only_the_configured_seeds(tmp_path):
+    out = tmp_path / "exp"
+    assert main(run_all_args(out) + ["--seeds", "42,43"]) == 0
+    assert main(["report", "--seeds", "42", "--out", str(out)]) == 0
+    rebuilt = json.loads((out / "report.json").read_text())
+    assert rebuilt["seeds"] == [42]
+    assert rebuilt["config"]["seeds"] == [42]
+    assert list(rebuilt["regime_counts"]) == ["42"]
+
+
+def test_report_reads_the_output_root_it_found_the_config_in(tmp_path, monkeypatch):
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert main(run_all_args(old)) == 0
+    original = json.loads((old / "report.json").read_text())
+    shutil.move(old, new)
+    (new / "report.json").unlink()
+    monkeypatch.setenv(OUT_ENV_VAR, str(new))
+    assert main(["report"]) == 0
+    assert not old.exists()
+    rebuilt = json.loads((new / "report.json").read_text())
+    assert rebuilt["config"]["out"] == str(new)
+    original["config"]["out"] = str(new)
+    assert rebuilt == original
+
+
 def test_report_without_runs_fails(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
     assert "no run directories" in capsys.readouterr().err
@@ -92,14 +118,16 @@ def test_report_without_runs_fails(tmp_path, capsys):
 
 def test_sweep_before_train_fails(tmp_path, capsys):
     assert main(["sweep", *BASE, "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "pass2 (sweep) failed for seed 42" in err
 
 
 def test_report_requires_the_sweep_pass(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["train", *BASE, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["report", "--task", "quad-bowl", "--out", str(out)]) == 1
+    assert main(["report", *BASE, "--out", str(out)]) == 1
     assert "run the sweep pass first" in capsys.readouterr().err
 
 
@@ -110,7 +138,7 @@ def test_train_sweep_cascade_pipeline(tmp_path, capsys):
     assert "already exists" in capsys.readouterr().err
     assert main(["sweep", *BASE, "--out", str(out)]) == 0
     assert main(["cascade", *BASE, "--out", str(out)]) == 0
-    assert main(["report", "--task", "quad-bowl", "--out", str(out)]) == 0
+    assert main(["report", *BASE, "--out", str(out)]) == 0
     assert (out / "report.json").exists()
 
 
@@ -141,7 +169,7 @@ def test_forced_retrain_drops_the_stale_sweep(tmp_path, capsys):
     assert (run_dir / "ckpt_25.lpv").exists()
     capsys.readouterr()
     # the delta-50 sweep can no longer be aggregated against delta-25 checkpoints
-    assert main(["report", "--task", "quad-bowl", "--out", str(out)]) == 1
+    assert main(["report", *BASE, "--out", str(out)]) == 1
     assert "run the sweep pass first" in capsys.readouterr().err
 
 
@@ -198,6 +226,31 @@ def test_live_applies_leaps(tmp_path, capsys):
     # live runs refuse to clobber themselves too
     assert main(cmd) == 1
     assert main(cmd + ["--force"]) == 0
+
+
+def test_live_records_its_effective_config(tmp_path, capsys):
+    out = tmp_path / "exp"
+    cmd = ["live", "--task", "quad-bowl", "--seeds", "42,43", "--steps", "300",
+           "--delta", "50", "--live-k", "30", "--criterion", "adaptive",
+           "--ff-policy", "decay", "--out", str(out)]
+    assert main(cmd) == 0
+    assert "calibrating" in capsys.readouterr().out
+    stored = dict(line.split(" = ") for line in
+                  (out / "thresholds.txt").read_text().splitlines())
+    for seed in (42, 43):
+        cfg = load_config(out / "live" / "quad-bowl" / str(seed) / "config.txt")
+        assert (cfg.tau_low, cfg.tau_high) == (float(stored["tau_low"]),
+                                               float(stored["tau_high"]))
+        assert cfg.lr == 0.05
+        assert (cfg.live_predictor, cfg.live_k) == ("linear", 30)
+        assert (cfg.criterion, cfg.ff_policy) == ("adaptive", "decay")
+        assert cfg.out == str(out)
+    # a config.txt alone marks a live dir as used
+    used = out / "live" / "quad-bowl" / "44"
+    used.mkdir()
+    (used / "config.txt").write_text("")
+    assert main(cmd + ["--seeds", "44"]) == 1
+    assert "config.txt already exists" in capsys.readouterr().err
 
 
 def test_out_env_var_is_honored(tmp_path, monkeypatch):

@@ -198,8 +198,9 @@ def test_plain_run_shape():
     assert res.loss_log == [c.val_loss for c in res.checkpoints]
     assert res.similarities[0] is None
     assert all(isinstance(s, float) for s in res.similarities[1:])
-    assert res.labels[0] is RegimeLabel.UNKNOWN
-    assert all(lab is RegimeLabel.STABLE for lab in res.labels[1:])
+    labels = [c.regime for c in res.checkpoints]
+    assert labels[0] is RegimeLabel.UNKNOWN
+    assert all(lab is RegimeLabel.STABLE for lab in labels[1:])
     assert res.adam_final.step == 500
     assert res.skipped_steps == 0
     assert res.events == []

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from leapverify import harness
 from leapverify.config import RunConfig
 from leapverify.harness import (
     SWEEP_CSV_HEADER,
@@ -414,6 +415,18 @@ def test_report_regime_counts(experiment):
         assert counts["unknown"] == 1
     assert report.regime_summary["unknown"]["mean"] == 1.0
     assert report.regime_summary["unknown"]["std"] == 0.0
+
+
+def test_run_experiment_runs_pass_by_pass(tmp_path, monkeypatch):
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(harness, "pass2_ksweep", failing_sweep)
+    with pytest.raises(PassError, match=r"pass2 \(sweep\) failed for seed 42: injected"):
+        run_experiment(small_config(tmp_path))
+    # pass 1 ran for every seed before pass 2 started
+    for seed in (42, 43):
+        assert (run_dir_for(tmp_path, "quad-bowl", seed) / "loss_log.csv").exists()
 
 
 def test_pass_error_is_a_runtime_error():
