@@ -1,11 +1,13 @@
 """Golden hashes: short training runs are pinned bit for bit.
 
 Each case trains one task for 400 steps with a checkpoint every 20 and hashes
-what the run leaves behind: every checkpoint file, loss_log.csv, events.jsonl
-(when speculation ran), the final parameters and the final Adam moments. A
-change to the training step, the optimizer or batch generation that moves a
-single bit of any of them fails here, so speed work on that path must keep
-the float operation order exactly.
+what the run leaves behind: the training state of every checkpoint (step,
+parameters, Adam moments, held-out loss and seed, as load_checkpoint decodes
+them), loss_log.csv, events.jsonl (when speculation ran), the final parameters
+and the final Adam moments. A change to the training step, the optimizer or
+batch generation that moves a single bit of any of them fails here, so speed
+work on that path must keep the float operation order exactly. The byte
+layout of a checkpoint file is pinned on its own, in test_trajectory.py.
 
 Modes: `plain` training; `live` speculation (adaptive criterion, linear
 predictor, K = 25) that carries the moments over a leap; `decay`, the same
@@ -33,6 +35,7 @@ differently and change them without any change to this package.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
@@ -43,6 +46,7 @@ from leapverify.engine import SpeculationSettings, train_run
 from leapverify.harness import build_hyper, run_experiment, write_loss_log
 from leapverify.regime import Thresholds
 from leapverify.tasks import make_task
+from leapverify.trajectory import load_checkpoint
 
 STEPS, DELTA, SEED = 400, 20, 42
 THRESHOLDS = Thresholds(tau_low=-0.999, tau_high=-0.99)
@@ -56,18 +60,18 @@ MODES = {
 
 # (task, mode) -> (sha256 over the run's outputs, leaps applied)
 GOLDEN = {
-    ("quad-bowl", "plain"): ("a5bb97e7a6ab3e8a72112403672a30aeb07c2a48c2412b681dc216417b90e749", 0),
-    ("quad-bowl", "live"): ("0b1584ceae7ab4930dda5a45468f48b79c68de0fc7c42f07ead12006ebf34e19", 6),
-    ("quad-bowl", "decay"): ("b6c1645ba3059269612bed9293a33e7cc22160a6c4217d155affec93445ea195", 5),
-    ("quad-bowl", "force-reject"): ("b514d26d74c8e242e2fb1569e3178e8b40c096e7ae5d45000f972854c8646759", 0),
-    ("mlp-reg", "plain"): ("9d1bd13878f2906305a38ee1f90a31c51a8d4bfbf851f18a78d9c271a537e51a", 0),
-    ("mlp-reg", "live"): ("fc56067eef3381b4afe23510ee694d36adcbf0b399aafce79fb97352047887f0", 2),
-    ("mlp-reg", "decay"): ("6a33981c9f583d69f4b396f44af4f39baa7ab442ba388dce53eb105737607f71", 2),
-    ("mlp-reg", "force-reject"): ("69a7346693c18d793a32bf3d49fe4c28fce0cfb84d9fdd064fe3663aeb02d685", 0),
-    ("char-seq", "plain"): ("51f2a7018ad3f63cff02fbfead6b53460541719c501dee4df30dbad353f12556", 0),
-    ("char-seq", "live"): ("9c93b71962bd5dc9c3148f9ea3334349f07d16f1f8625784da20989feb4c4bd1", 2),
-    ("char-seq", "decay"): ("863d2869d3c2d058b7c1689fb42044d4c24ba57492b6073f2f9012969a5600b4", 2),
-    ("char-seq", "force-reject"): ("3fd61b68144f2b9a19392654058528b62c2fab0b389f4d6ee7dd14fe747a4a23", 0),
+    ("quad-bowl", "plain"): ("94ed141c2893b9a04f12c03f2c54fb4506478c791d252b750c418c1cd451917c", 0),
+    ("quad-bowl", "live"): ("3615c6fce223a3855deb870193f081cfc98f848ef8fc6ad7cd50d4875e1e68c4", 6),
+    ("quad-bowl", "decay"): ("44a496d7d60e7a0f5802b0e5fb6070e1394b55baf6ba13468b26e276407dd173", 5),
+    ("quad-bowl", "force-reject"): ("89a371705305368358b57eae574d4bf2c3363d6c6f12259edc7cd4d55c442e64", 0),
+    ("mlp-reg", "plain"): ("99a606c619787ef4eaf546aecfd214809ce6e2fdb2cfaacb65cdae7323f41f60", 0),
+    ("mlp-reg", "live"): ("e5cd3932ae05b76512d075c280432c905175ed2170985b42dce99e0559d3ac82", 2),
+    ("mlp-reg", "decay"): ("57471fe2b2384725263b9d9fd602d7598c565eaa8a6da23c7e8e3975932926b3", 2),
+    ("mlp-reg", "force-reject"): ("03a2b57b4b9e04989b0e75e6a899647096572bb1833572e2a445156bbdb2ef9a", 0),
+    ("char-seq", "plain"): ("afc5a8fe0ad811e2bbdb7c7525557e282ce26cc78607cbd0c9cff42914fbf5cc", 0),
+    ("char-seq", "live"): ("a0a256a7a6c2d47e3bba40b1fd1d6223992feb6d946f0dcef3cd022d1aa84761", 2),
+    ("char-seq", "decay"): ("9e94792c4c0c1b99eb1ae049b5f45faa1a7ac241032d8f0afa8b99b34b5b7e7b", 2),
+    ("char-seq", "force-reject"): ("f59bd4d0137c729edc9a070e1c9b4ac219e2051b247b41223402d0435a8143a0", 0),
 }
 
 
@@ -80,7 +84,13 @@ def run_digest(task_name: str, mode: str, out) -> tuple[str, int]:
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
         digest.update(path.name.encode())
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        if path.suffix == ".lpv":
+            ckpt = load_checkpoint(path)
+            digest.update(struct.pack("<QdQ", ckpt.step, ckpt.val_loss, ckpt.seed))
+            for arr in (ckpt.theta, ckpt.m, ckpt.v):
+                digest.update(arr.tobytes())
+        else:
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
     for arr in (result.theta_final, result.adam_final.m, result.adam_final.v):
         digest.update(arr.tobytes())
     return digest.hexdigest(), sum(ev.applied for ev in result.events)
