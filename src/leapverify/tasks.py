@@ -130,7 +130,48 @@ class QuadBowl(Task):
         return freeze(theta.copy())
 
 
-class MlpRegression(Task):
+class TanhNetwork:
+    """Two-layer tanh network shared by `mlp-reg` and `char-seq`.
+
+    theta packs W1 (in_dim x hidden_dim), b1, W2 (hidden_dim x out_dim) and
+    b2; the output is tanh(x W1 + b1) W2 + b2. A mixin rather than a Task
+    subclass, so each task stays a direct subclass of Task.
+    """
+
+    in_dim: int
+    hidden_dim: int
+    out_dim: int
+
+    def _unpack(self, theta: np.ndarray):
+        i, h, o = self.in_dim, self.hidden_dim, self.out_dim
+        k0 = i * h
+        k1 = k0 + h
+        k2 = k1 + h * o
+        return (
+            theta[:k0].reshape(i, h),
+            theta[k0:k1],
+            theta[k1:k2].reshape(h, o),
+            theta[k2:],
+        )
+
+    def _forward(self, theta: np.ndarray, x: np.ndarray):
+        w1, b1, w2, b2 = self._unpack(theta)
+        hidden = np.tanh(x @ w1 + b1)
+        return hidden, hidden @ w2 + b2
+
+    def _backprop(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
+                  d_out: np.ndarray) -> np.ndarray:
+        """Flat gradient of the loss from its gradient d_out at the network output."""
+        w2 = self._unpack(theta)[2]
+        d_w2 = hidden.T @ d_out
+        d_b2 = d_out.sum(axis=0)
+        d_hidden = (d_out @ w2.T) * (1.0 - hidden * hidden)
+        d_w1 = x.T @ d_hidden
+        d_b1 = d_hidden.sum(axis=0)
+        return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+
+
+class MlpRegression(TanhNetwork, Task):
     """Two-layer tanh MLP on synthetic regression against a fixed teacher.
 
     Targets come from a same-architecture teacher network (drawn once from
@@ -182,18 +223,6 @@ class MlpRegression(Task):
         w1, b1, w2, b2 = self._teacher
         return np.tanh(x @ w1 + b1) @ w2 + b2
 
-    def _unpack(self, theta: np.ndarray):
-        i, h, o = self.in_dim, self.hidden_dim, self.out_dim
-        k0 = i * h
-        k1 = k0 + h
-        k2 = k1 + h * o
-        return (
-            theta[:k0].reshape(i, h),
-            theta[k0:k1],
-            theta[k1:k2].reshape(h, o),
-            theta[k2:],
-        )
-
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng((self.data_seed, _TAG_INIT, seed))
         w1, b1, w2, b2 = self._random_weights(rng, scale=1.0)
@@ -205,28 +234,14 @@ class MlpRegression(Task):
         y = self._teacher_forward(x) + self.noise * rng.standard_normal((self.batch_size, self.out_dim))
         return x, y
 
-    def _forward(self, theta: np.ndarray, x: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden, hidden @ w2 + b2
-
     def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
         self._require_finite(theta)
         x, y = batch
-        w1, b1, w2, b2 = self._unpack(theta)
         hidden, pred = self._forward(theta, x)
         err = pred - y
         n = err.size
         loss = 0.5 * float(np.sum(err * err)) / n
-
-        d_pred = err / n
-        d_w2 = hidden.T @ d_pred
-        d_b2 = d_pred.sum(axis=0)
-        d_hidden = (d_pred @ w2.T) * (1.0 - hidden * hidden)
-        d_w1 = x.T @ d_hidden
-        d_b1 = d_hidden.sum(axis=0)
-        grad = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-        return TaskGradient(loss=loss, grad=grad)
+        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, err / n))
 
     def validation_loss(self, theta: np.ndarray) -> float:
         if not is_finite(theta):
@@ -241,7 +256,7 @@ class MlpRegression(Task):
         return freeze(pred.ravel().copy())
 
 
-class CharSequence(Task):
+class CharSequence(TanhNetwork, Task):
     """Next-symbol prediction over a synthetic alphabet (Markov-chain data).
 
     One-hot context of length ctx -> tanh hidden layer -> logits, trained with
@@ -263,6 +278,7 @@ class CharSequence(Task):
         data_seed: int = 7,
     ):
         self.alphabet = alphabet
+        self.out_dim = alphabet
         self.ctx = ctx
         self.hidden_dim = hidden_dim
         self.batch_size = batch_size
@@ -293,18 +309,6 @@ class CharSequence(Task):
             sym = (rng.random(n)[:, None] < self._cdf[sym]).argmax(axis=1)
         return freeze(onehot), freeze(sym.astype(np.int64))
 
-    def _unpack(self, theta: np.ndarray):
-        i, h, o = self.in_dim, self.hidden_dim, self.alphabet
-        k0 = i * h
-        k1 = k0 + h
-        k2 = k1 + h * o
-        return (
-            theta[:k0].reshape(i, h),
-            theta[k0:k1],
-            theta[k1:k2].reshape(h, o),
-            theta[k2:],
-        )
-
     def init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng((self.data_seed, _TAG_INIT, seed))
         i, h, o = self.in_dim, self.hidden_dim, self.alphabet
@@ -315,11 +319,6 @@ class CharSequence(Task):
     def batch(self, seed: int, step: int):
         rng = np.random.default_rng((self.data_seed, _TAG_BATCH, seed, step))
         return self._draw_sequences(rng, self.batch_size)
-
-    def _logits(self, theta: np.ndarray, x: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden, hidden @ w2 + b2
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -333,30 +332,22 @@ class CharSequence(Task):
     def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
         self._require_finite(theta)
         x, targets = batch
-        w1, b1, w2, b2 = self._unpack(theta)
-        hidden, logits = self._logits(theta, x)
+        hidden, logits = self._forward(theta, x)
         loss = self._ce_loss(logits, targets)
 
         probs = np.exp(self._log_softmax(logits))
         probs[np.arange(len(targets)), targets] -= 1.0
-        d_logits = probs / len(targets)
-        d_w2 = hidden.T @ d_logits
-        d_b2 = d_logits.sum(axis=0)
-        d_hidden = (d_logits @ w2.T) * (1.0 - hidden * hidden)
-        d_w1 = x.T @ d_hidden
-        d_b1 = d_hidden.sum(axis=0)
-        grad = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-        return TaskGradient(loss=loss, grad=grad)
+        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, probs / len(targets)))
 
     def validation_loss(self, theta: np.ndarray) -> float:
         if not is_finite(theta):
             return float("nan")
-        _, logits = self._logits(theta, self._x_val)
+        _, logits = self._forward(theta, self._x_val)
         return self._ce_loss(logits, self._y_val)
 
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         self._require_finite(theta)
-        _, logits = self._logits(theta, self._x_probe)
+        _, logits = self._forward(theta, self._x_probe)
         return freeze(logits.ravel().copy())
 
 
