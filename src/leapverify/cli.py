@@ -141,8 +141,8 @@ def cmd_live(args: argparse.Namespace) -> int:
                            adaptive_window=cfg.adaptive_window,
                            ff_policy=cfg.ff_policy, speculation=speculation,
                            store_dir=live_dirs[seed])
-        write_loss_log(result, live_dirs[seed])
         write_atomic(live_dirs[seed] / "config.txt", config_text)
+        write_loss_log(result, live_dirs[seed])
         return result
 
     for seed, result in each_seed("live", cfg.seeds, live):

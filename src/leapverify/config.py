@@ -199,7 +199,11 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    return parse_config(Path(path).read_text(), base)
+    """Parse a config file; a parse error names the file."""
+    try:
+        return parse_config(Path(path).read_text(), base)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

@@ -45,10 +45,6 @@ class RunDivergedError(RuntimeError):
     """Training reached a non-finite state and was aborted."""
 
 
-class IneligibleError(ValueError):
-    """Speculation requested where its preconditions do not hold."""
-
-
 @dataclass(frozen=True)
 class SpeculationSettings:
     """How the live loop speculates at each eligible checkpoint."""
@@ -113,6 +109,7 @@ class RunResult:
     checkpoints: list[Checkpoint]
     loss_log: list[float]
     similarities: list[float | None]
+    labels: list[RegimeLabel]
     events: list[LeapEvent]
     theta_final: np.ndarray
     adam_final: AdamState
@@ -151,17 +148,18 @@ def leap_or_continue(
     hyper: AdamHyper,
     settings: SpeculationSettings,
     *,
+    regime: RegimeLabel,
     epsilon: float,
     adaptive_window: int,
 ) -> tuple[LeapEvent | None, Prediction | None]:
-    """One speculation attempt at the current checkpoint.
+    """One speculation attempt at the current checkpoint, labelled `regime`.
 
     Returns (event, prediction); both None when gating or history makes the
     checkpoint ineligible. event.applied says whether the caller should
     fast-forward to prediction.theta_hat.
     """
     curr = window.current
-    if settings.regime_gating and curr.regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
+    if settings.regime_gating and regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
         return None, None
     if window.size < FORMULAS[settings.predictor].history:
         return None, None
@@ -181,7 +179,7 @@ def leap_or_continue(
         decision=decision,
         applied=accepted and settings.apply,
         criterion_used=settings.criterion,
-        regime_at_leap=curr.regime,
+        regime_at_leap=regime,
         displacement_norm=pred.displacement_norm,
     )
     return event, pred
@@ -236,7 +234,9 @@ def train_run(
     ckpts: list[Checkpoint] = []
     loss_log: list[float] = []
     sims: list[float | None] = []
+    labels: list[RegimeLabel] = []
     events: list[LeapEvent] = []
+    prev_fingerprint: np.ndarray | None = None
     skipped = 0
 
     step = 0
@@ -255,23 +255,25 @@ def train_run(
         if not math.isfinite(val_loss):
             raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
         fingerprint = task.fingerprint(theta)
-        if ckpts:
-            sim = similarity_at(fingerprint, ckpts[-1].fingerprint)
+        if prev_fingerprint is not None:
+            sim = similarity_at(fingerprint, prev_fingerprint)
             label = classify(sim, thresholds) if thresholds is not None else RegimeLabel.UNKNOWN
         else:
             sim, label = None, RegimeLabel.UNKNOWN
+        prev_fingerprint = fingerprint
         m, v = snapshot_moments(state)
         ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
-                          fingerprint=fingerprint, regime=label, seed=seed)
+                          seed=seed)
         record_checkpoint(window, ckpt, store_path)
         ckpts.append(ckpt)
         loss_log.append(val_loss)
         sims.append(sim)
+        labels.append(label)
 
         if speculation is not None and step + speculation.k <= total_steps:
             event, pred = leap_or_continue(
                 window, loss_log, task, hyper, speculation,
-                epsilon=epsilon, adaptive_window=adaptive_window,
+                regime=label, epsilon=epsilon, adaptive_window=adaptive_window,
             )
             if event is not None:
                 events.append(event)
@@ -293,6 +295,7 @@ def train_run(
         checkpoints=ckpts,
         loss_log=loss_log,
         similarities=sims,
+        labels=labels,
         events=events,
         theta_final=freeze(theta),
         adam_final=state,
@@ -320,11 +323,11 @@ def run_cascade(
     checkpoint's moments, in the linear form while the chain is too short for
     the formula. Stages stop at the first rejection under `criterion`; the
     returned events cover every evaluated stage, so the accepted depth is
-    len(events) minus the trailing rejection if any.
+    len(events) minus the trailing rejection if any. The start is the newest
+    checkpoint of `start_window`; callers start only from stable checkpoints,
+    so the events are labelled stable.
     """
     start = start_window[-1]
-    if start.regime != RegimeLabel.STABLE:
-        raise IneligibleError(f"cascades start from stable checkpoints, got {start.regime.value}")
     delta = start_window[1].step - start_window[0].step if len(start_window) > 1 else cfg.k
 
     events: list[LeapEvent] = []
@@ -347,7 +350,7 @@ def run_cascade(
             decision=decision,
             applied=False,
             criterion_used=criterion,
-            regime_at_leap=start.regime,
+            regime_at_leap=RegimeLabel.STABLE,
             displacement_norm=pred.displacement_norm,
             stage=stage,
         ))

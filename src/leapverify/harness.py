@@ -1,6 +1,7 @@
 """Three-pass experiment protocol, aggregation, and report emission.
 
-Pass 1 trains each seed with periodic checkpoints and regime labels. Pass 2
+Pass 1 trains each seed with periodic checkpoints and writes loss_log.csv,
+the one record of each checkpoint's regime label, last. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
 run). Pass 3 chains cascaded predictions from stable checkpoints. The report
@@ -48,6 +49,7 @@ from .trajectory import (
     Checkpoint,
     InsufficientHistoryError,
     WindowSpacingError,
+    checkpoint_steps,
     load_run_checkpoints,
     recent_loss_std,
 )
@@ -56,6 +58,7 @@ from .verify import CRITERIA, Decision, decide
 T = TypeVar("T")
 
 THRESHOLDS_FILE = "thresholds.txt"
+LOSS_LOG = "loss_log.csv"
 
 SWEEP_CSV_HEADER = (
     "seed,step,regime,predictor,K,L_hat,L_t,"
@@ -167,7 +170,7 @@ def sweep_formulas(cfg: RunConfig) -> tuple[str, ...]:
                  for p in SWEEP_PREDICTORS)
 
 
-RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", "loss_log.csv", "sweep.csv", "cascades.jsonl",
+RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", LOSS_LOG, "sweep.csv", "cascades.jsonl",
                "config.txt")
 
 
@@ -243,17 +246,22 @@ def read_thresholds(path: str | Path) -> Thresholds:
     return Thresholds(tau_low=values["tau_low"], tau_high=values["tau_high"])
 
 
-def resolve_thresholds(cfg: RunConfig, out_root: str | Path) -> Thresholds:
-    """Explicit taus win; else the calibration stored in out_root; else calibrate now."""
+def stored_thresholds(cfg: RunConfig, out_root: str | Path) -> Thresholds | None:
+    """Explicit taus win; else the calibration stored in out_root; else None."""
     if cfg.tau_low is not None:
         return Thresholds(tau_low=cfg.tau_low, tau_high=cfg.tau_high)
     stored = Path(out_root) / THRESHOLDS_FILE
-    if stored.exists():
-        return read_thresholds(stored)
-    print("no thresholds configured; calibrating...")
-    th = calibrate_thresholds(cfg)
-    write_thresholds(th, out_root)
-    print(f"calibrated tau_low={th.tau_low:.6f} tau_high={th.tau_high:.6f} -> {stored}")
+    return read_thresholds(stored) if stored.exists() else None
+
+
+def resolve_thresholds(cfg: RunConfig, out_root: str | Path) -> Thresholds:
+    """The stored or explicit thresholds; calibrate and store them when there are none."""
+    th = stored_thresholds(cfg, out_root)
+    if th is None:
+        print("no thresholds configured; calibrating...")
+        th = calibrate_thresholds(cfg)
+        path = write_thresholds(th, out_root)
+        print(f"calibrated tau_low={th.tau_low:.6f} tau_high={th.tau_high:.6f} -> {path}")
     return th
 
 
@@ -271,13 +279,31 @@ def pass1_train(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
 
 
 def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
+    """Write loss_log.csv, the record of each checkpoint's label; last, once the run is over."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["step", "val_loss", "similarity", "regime"])
-    for ckpt, sim in zip(result.checkpoints, result.similarities):
+    for ckpt, sim, label in zip(result.checkpoints, result.similarities, result.labels):
         writer.writerow([ckpt.step, repr(ckpt.val_loss),
-                         "" if sim is None else repr(sim), ckpt.regime.value])
-    write_atomic(Path(run_dir) / "loss_log.csv", buf.getvalue())
+                         "" if sim is None else repr(sim), label.value])
+    write_atomic(Path(run_dir) / LOSS_LOG, buf.getvalue())
+
+
+def read_labels(run_dir: str | Path) -> dict[int, RegimeLabel]:
+    """Each checkpoint's regime label by step, from the run's loss_log.csv.
+
+    A run dir without loss_log.csv, or whose log lists other steps than its
+    checkpoint files, holds an unfinished or mixed run and is refused.
+    """
+    path = Path(run_dir) / LOSS_LOG
+    if not path.exists():
+        raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
+    with open(path, newline="") as fh:
+        labels = {int(row["step"]): RegimeLabel(row["regime"]) for row in csv.DictReader(fh)}
+    mismatch = set(labels).symmetric_difference(checkpoint_steps(run_dir))
+    if mismatch:
+        raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")
+    return labels
 
 
 def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
@@ -291,13 +317,15 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     predictor yield ineligible placeholder cells so the grid stays
     rectangular.
     """
+    labels = read_labels(run_dir)
     ckpts = load_run_checkpoints(run_dir)
     delta = _checkpoint_spacing(ckpts)
     losses = [c.val_loss for c in ckpts]
 
     cells: list[SweepCell] = []
     for i, ckpt in enumerate(ckpts):
-        if ckpt.regime == RegimeLabel.CHAOTIC:
+        regime = labels[ckpt.step]
+        if regime == RegimeLabel.CHAOTIC:
             continue
         sigma = _sigma_at(losses, i, adaptive_window)
         window = tuple(ckpts[max(0, i - 2): i + 1])
@@ -308,7 +336,7 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                 if not usable:
                     cells.append(SweepCell(
                         seed=ckpt.seed, checkpoint_step=ckpt.step,
-                        regime=ckpt.regime, predictor=predictor, k=k,
+                        regime=regime, predictor=predictor, k=k,
                         l_hat=float("nan"), l_t=ckpt.val_loss, decision=None,
                         displacement_norm=float("nan"), eligible=False))
                     continue
@@ -316,7 +344,7 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                 decision = decide(l_hat, ckpt.val_loss, sigma, epsilon)
                 cells.append(SweepCell(
                     seed=ckpt.seed, checkpoint_step=ckpt.step,
-                    regime=ckpt.regime, predictor=predictor, k=k,
+                    regime=regime, predictor=predictor, k=k,
                     l_hat=l_hat, l_t=ckpt.val_loss, decision=decision,
                     displacement_norm=pred.displacement_norm, eligible=True))
     return cells
@@ -332,11 +360,12 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     admits the predictor; an empty list simply means the run had no usable
     stable checkpoints.
     """
+    labels = read_labels(run_dir)
     ckpts = load_run_checkpoints(run_dir)
     losses = [c.val_loss for c in ckpts]
     rows: list[CascadeRow] = []
     for i, ckpt in enumerate(ckpts):
-        if ckpt.regime != RegimeLabel.STABLE:
+        if labels[ckpt.step] != RegimeLabel.STABLE:
             continue
         sigma = _sigma_at(losses, i, adaptive_window)
         window = tuple(ckpts[max(0, i - 2): i + 1])
@@ -521,25 +550,16 @@ def aggregate(cells: list[SweepCell], cascade_rows: list[CascadeRow],
             verdict = c.decision.verdict(criterion)
             if verdict is None:
                 continue
-            a_key = (c.regime.value, c.predictor, c.k, criterion)
-            cell = acc_groups.setdefault(a_key, {}).setdefault(c.seed, [0, 0])
-            cell[0] += int(verdict)
-            cell[1] += 1
-            c_key = (c.predictor, c.k, criterion)
-            cell = cov_groups.setdefault(c_key, {}).setdefault(c.seed, [0, 0])
-            cell[0] += int(verdict)
-            cell[1] += 1
+            for groups, key in ((acc_groups, (c.regime.value, c.predictor, c.k, criterion)),
+                                (cov_groups, (c.predictor, c.k, criterion))):
+                tally = groups.setdefault(key, {}).setdefault(c.seed, [0, 0])
+                tally[0] += int(verdict)
+                tally[1] += 1
 
-    acceptance = {}
-    for key in sorted(acc_groups):
-        stat = _rate_stat(acc_groups[key])
-        if stat is not None:
-            acceptance[key] = stat
-    cov = {}
-    for key in sorted(cov_groups):
-        stat = _rate_stat(cov_groups[key])
-        if stat is not None:
-            cov[key] = stat
+    def stats(groups: dict) -> dict:
+        return {key: stat for key in sorted(groups)
+                if (stat := _rate_stat(groups[key])) is not None}
+    acceptance, cov = stats(acc_groups), stats(cov_groups)
 
     ratios = {p: ratio_table(cells, p) for p in SWEEP_PREDICTORS}
 
@@ -641,6 +661,20 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([fmt(headers), rule] + [fmt(r) for r in rows])
 
 
+def _k_table(title: str, predictors: list[str], k_values: list[int],
+             stat_at: Callable[[str, int], RateStat | None],
+             fmt: Callable[[RateStat | None], str]) -> list[str]:
+    """A predictor x K table with its title; predictors without any stat are left out."""
+    rows = []
+    for predictor in predictors:
+        stats = [stat_at(predictor, k) for k in k_values]
+        if any(stat is not None for stat in stats):
+            rows.append([predictor] + [fmt(stat) for stat in stats])
+    if not rows:
+        return []
+    return [title, _render_table(["predictor"] + [f"K={k}" for k in k_values], rows), ""]
+
+
 def format_report_text(report: ExperimentReport) -> str:
     out: list[str] = []
     out.append(f"Seeds: {', '.join(str(s) for s in report.seeds)}")
@@ -660,25 +694,15 @@ def format_report_text(report: ExperimentReport) -> str:
     k_values = sorted({k for (_, _, k, _) in report.acceptance})
     regimes = sorted({r for (r, _, _, _) in report.acceptance})
     predictors = sorted({p for (_, p, _, _) in report.acceptance})
+    def rate(stat: RateStat | None) -> str:
+        if stat is None:
+            return "-"
+        return f"{_fmt_float(stat.mean, 1)}+/-{_fmt_float(stat.std, 1)} (n={stat.denominator})"
     for criterion in CRITERIA:
         for regime in regimes:
-            rows = []
-            for predictor in predictors:
-                row = [predictor]
-                hit = False
-                for k in k_values:
-                    stat = report.acceptance.get((regime, predictor, k, criterion))
-                    if stat is None:
-                        row.append("-")
-                    else:
-                        hit = True
-                        row.append(f"{_fmt_float(stat.mean, 1)}+/-{_fmt_float(stat.std, 1)} (n={stat.denominator})")
-                if hit:
-                    rows.append(row)
-            if rows:
-                out.append(f"Acceptance rate % ({criterion} criterion, {regime} regime)")
-                out.append(_render_table(["predictor"] + [f"K={k}" for k in k_values], rows))
-                out.append("")
+            out += _k_table(f"Acceptance rate % ({criterion} criterion, {regime} regime)",
+                            predictors, k_values,
+                            lambda p, k: report.acceptance.get((regime, p, k, criterion)), rate)
 
     mom = report.ratios.get("momentum", [])
     if mom:
@@ -696,26 +720,11 @@ def format_report_text(report: ExperimentReport) -> str:
         out.append(_render_table(["K", "predicted", "actual", "ratio", "n", "nonfinite"], rows))
         out.append("")
 
-    if report.cov:
-        for criterion in CRITERIA:
-            rows = []
-            for predictor in predictors:
-                row = [predictor]
-                hit = False
-                for k in k_values:
-                    stat = report.cov.get((predictor, k, criterion))
-                    if stat is None or stat.cov is None:
-                        row.append("-")
-                        hit = hit or stat is not None
-                    else:
-                        hit = True
-                        row.append(_fmt_float(stat.cov, 1))
-                if hit:
-                    rows.append(row)
-            if rows:
-                out.append(f"Cross-seed CoV % of acceptance rate ({criterion} criterion)")
-                out.append(_render_table(["predictor"] + [f"K={k}" for k in k_values], rows))
-                out.append("")
+    for criterion in CRITERIA:
+        out += _k_table(f"Cross-seed CoV % of acceptance rate ({criterion} criterion)",
+                        predictors, k_values, lambda p, k: report.cov.get((p, k, criterion)),
+                        lambda stat: "-" if stat is None or stat.cov is None
+                        else _fmt_float(stat.cov, 1))
 
     out.append("Cascades (accepted depth out of configured depth)")
     if report.cascade_note:
@@ -753,11 +762,12 @@ def each_seed(stage: str, seeds: tuple[int, ...],
         yield seed, result
 
 
-def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds,
+def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
                      out_root: str | Path) -> RunConfig:
     """cfg with the learning rate, thresholds and output root a run resolved."""
-    return replace(cfg, lr=build_hyper(cfg, task).lr, tau_low=thresholds.tau_low,
-                   tau_high=thresholds.tau_high, out=str(out_root))
+    if thresholds is not None:
+        cfg = replace(cfg, tau_low=thresholds.tau_low, tau_high=thresholds.tau_high)
+    return replace(cfg, lr=build_hyper(cfg, task).lr, out=str(out_root))
 
 
 def train_seeds(cfg: RunConfig, task: Task, thresholds: Thresholds,
@@ -802,18 +812,21 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
     """Aggregate the stored outputs of cfg's seeds; write report.json and report.txt.
 
     `run-all` and `report` both build their report here, from the files on
-    disk, so re-running `report` reproduces `run-all`'s report exactly.
+    disk, so re-running `report` reproduces `run-all`'s report exactly. It reads
+    labels from loss_log.csv, no checkpoint, and records the resolved lr and
+    the stored thresholds in the config, but never calibrates.
     """
     out_root = resolve_out_root(cfg)
     task_dir = out_root / "runs" / cfg.task
     if not task_dir.is_dir():
         raise FileNotFoundError(f"no run directories under {task_dir}")
+    cfg = effective_config(cfg, build_task(cfg), stored_thresholds(cfg, out_root), out_root)
 
     cells, cascade_rows, labels_by_seed = [], [], {}
 
     def load(seed: int) -> None:
         run_dir = task_dir / str(seed)
-        labels_by_seed[seed] = [c.regime for c in load_run_checkpoints(run_dir)]
+        labels_by_seed[seed] = list(read_labels(run_dir).values())
         sweep_file = run_dir / "sweep.csv"
         if not sweep_file.exists():
             raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")

@@ -26,16 +26,6 @@ class RegimeLabel(str, Enum):
     STABLE = "stable"
 
 
-# single byte used in the binary checkpoint format
-REGIME_CODES = {
-    RegimeLabel.UNKNOWN: 0,
-    RegimeLabel.CHAOTIC: 1,
-    RegimeLabel.TRANSITION: 2,
-    RegimeLabel.STABLE: 3,
-}
-REGIME_FROM_CODE = {code: label for label, code in REGIME_CODES.items()}
-
-
 class DegenerateCalibrationError(ValueError):
     """Calibration produced tau_low >= tau_high; caller must widen the data."""
 

@@ -1,18 +1,18 @@
 """Checkpoint capture, rolling history window, and binary persistence.
 
-A checkpoint freezes everything speculation needs at one trajectory point:
-parameters, raw optimizer moments, held-out validation loss, activation
-fingerprint, regime label, and the run seed. The history window keeps the
-most recent <= 3 checkpoints at exact spacing delta -- the finite-difference
-predictors read their deltas from it, so the spacing invariant is enforced
-on every push.
+A checkpoint freezes the training state speculation needs at one trajectory
+point: parameters, raw optimizer moments, held-out validation loss and the
+run seed. What was observed there (the fingerprint similarity and the regime
+label) is recorded in the run's loss_log.csv, not in the checkpoint. The
+history window keeps the most recent <= 3 checkpoints at exact spacing
+delta -- the finite-difference predictors read their deltas from it, so the
+spacing invariant is enforced on every push.
 
-On-disk format (little-endian):
+On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
 
     magic "LPVF" | u32 version | u64 step | u64 param_count
     | f64 theta[param_count] | f64 m[param_count] | f64 v[param_count]
-    | f64 val_loss | u64 fp_len | f64 fingerprint[fp_len]
-    | u8 regime code | u64 seed
+    | f64 val_loss | u64 seed
 
 Round-trips are bit-exact for every float payload.
 """
@@ -29,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import freeze
-from .regime import REGIME_CODES, REGIME_FROM_CODE, RegimeLabel
 
 MAGIC = b"LPVF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 WINDOW_CAPACITY = 3
 
 
@@ -59,8 +58,6 @@ class Checkpoint:
     m: np.ndarray
     v: np.ndarray
     val_loss: float
-    fingerprint: np.ndarray
-    regime: RegimeLabel
     seed: int
 
 
@@ -138,10 +135,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         np.ascontiguousarray(ckpt.theta, dtype="<f8").tobytes(),
         np.ascontiguousarray(ckpt.m, dtype="<f8").tobytes(),
         np.ascontiguousarray(ckpt.v, dtype="<f8").tobytes(),
-        struct.pack("<d", ckpt.val_loss),
-        struct.pack("<Q", ckpt.fingerprint.shape[0]),
-        np.ascontiguousarray(ckpt.fingerprint, dtype="<f8").tobytes(),
-        struct.pack("<BQ", REGIME_CODES[ckpt.regime], ckpt.seed),
+        struct.pack("<dQ", ckpt.val_loss, ckpt.seed),
     ]
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(b"".join(parts))
@@ -158,45 +152,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
 
-    off = 24
-    need = off + 3 * 8 * n + 8 + 8
-    if len(blob) < need:
-        raise CheckpointCorruptionError(f"{path}: truncated (param_count={n})")
-    theta = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    m = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    v = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    (val_loss,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    (fp_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    if len(blob) != off + 8 * fp_len + 1 + 8:
-        raise CheckpointCorruptionError(f"{path}: payload size does not match header counts")
-    fingerprint = np.frombuffer(blob, dtype="<f8", count=fp_len, offset=off).copy()
-    off += 8 * fp_len
-    regime_code, seed = struct.unpack_from("<BQ", blob, off)
-    if regime_code not in REGIME_FROM_CODE:
-        raise CheckpointCorruptionError(f"{path}: unknown regime code {regime_code}")
-
-    return Checkpoint(
-        step=step,
-        theta=freeze(theta),
-        m=freeze(m),
-        v=freeze(v),
-        val_loss=val_loss,
-        fingerprint=freeze(fingerprint),
-        regime=REGIME_FROM_CODE[regime_code],
-        seed=seed,
+    if len(blob) != 24 + 24 * n + 16:
+        raise CheckpointCorruptionError(f"{path}: payload size does not match param_count={n}")
+    theta, m, v = (
+        freeze(np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 8 * n * i).copy())
+        for i in range(3)
     )
+    val_loss, seed = struct.unpack_from("<dQ", blob, 24 + 24 * n)
+    return Checkpoint(step=step, theta=theta, m=m, v=v, val_loss=val_loss, seed=seed)
+
+
+def checkpoint_steps(run_dir: str | Path) -> list[int]:
+    """Steps of the checkpoint files in a run directory, ascending, from their names."""
+    return sorted(int(p.stem.split("_", 1)[1]) for p in Path(run_dir).glob("ckpt_*.lpv"))
 
 
 def load_run_checkpoints(run_dir: str | Path) -> list[Checkpoint]:
     """All checkpoints in a run directory, ordered by step."""
     run_dir = Path(run_dir)
-    paths = sorted(run_dir.glob("ckpt_*.lpv"),
-                   key=lambda p: int(p.stem.split("_", 1)[1]))
-    if not paths:
+    steps = checkpoint_steps(run_dir)
+    if not steps:
         raise FileNotFoundError(f"no checkpoint files under {run_dir}")
-    return [load_checkpoint(p) for p in paths]
+    return [load_checkpoint(run_dir / f"ckpt_{step}.lpv") for step in steps]

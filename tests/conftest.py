@@ -3,13 +3,11 @@ from __future__ import annotations
 import numpy as np
 
 from leapverify.core import freeze
-from leapverify.regime import RegimeLabel
 from leapverify.trajectory import Checkpoint
 
 
-def make_checkpoint(step: int, theta, *, val_loss: float = 1.0,
-                    regime: RegimeLabel = RegimeLabel.TRANSITION,
-                    seed: int = 0, m=None, v=None, fingerprint=None) -> Checkpoint:
+def make_checkpoint(step: int, theta, *, val_loss: float = 1.0, seed: int = 0,
+                    m=None, v=None) -> Checkpoint:
     theta = freeze(np.asarray(theta, dtype=np.float64).copy())
     n = theta.shape[0]
     return Checkpoint(
@@ -18,8 +16,5 @@ def make_checkpoint(step: int, theta, *, val_loss: float = 1.0,
         m=freeze(np.zeros(n) if m is None else np.asarray(m, dtype=np.float64).copy()),
         v=freeze(np.ones(n) if v is None else np.asarray(v, dtype=np.float64).copy()),
         val_loss=val_loss,
-        fingerprint=freeze(theta.copy() if fingerprint is None
-                           else np.asarray(fingerprint, dtype=np.float64).copy()),
-        regime=regime,
         seed=seed,
     )

@@ -142,6 +142,41 @@ def test_train_sweep_cascade_pipeline(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_report_after_single_passes_records_the_resolved_lr_and_taus(tmp_path, capsys):
+    out = tmp_path / "exp"
+    calibrated = ["--task", "quad-bowl", "--seeds", "42", "--steps", "300", "--delta", "50",
+                  "--k-set", "5,10", "--out", str(out)]
+    for command in ("train", "sweep", "cascade"):
+        assert main([command, *calibrated]) == 0
+    capsys.readouterr()
+    assert main(["report", *calibrated]) == 0
+    assert "calibrating" not in capsys.readouterr().out
+    stored = dict(line.split(" = ") for line in
+                  (out / "thresholds.txt").read_text().splitlines())
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["lr"] == 0.05
+    assert (config["tau_low"], config["tau_high"]) == (float(stored["tau_low"]),
+                                                       float(stored["tau_high"]))
+
+
+def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["train", *BASE, "--out", str(out)]) == 0
+    log = out / "runs" / "quad-bowl" / "42" / "loss_log.csv"
+    log.unlink()  # as a crashed pass 1 leaves its run dir
+    capsys.readouterr()
+    assert main(["sweep", *BASE, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"pass2 (sweep) failed for seed 42: {log} missing" in err
+
+
+def test_config_parse_errors_name_the_file(tmp_path, capsys):
+    (tmp_path / "config.txt").write_text("jobs = 2\n")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'config.txt'}: line 1: unknown config key 'jobs'" in err
+
+
 def test_rerun_with_another_delta_refuses_without_force(tmp_path, capsys):
     out = tmp_path / "exp"
     for command in ("train", "live"):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from leapverify.engine import (
     FF_POLICIES,
     CascadeConfig,
-    IneligibleError,
     RunDivergedError,
     SpeculationSettings,
     accepted_depth,
@@ -112,12 +110,12 @@ def test_predictions_track_true_continuation():
     assert abs(l_hat - l_true) <= 5e-6
 
 
-def _two_step_window(task, regime):
+def _two_step_window(task):
     theta = task.target.copy()
     theta[0] += 1.0
     w = HistoryWindow(delta=50)
-    w.push(make_checkpoint(50, theta, regime=RegimeLabel.TRANSITION))
-    w.push(make_checkpoint(100, theta, regime=regime))
+    w.push(make_checkpoint(50, theta))
+    w.push(make_checkpoint(100, theta))
     return w
 
 
@@ -125,18 +123,18 @@ def test_leap_or_continue_gates_chaotic_and_unknown():
     task, hyper = smooth_bowl()
     settings = SpeculationSettings(predictor="linear", k=10)
     for regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
-        w = _two_step_window(task, regime)
-        event, pred = leap_or_continue(w, [1.0, 1.0], task, hyper, settings,
+        w = _two_step_window(task)
+        event, pred = leap_or_continue(w, [1.0, 1.0], task, hyper, settings, regime=regime,
                                        epsilon=0.05, adaptive_window=5)
         assert event is None and pred is None
 
 
 def test_leap_or_continue_gating_can_be_disabled():
     task, hyper = smooth_bowl()
-    w = _two_step_window(task, RegimeLabel.CHAOTIC)
+    w = _two_step_window(task)
     settings = SpeculationSettings(predictor="linear", k=10, regime_gating=False)
     event, pred = leap_or_continue(w, [1.0, 1.0], task, hyper, settings,
-                                   epsilon=0.05, adaptive_window=5)
+                                   regime=RegimeLabel.CHAOTIC, epsilon=0.05, adaptive_window=5)
     assert event is not None
     assert event.regime_at_leap is RegimeLabel.CHAOTIC
 
@@ -144,19 +142,19 @@ def test_leap_or_continue_gating_can_be_disabled():
 def test_leap_or_continue_requires_history():
     task, hyper = smooth_bowl()
     w = HistoryWindow(delta=50)
-    w.push(make_checkpoint(50, task.init_params(0), regime=RegimeLabel.STABLE))
+    w.push(make_checkpoint(50, task.init_params(0)))
     settings = SpeculationSettings(predictor="quadratic", k=10)
     event, pred = leap_or_continue(w, [1.0], task, hyper, settings,
-                                   epsilon=0.05, adaptive_window=5)
+                                   regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
     assert event is None and pred is None
 
 
 def test_leap_or_continue_accepts_stationary_prediction():
     task, hyper = smooth_bowl()
-    w = _two_step_window(task, RegimeLabel.STABLE)
+    w = _two_step_window(task)
     settings = SpeculationSettings(predictor="linear", k=10, criterion="strict")
     event, pred = leap_or_continue(w, [1.0], task, hyper, settings,
-                                   epsilon=0.05, adaptive_window=5)
+                                   regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
     # identical history extrapolates to itself: l_hat ~ 0.05 < l_t = 1.0
     assert event is not None
     assert event.applied
@@ -198,7 +196,8 @@ def test_plain_run_shape():
     assert res.loss_log == [c.val_loss for c in res.checkpoints]
     assert res.similarities[0] is None
     assert all(isinstance(s, float) for s in res.similarities[1:])
-    labels = [c.regime for c in res.checkpoints]
+    labels = res.labels
+    assert len(labels) == len(res.checkpoints)
     assert labels[0] is RegimeLabel.UNKNOWN
     assert all(lab is RegimeLabel.STABLE for lab in labels[1:])
     assert res.adam_final.step == 500
@@ -307,10 +306,10 @@ def test_events_and_checkpoints_are_streamed_to_disk(tmp_path):
 
 def test_leap_event_json_is_serializable():
     task, hyper = smooth_bowl()
-    w = _two_step_window(task, RegimeLabel.STABLE)
+    w = _two_step_window(task)
     event, _ = leap_or_continue(w, [1.0, 1.0], task, hyper,
                                 SpeculationSettings(predictor="linear", k=10),
-                                epsilon=0.05, adaptive_window=5)
+                                regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
     blob = json.dumps(event.to_json())
     back = json.loads(blob)
     assert back["regime_at_leap"] == "stable"
@@ -327,16 +326,8 @@ def stable_window():
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
                     thresholds=PERMISSIVE)
     window = res.checkpoints[-3:]
-    assert all(c.regime is RegimeLabel.STABLE for c in window)
+    assert all(label is RegimeLabel.STABLE for label in res.labels[-3:])
     return task, hyper, window
-
-
-def test_cascade_requires_stable_start(stable_window):
-    task, hyper, window = stable_window
-    demoted = list(window[:-1]) + [replace(window[-1], regime=RegimeLabel.TRANSITION)]
-    with pytest.raises(IneligibleError):
-        run_cascade(demoted, CascadeConfig(2, 25), "linear", "strict",
-                    task, hyper, sigma_l=None, epsilon=0.05)
 
 
 def test_cascade_requires_history_for_the_predictor(stable_window):

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from leapverify import harness
+from leapverify import harness, trajectory
 from leapverify.config import RunConfig
 from leapverify.harness import (
     SWEEP_CSV_HEADER,
@@ -18,6 +19,7 @@ from leapverify.harness import (
     build_hyper,
     build_task,
     calibrate_thresholds,
+    make_report,
     pass1_train,
     pass2_ksweep,
     pass3_cascades,
@@ -142,9 +144,12 @@ def test_pass2_requires_even_checkpoint_spacing(tmp_path):
     cfg = small_config(tmp_path)
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
+    log = "step,val_loss,similarity,regime\n"
     for step in (50, 100, 200):
         save_checkpoint(make_checkpoint(step, np.ones(task.param_dim)),
                         tmp_path / f"ckpt_{step}.lpv")
+        log += f"{step},1.0,,unknown\n"
+    (tmp_path / "loss_log.csv").write_text(log)
     with pytest.raises(WindowSpacingError):
         pass2_ksweep(tmp_path, task, hyper, k_set=(5,), epsilon=0.05)
 
@@ -177,6 +182,42 @@ def test_pass2_quad_variant_changes_the_formula(experiment):
             (b.seed, b.checkpoint_step, b.predictor, b.k, b.eligible)
         if a.eligible:
             assert a.l_hat == b.l_hat
+
+
+def test_make_report_reads_no_checkpoint(experiment, tmp_path, monkeypatch):
+    cfg, _, out = experiment
+    copy = shutil.copytree(out, tmp_path / "out")
+    loads = []
+    load = trajectory.load_checkpoint
+    monkeypatch.setattr(trajectory, "load_checkpoint", lambda path: loads.append(path) or load(path))
+    report = make_report(replace(cfg, out=str(copy)))
+    assert loads == []
+    assert (copy / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
+    # the labels come from loss_log.csv
+    assert report.regime_counts[42] == {"unknown": 1, "chaotic": 0, "transition": 0, "stable": 5}
+
+
+@pytest.mark.parametrize("stage", ["pass2 (sweep)", "pass3 (cascade)", "report"])
+def test_unfinished_runs_are_refused(experiment, tmp_path, stage):
+    cfg, _, out = experiment
+    copy = shutil.copytree(out, tmp_path / "out")
+    cfg, task = replace(cfg, out=str(copy)), build_task(cfg)
+    run_dir = run_dir_for(copy, "quad-bowl", 43)
+    passes = {"pass2 (sweep)": lambda: list(harness.sweep_seeds(cfg, task, copy)),
+              "pass3 (cascade)": lambda: list(harness.cascade_seeds(cfg, task, copy)),
+              "report": lambda: make_report(cfg)}
+    # a crashed pass 1 stored checkpoints but no loss_log.csv
+    log = (run_dir / "loss_log.csv").read_bytes()
+    (run_dir / "loss_log.csv").unlink()
+    with pytest.raises(PassError, match=rf"{re.escape(stage)} failed for seed 43: "
+                                         rf".*{re.escape(str(run_dir / 'loss_log.csv'))} missing"):
+        passes[stage]()
+    # a loss log that lists other steps than the checkpoint files
+    (run_dir / "loss_log.csv").write_bytes(log)
+    (run_dir / "ckpt_300.lpv").unlink()
+    with pytest.raises(PassError, match=rf"{re.escape(stage)} failed for seed 43: .*loss_log.csv "
+                                         r"and the checkpoint files disagree at step 300"):
+        passes[stage]()
 
 
 def test_pass3_rows_start_from_stable_checkpoints(experiment):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from leapverify.regime import (
-    REGIME_CODES,
-    REGIME_FROM_CODE,
     DegenerateCalibrationError,
     RegimeLabel,
     Thresholds,
@@ -40,12 +38,6 @@ def test_thresholds_validation():
         Thresholds(-1.1, 0.5)
     with pytest.raises(ValueError):
         Thresholds(0.5, 1.0001)
-
-
-def test_regime_codes_round_trip():
-    assert sorted(REGIME_CODES.values()) == [0, 1, 2, 3]
-    for label, code in REGIME_CODES.items():
-        assert REGIME_FROM_CODE[code] is label
 
 
 def test_similarity_at_matches_cosine():

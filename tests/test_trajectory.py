@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from leapverify.regime import RegimeLabel
 from leapverify.trajectory import (
+    FORMAT_VERSION,
     MAGIC,
     WINDOW_CAPACITY,
     CheckpointCorruptionError,
@@ -86,20 +86,17 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         150,
         rng.standard_normal(17),
         val_loss=0.037519,
-        regime=RegimeLabel.STABLE,
         seed=43,
         m=rng.standard_normal(17),
         v=rng.random(17),
-        fingerprint=rng.standard_normal(9),
     )
     path = tmp_path / "ckpt_150.lpv"
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path)
     assert back.step == 150
     assert back.seed == 43
-    assert back.regime is RegimeLabel.STABLE
     assert back.val_loss == ckpt.val_loss
-    for name in ("theta", "m", "v", "fingerprint"):
+    for name in ("theta", "m", "v"):
         a, b = getattr(ckpt, name), getattr(back, name)
         assert a.tobytes() == b.tobytes()
         assert not b.flags.writeable
@@ -109,25 +106,22 @@ def test_checkpoint_file_bytes_match_layout(tmp_path):
     theta = np.array([1.5, -2.0])
     m = np.array([0.25, 0.5])
     v = np.array([1.0, 4.0])
-    fp = np.array([3.0])
-    ckpt = make_checkpoint(100, theta, val_loss=0.625, regime=RegimeLabel.STABLE,
-                           seed=42, m=m, v=v, fingerprint=fp)
+    ckpt = make_checkpoint(100, theta, val_loss=0.625, seed=42, m=m, v=v)
     path = tmp_path / "ckpt_100.lpv"
     save_checkpoint(ckpt, path)
 
     expected = (
         b"LPVF"
-        + struct.pack("<IQQ", 1, 100, 2)
+        + struct.pack("<IQQ", 2, 100, 2)
         + theta.astype("<f8").tobytes()
         + m.astype("<f8").tobytes()
         + v.astype("<f8").tobytes()
         + struct.pack("<d", 0.625)
-        + struct.pack("<Q", 1)
-        + fp.astype("<f8").tobytes()
-        + struct.pack("<BQ", 3, 42)
+        + struct.pack("<Q", 42)
     )
+    assert FORMAT_VERSION == 2
     assert path.read_bytes() == expected
-    assert len(expected) == 4 + 20 + 3 * 16 + 8 + 8 + 8 + 9
+    assert len(expected) == 24 + 24 * 2 + 16
 
 
 def test_save_refuses_non_finite_val_loss(tmp_path):
@@ -139,7 +133,7 @@ def test_save_refuses_non_finite_val_loss(tmp_path):
 
 @pytest.fixture
 def stored_blob(tmp_path):
-    ckpt = make_checkpoint(100, np.array([1.5, -2.0]), fingerprint=np.array([3.0]))
+    ckpt = make_checkpoint(100, np.array([1.5, -2.0]))
     path = tmp_path / "ckpt_100.lpv"
     save_checkpoint(ckpt, path)
     return path, path.read_bytes()
@@ -168,6 +162,13 @@ def test_load_rejects_unknown_version(tmp_path, stored_blob):
     _expect_load_error(tmp_path, mutated, CheckpointFormatError)
 
 
+def test_load_refuses_a_version_1_file(tmp_path):
+    # version 1 also stored the fingerprint and a regime byte
+    blob = (MAGIC + struct.pack("<IQQ", 1, 100, 1) + np.ones(3).tobytes()
+            + struct.pack("<dQ", 0.5, 1) + np.ones(1).tobytes() + struct.pack("<BQ", 3, 42))
+    _expect_load_error(tmp_path, blob, CheckpointFormatError)
+
+
 def test_load_rejects_truncated_payload(tmp_path, stored_blob):
     _, blob = stored_blob
     _expect_load_error(tmp_path, blob[:40], CheckpointCorruptionError)
@@ -176,13 +177,6 @@ def test_load_rejects_truncated_payload(tmp_path, stored_blob):
 def test_load_rejects_trailing_garbage(tmp_path, stored_blob):
     _, blob = stored_blob
     _expect_load_error(tmp_path, blob + b"\x00", CheckpointCorruptionError)
-
-
-def test_load_rejects_unknown_regime_code(tmp_path, stored_blob):
-    _, blob = stored_blob
-    mutated = bytearray(blob)
-    mutated[-9] = 9  # regime byte sits just before the u64 seed
-    _expect_load_error(tmp_path, bytes(mutated), CheckpointCorruptionError)
 
 
 def test_load_run_checkpoints_sorts_numerically(tmp_path):
