@@ -134,8 +134,8 @@ class TanhNetwork:
     """Two-layer tanh network shared by `mlp-reg` and `char-seq`.
 
     theta packs W1 (in_dim x hidden_dim), b1, W2 (hidden_dim x out_dim) and
-    b2; the output is tanh(x W1 + b1) W2 + b2. A mixin rather than a Task
-    subclass, so each task stays a direct subclass of Task.
+    b2; the output is tanh(x W1 + b1) W2 + b2. A mixin, not a Task subclass:
+    the benchmark tracer wraps the methods of Task's direct subclasses.
     """
 
     in_dim: int
