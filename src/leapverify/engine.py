@@ -7,11 +7,12 @@ trajectory bit-identical to a run that never speculated, which is the
 contract the force-reject mode exists to demonstrate.
 
 On an accepted leap the parameters jump to the predicted vector, the global
-step advances by K, the optimizer clock fast-forwards under the configured
-policy, and the finite-difference history window is cleared -- predicted
-states must never masquerade as observed checkpoint deltas. The next
-checkpoint lands on the next multiple of delta strictly after the landing
-step.
+step advances by K and the optimizer clock fast-forwards under the
+configured policy. The run then marks its next checkpoint as `since_leap`,
+where the finite-difference history (trajectory.history_at) restarts:
+predicted states must never masquerade as observed checkpoint deltas. The
+next checkpoint lands on the next multiple of delta strictly after the
+landing step.
 """
 
 from __future__ import annotations
@@ -24,18 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import freeze, is_finite
+from .core import NonFiniteError, freeze, is_finite
 from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
 from .predict import FORMULAS, LINEAR, Prediction, predict, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import Task
-from .trajectory import (
-    Checkpoint,
-    HistoryWindow,
-    InsufficientHistoryError,
-    record_checkpoint,
-    recent_loss_std,
-)
+from .trajectory import Checkpoint, history_at, recent_loss_std, save_checkpoint
 from .verify import Decision, decide
 
 FF_POLICIES = ("carry", "decay")
@@ -104,7 +99,6 @@ class LeapEvent:
 
 @dataclass
 class RunResult:
-    task_name: str
     seed: int
     checkpoints: list[Checkpoint]
     loss_log: list[float]
@@ -142,34 +136,30 @@ def _held_out_loss(pred: Prediction, task: Task) -> float:
 
 
 def leap_or_continue(
-    window: HistoryWindow,
-    loss_log: Sequence[float],
+    window: Sequence[Checkpoint],
+    delta: int,
     task: Task,
     hyper: AdamHyper,
     settings: SpeculationSettings,
     *,
     regime: RegimeLabel,
+    sigma: float | None,
     epsilon: float,
-    adaptive_window: int,
 ) -> tuple[LeapEvent | None, Prediction | None]:
-    """One speculation attempt at the current checkpoint, labelled `regime`.
+    """One speculation attempt at the newest checkpoint of `window`, labelled `regime`.
 
-    Returns (event, prediction); both None when gating or history makes the
-    checkpoint ineligible. event.applied says whether the caller should
-    fast-forward to prediction.theta_hat.
+    `window` is the history at spacing `delta`, oldest first, and `sigma` the
+    recent validation-loss std. Returns (event, prediction), both None when
+    gating or history makes the checkpoint ineligible; event.applied says
+    whether the caller should fast-forward to prediction.theta_hat.
     """
-    curr = window.current
     if settings.regime_gating and regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
         return None, None
-    if window.size < FORMULAS[settings.predictor].history:
+    if len(window) < FORMULAS[settings.predictor].history:
         return None, None
 
-    pred, l_hat = speculate(window.checkpoints, window.delta, settings.predictor,
-                            settings.k, task, hyper)
-    try:
-        sigma = recent_loss_std(loss_log, adaptive_window)
-    except InsufficientHistoryError:
-        sigma = None
+    curr = window[-1]
+    pred, l_hat = speculate(window, delta, settings.predictor, settings.k, task, hyper)
     decision = decide(l_hat, curr.val_loss, sigma, epsilon)
     accepted = decision.verdict(settings.criterion) is True
     event = LeapEvent(
@@ -230,8 +220,8 @@ def train_run(
 
     theta = task.init_params(seed).copy()
     state = init_state(task.param_dim, hyper)
-    window = HistoryWindow(delta)
     ckpts: list[Checkpoint] = []
+    since_leap = 0  # index of the first checkpoint after the last applied leap
     loss_log: list[float] = []
     sims: list[float | None] = []
     labels: list[RegimeLabel] = []
@@ -242,9 +232,11 @@ def train_run(
     step = 0
     next_ckpt = delta
     while step < total_steps:
-        batch = task.batch(seed, step)
-        tg = task.loss_and_grad(theta, batch)
-        apply_update(state, theta, tg.grad, out=theta)
+        try:
+            tg = task.loss_and_grad(theta, task.batch(seed, step))
+            apply_update(state, theta, tg.grad, out=theta)
+        except NonFiniteError as exc:
+            raise RunDivergedError(f"{exc} at step {step + 1} (seed {seed})") from exc
         step += 1
         if step != next_ckpt:
             continue
@@ -264,7 +256,8 @@ def train_run(
         m, v = snapshot_moments(state)
         ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
                           seed=seed)
-        record_checkpoint(window, ckpt, store_path)
+        if store_path is not None:
+            save_checkpoint(ckpt, store_path / f"ckpt_{step}.lpv")
         ckpts.append(ckpt)
         loss_log.append(val_loss)
         sims.append(sim)
@@ -272,8 +265,8 @@ def train_run(
 
         if speculation is not None and step + speculation.k <= total_steps:
             event, pred = leap_or_continue(
-                window, loss_log, task, hyper, speculation,
-                regime=label, epsilon=epsilon, adaptive_window=adaptive_window,
+                history_at(ckpts, len(ckpts) - 1, since_leap), delta, task, hyper, speculation,
+                regime=label, sigma=recent_loss_std(loss_log, adaptive_window), epsilon=epsilon,
             )
             if event is not None:
                 events.append(event)
@@ -286,11 +279,10 @@ def train_run(
                     fast_forward(state, speculation.k, ff_policy)
                     step += speculation.k
                     skipped += speculation.k
-                    window.clear()
+                    since_leap = len(ckpts)
         next_ckpt = (step // delta + 1) * delta
 
     return RunResult(
-        task_name=task.name,
         seed=seed,
         checkpoints=ckpts,
         loss_log=loss_log,
@@ -305,6 +297,7 @@ def train_run(
 
 def run_cascade(
     start_window: Sequence[Checkpoint],
+    delta: int,
     cfg: CascadeConfig,
     predictor: str,
     criterion: str,
@@ -316,9 +309,10 @@ def run_cascade(
 ) -> list[LeapEvent]:
     """Chain up to `cfg.depth` predictions of horizon K from a stable checkpoint.
 
-    Stage 1 extrapolates from the real history window; each later stage starts
-    from the previous stage's predicted weights and is verified against the
-    previous stage's predicted loss. Later stages run the formula on the chain
+    Stage 1 extrapolates from the real history window, whose checkpoints are
+    `delta` steps apart; each later stage starts from the previous stage's
+    predicted weights and is verified against the previous stage's predicted
+    loss. Later stages run the formula on the chain
     [theta_start, stage-1 prediction, ...] at spacing K with the start
     checkpoint's moments, in the linear form while the chain is too short for
     the formula. Stages stop at the first rejection under `criterion`; the
@@ -328,7 +322,6 @@ def run_cascade(
     so the events are labelled stable.
     """
     start = start_window[-1]
-    delta = start_window[1].step - start_window[0].step if len(start_window) > 1 else cfg.k
 
     events: list[LeapEvent] = []
     chain: list[np.ndarray] = [start.theta]

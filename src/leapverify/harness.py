@@ -23,7 +23,7 @@ import io
 import json
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -47,9 +47,9 @@ from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (
     Checkpoint,
-    InsufficientHistoryError,
-    WindowSpacingError,
+    checkpoint_spacing,
     checkpoint_steps,
+    history_at,
     load_run_checkpoints,
     recent_loss_std,
 )
@@ -198,33 +198,16 @@ def write_atomic(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _checkpoint_spacing(ckpts: list[Checkpoint]) -> int:
-    if len(ckpts) < 2:
-        return 1  # spacing is irrelevant below the two-checkpoint mark
-    diffs = {b.step - a.step for a, b in zip(ckpts, ckpts[1:])}
-    if len(diffs) != 1:
-        raise WindowSpacingError(f"uneven checkpoint spacing: {sorted(diffs)}")
-    return diffs.pop()
-
-
-def _sigma_at(losses: list[float], upto: int, window: int) -> float | None:
-    try:
-        return recent_loss_std(losses[: upto + 1], window)
-    except InsufficientHistoryError:
-        return None
-
-
 # ------------------------------------------------------------- the passes
 
 def calibrate_thresholds(cfg: RunConfig) -> Thresholds:
     """Quantile-calibrate regime thresholds from fresh calibration runs."""
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
-    traces = []
-    for seed in cfg.calibration_seeds:
-        result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
-                           hyper=hyper)
-        traces.append([s for s in result.similarities if s is not None])
+    runs = each_seed("calibrate", cfg.calibration_seeds,
+                     lambda seed: train_run(task, seed, total_steps=cfg.steps,
+                                            delta=cfg.delta, hyper=hyper))
+    traces = [[s for s in result.similarities if s is not None] for _, result in runs]
     return calibrate(traces, cfg.q_low, cfg.q_high)
 
 
@@ -306,6 +289,23 @@ def read_labels(run_dir: str | Path) -> dict[int, RegimeLabel]:
     return labels
 
 
+def replay_points(
+    run_dir: str | Path, keep: Collection[RegimeLabel], adaptive_window: int,
+) -> Iterator[tuple[Checkpoint, RegimeLabel, Sequence[Checkpoint], int, float | None]]:
+    """(checkpoint, label, history window, spacing, loss sigma) per checkpoint labelled in `keep`.
+
+    Labels come from loss_log.csv; uneven checkpoint spacing is refused.
+    """
+    labels = read_labels(run_dir)
+    ckpts = load_run_checkpoints(run_dir)
+    delta = checkpoint_spacing(ckpts)
+    losses = [c.val_loss for c in ckpts]
+    for i, ckpt in enumerate(ckpts):
+        if labels[ckpt.step] in keep:
+            yield (ckpt, labels[ckpt.step], history_at(ckpts, i), delta,
+                   recent_loss_std(losses[: i + 1], adaptive_window))
+
+
 def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
                  k_set: tuple[int, ...], epsilon: float, adaptive_window: int = 5,
                  formulas: tuple[str, ...] = SWEEP_PREDICTORS) -> list[SweepCell]:
@@ -317,36 +317,24 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     predictor yield ineligible placeholder cells so the grid stays
     rectangular.
     """
-    labels = read_labels(run_dir)
-    ckpts = load_run_checkpoints(run_dir)
-    delta = _checkpoint_spacing(ckpts)
-    losses = [c.val_loss for c in ckpts]
-
     cells: list[SweepCell] = []
-    for i, ckpt in enumerate(ckpts):
-        regime = labels[ckpt.step]
-        if regime == RegimeLabel.CHAOTIC:
-            continue
-        sigma = _sigma_at(losses, i, adaptive_window)
-        window = tuple(ckpts[max(0, i - 2): i + 1])
+    for ckpt, regime, window, delta, sigma in replay_points(
+            run_dir, set(RegimeLabel) - {RegimeLabel.CHAOTIC}, adaptive_window):
         for formula in formulas:
             predictor = FORMULAS[formula].family
             usable = len(window) >= FORMULAS[formula].history
             for k in k_set:
-                if not usable:
-                    cells.append(SweepCell(
-                        seed=ckpt.seed, checkpoint_step=ckpt.step,
-                        regime=regime, predictor=predictor, k=k,
-                        l_hat=float("nan"), l_t=ckpt.val_loss, decision=None,
-                        displacement_norm=float("nan"), eligible=False))
-                    continue
-                pred, l_hat = speculate(window, delta, formula, k, task, hyper)
-                decision = decide(l_hat, ckpt.val_loss, sigma, epsilon)
+                if usable:
+                    pred, l_hat = speculate(window, delta, formula, k, task, hyper)
+                    decision = decide(l_hat, ckpt.val_loss, sigma, epsilon)
+                    displacement = pred.displacement_norm
+                else:
+                    l_hat, decision, displacement = float("nan"), None, float("nan")
                 cells.append(SweepCell(
                     seed=ckpt.seed, checkpoint_step=ckpt.step,
                     regime=regime, predictor=predictor, k=k,
                     l_hat=l_hat, l_t=ckpt.val_loss, decision=decision,
-                    displacement_norm=pred.displacement_norm, eligible=True))
+                    displacement_norm=displacement, eligible=usable))
     return cells
 
 
@@ -360,20 +348,14 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     admits the predictor; an empty list simply means the run had no usable
     stable checkpoints.
     """
-    labels = read_labels(run_dir)
-    ckpts = load_run_checkpoints(run_dir)
-    losses = [c.val_loss for c in ckpts]
     rows: list[CascadeRow] = []
-    for i, ckpt in enumerate(ckpts):
-        if labels[ckpt.step] != RegimeLabel.STABLE:
-            continue
-        sigma = _sigma_at(losses, i, adaptive_window)
-        window = tuple(ckpts[max(0, i - 2): i + 1])
+    for ckpt, _, window, delta, sigma in replay_points(run_dir, {RegimeLabel.STABLE},
+                                                       adaptive_window):
         for d, k in configs:
             for formula in formulas:
                 if len(window) < FORMULAS[formula].history:
                     continue
-                events = run_cascade(window, CascadeConfig(depth=d, k=k),
+                events = run_cascade(window, delta, CascadeConfig(depth=d, k=k),
                                      formula, criterion, task, hyper,
                                      sigma_l=sigma, epsilon=epsilon)
                 rows.append(CascadeRow(

@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import freeze, is_finite, l2_norm
 from .optim import AdamHyper, lr_at
-from .trajectory import InsufficientHistoryError
 
 MOMENTUM = "momentum"
 MOMENTUM_DESCENT = "momentum_descent"
@@ -49,6 +48,10 @@ QUADRATIC_EXACT = "quadratic_exact"
 SWEEP_PREDICTORS = (MOMENTUM, LINEAR, QUADRATIC)
 MOMENTUM_VARIANTS = ("paper", "descent")
 QUAD_VARIANTS = ("paper", "exact")
+
+
+class InsufficientHistoryError(ValueError):
+    """Too few checkpoints of history for the requested formula."""
 
 
 @dataclass(frozen=True)

@@ -154,9 +154,9 @@ class TanhNetwork:
             theta[k2:],
         )
 
-    def _forward(self, theta: np.ndarray, x: np.ndarray):
+    def _forward(self, theta: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
         w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(x @ w1 + b1)
+        hidden = np.tanh(np.add(np.matmul(x, w1, out=out), b1, out=out), out=out)
         return hidden, hidden @ w2 + b2
 
     def _backprop(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
@@ -209,6 +209,8 @@ class MlpRegression(TanhNetwork, Task):
         rng = np.random.default_rng((self.data_seed, _TAG_VAL))
         self._x_val = freeze(rng.standard_normal((n_val, in_dim)))
         self._y_val = freeze(self._teacher_forward(self._x_val))
+        # one activation buffer for all validations: fresh 256 KB arrays can cost page faults
+        self._val_hidden = np.empty((n_val, hidden_dim))
         rng = np.random.default_rng((self.data_seed, _TAG_PROBE))
         self._x_probe = freeze(rng.standard_normal((probe_count, in_dim)))
 
@@ -246,7 +248,7 @@ class MlpRegression(TanhNetwork, Task):
     def validation_loss(self, theta: np.ndarray) -> float:
         if not is_finite(theta):
             return float("nan")
-        _, pred = self._forward(theta, self._x_val)
+        _, pred = self._forward(theta, self._x_val, out=self._val_hidden)
         err = pred - self._y_val
         return 0.5 * float(np.sum(err * err)) / err.size
 

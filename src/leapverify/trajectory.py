@@ -1,12 +1,16 @@
-"""Checkpoint capture, rolling history window, and binary persistence.
+"""Checkpoint capture, the checkpoint-history rule, and binary persistence.
 
 A checkpoint freezes the training state speculation needs at one trajectory
 point: parameters, raw optimizer moments, held-out validation loss and the
 run seed. What was observed there (the fingerprint similarity and the regime
-label) is recorded in the run's loss_log.csv, not in the checkpoint. The
-history window keeps the most recent <= 3 checkpoints at exact spacing
-delta -- the finite-difference predictors read their deltas from it, so the
-spacing invariant is enforced on every push.
+label) is recorded in the run's loss_log.csv, not in the checkpoint.
+
+The finite-difference predictors read a short history: `history_at` gives a
+checkpoint and at most two predecessors, none before index `since`. A live
+run passes the index of its first checkpoint after the last applied leap,
+because a predicted point is not a trained one. Checkpoints land on
+multiples of delta, so every window is evenly spaced; `checkpoint_spacing`
+checks that of a stored run.
 
 On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
 
@@ -43,12 +47,8 @@ class CheckpointCorruptionError(ValueError):
     """Recognized header but inconsistent or truncated payload."""
 
 
-class InsufficientHistoryError(ValueError):
-    """Too few samples for the requested statistic."""
-
-
 class WindowSpacingError(ValueError):
-    """Checkpoint steps in a history window must be exactly delta apart."""
+    """A run's checkpoints are not evenly spaced."""
 
 
 @dataclass(frozen=True)
@@ -61,62 +61,32 @@ class Checkpoint:
     seed: int
 
 
-class HistoryWindow:
-    """Most recent <= 3 checkpoints at spacing delta.
+def history_at(ckpts: Sequence[Checkpoint], i: int, since: int = 0) -> Sequence[Checkpoint]:
+    """ckpts[i] and at most WINDOW_CAPACITY - 1 predecessors, none before index `since`.
 
-    Window size determines predictor eligibility: 1 -> momentum only,
-    2 -> + linear, 3 -> + quadratic. A leap invalidates finite-difference
-    history, so the engine clears the window after any accepted leap.
+    Its length sets which predictors can run: 1 momentum, 2 + linear, 3 + quadratic."""
+    return ckpts[max(since, i + 1 - WINDOW_CAPACITY): i + 1]
+
+
+def checkpoint_spacing(ckpts: Sequence[Checkpoint]) -> int:
+    """The one step spacing of consecutive checkpoints; uneven spacing is refused."""
+    if len(ckpts) < 2:
+        return 1  # spacing is irrelevant below the two-checkpoint mark
+    diffs = {b.step - a.step for a, b in zip(ckpts, ckpts[1:])}
+    if len(diffs) != 1:
+        raise WindowSpacingError(f"uneven checkpoint spacing: {sorted(diffs)}")
+    return diffs.pop()
+
+
+def recent_loss_std(losses: Sequence[float], window: int) -> float | None:
+    """Sample std of the last `window` validation losses (clamped to history).
+
+    None below two losses, where no spread is defined yet.
     """
-
-    def __init__(self, delta: int):
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
-        self.delta = delta
-        self._ckpts: list[Checkpoint] = []
-
-    def push(self, ckpt: Checkpoint) -> None:
-        if self._ckpts and ckpt.step - self._ckpts[-1].step != self.delta:
-            raise WindowSpacingError(
-                f"step {ckpt.step} does not follow {self._ckpts[-1].step} by delta={self.delta}"
-            )
-        self._ckpts.append(ckpt)
-        if len(self._ckpts) > WINDOW_CAPACITY:
-            del self._ckpts[0]
-
-    def clear(self) -> None:
-        self._ckpts.clear()
-
-    @property
-    def size(self) -> int:
-        return len(self._ckpts)
-
-    @property
-    def checkpoints(self) -> tuple[Checkpoint, ...]:
-        return tuple(self._ckpts)
-
-    @property
-    def current(self) -> Checkpoint:
-        return self._ckpts[-1]
-
-
-def record_checkpoint(window: HistoryWindow, ckpt: Checkpoint,
-                      store_dir: str | Path | None = None) -> Checkpoint:
-    """Append a checkpoint to the window (trimming to 3) and persist it."""
-    if ckpt.step % window.delta != 0:
-        raise ValueError(f"checkpoint step {ckpt.step} not a multiple of delta={window.delta}")
-    window.push(ckpt)
-    if store_dir is not None:
-        save_checkpoint(ckpt, Path(store_dir) / f"ckpt_{ckpt.step}.lpv")
-    return ckpt
-
-
-def recent_loss_std(losses: Sequence[float], window: int) -> float:
-    """Sample std of the last `window` validation losses (clamped to history)."""
     if window < 2:
         raise ValueError("window must be >= 2")
     if len(losses) < 2:
-        raise InsufficientHistoryError("need >= 2 validation losses")
+        return None
     tail = np.asarray(losses[-window:], dtype=np.float64)
     return float(np.std(tail, ddof=1))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -224,6 +225,14 @@ def test_calibrate_stores_thresholds(tmp_path, capsys):
                  "--delta", "50", "--seeds", "42", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "calibrating" not in stdout
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges the run
+def test_diverging_calibration_names_its_pass_seed_and_step(tmp_path, capsys):
+    assert main(["calibrate", "--lr", "1e12", "--steps", "200", "--delta", "50",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"calibrate failed for seed 1: .* at step \d+ \(seed 1\)", err), err
 
 
 def test_calibrate_with_explicit_taus_skips_runs(tmp_path, capsys):

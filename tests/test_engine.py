@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,14 @@ from leapverify.engine import (
     train_run,
 )
 from leapverify.optim import AdamHyper
-from leapverify.predict import MOMENTUM_VARIANTS, predict_momentum_descent
+from leapverify.predict import (
+    MOMENTUM_VARIANTS,
+    InsufficientHistoryError,
+    predict_momentum_descent,
+)
 from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.tasks import QuadBowl, make_task
-from leapverify.trajectory import HistoryWindow, InsufficientHistoryError, load_checkpoint
+from leapverify.trajectory import load_checkpoint
 from leapverify.verify import decide
 
 from conftest import make_checkpoint
@@ -113,10 +118,7 @@ def test_predictions_track_true_continuation():
 def _two_step_window(task):
     theta = task.target.copy()
     theta[0] += 1.0
-    w = HistoryWindow(delta=50)
-    w.push(make_checkpoint(50, theta))
-    w.push(make_checkpoint(100, theta))
-    return w
+    return [make_checkpoint(50, theta), make_checkpoint(100, theta)]
 
 
 def test_leap_or_continue_gates_chaotic_and_unknown():
@@ -124,8 +126,8 @@ def test_leap_or_continue_gates_chaotic_and_unknown():
     settings = SpeculationSettings(predictor="linear", k=10)
     for regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
         w = _two_step_window(task)
-        event, pred = leap_or_continue(w, [1.0, 1.0], task, hyper, settings, regime=regime,
-                                       epsilon=0.05, adaptive_window=5)
+        event, pred = leap_or_continue(w, 50, task, hyper, settings, regime=regime,
+                                       sigma=0.0, epsilon=0.05)
         assert event is None and pred is None
 
 
@@ -133,19 +135,18 @@ def test_leap_or_continue_gating_can_be_disabled():
     task, hyper = smooth_bowl()
     w = _two_step_window(task)
     settings = SpeculationSettings(predictor="linear", k=10, regime_gating=False)
-    event, pred = leap_or_continue(w, [1.0, 1.0], task, hyper, settings,
-                                   regime=RegimeLabel.CHAOTIC, epsilon=0.05, adaptive_window=5)
+    event, pred = leap_or_continue(w, 50, task, hyper, settings,
+                                   regime=RegimeLabel.CHAOTIC, sigma=0.0, epsilon=0.05)
     assert event is not None
     assert event.regime_at_leap is RegimeLabel.CHAOTIC
 
 
 def test_leap_or_continue_requires_history():
     task, hyper = smooth_bowl()
-    w = HistoryWindow(delta=50)
-    w.push(make_checkpoint(50, task.init_params(0)))
+    w = [make_checkpoint(50, task.init_params(0))]
     settings = SpeculationSettings(predictor="quadratic", k=10)
-    event, pred = leap_or_continue(w, [1.0], task, hyper, settings,
-                                   regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
+    event, pred = leap_or_continue(w, 50, task, hyper, settings,
+                                   regime=RegimeLabel.STABLE, sigma=None, epsilon=0.05)
     assert event is None and pred is None
 
 
@@ -153,14 +154,14 @@ def test_leap_or_continue_accepts_stationary_prediction():
     task, hyper = smooth_bowl()
     w = _two_step_window(task)
     settings = SpeculationSettings(predictor="linear", k=10, criterion="strict")
-    event, pred = leap_or_continue(w, [1.0], task, hyper, settings,
-                                   regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
+    event, pred = leap_or_continue(w, 50, task, hyper, settings,
+                                   regime=RegimeLabel.STABLE, sigma=None, epsilon=0.05)
     # identical history extrapolates to itself: l_hat ~ 0.05 < l_t = 1.0
     assert event is not None
     assert event.applied
     assert event.decision.sigma_l is None  # single loss: no sigma yet
     assert event.criterion_used == "strict"
-    assert np.array_equal(pred.theta_hat, w.current.theta)
+    assert np.array_equal(pred.theta_hat, w[-1].theta)
 
 
 def test_train_run_validates_arguments():
@@ -181,11 +182,26 @@ class PoisonedBowl(QuadBowl):
         return float("nan")
 
 
+class ExplodingBowl(QuadBowl):
+    """Its gradient turns NaN on the seventh training step."""
+
+    calls = 0
+
+    def loss_and_grad(self, theta, batch):
+        self.calls += 1
+        tg = super().loss_and_grad(theta, batch)
+        return replace(tg, grad=np.full_like(tg.grad, np.nan)) if self.calls == 7 else tg
+
+
 def test_train_run_reports_divergence():
-    task = PoisonedBowl(noise=0.0)
     hyper = AdamHyper(lr=0.05, warmup_steps=20, total_steps=100)
-    with pytest.raises(RunDivergedError, match="validation loss"):
-        train_run(task, 0, total_steps=100, delta=50, hyper=hyper)
+    with pytest.raises(RunDivergedError,
+                       match=r"^non-finite validation loss at step 50 \(seed 0\)$"):
+        train_run(PoisonedBowl(noise=0.0), 0, total_steps=100, delta=50, hyper=hyper)
+    # a non-finite gradient inside a training step names that step
+    with pytest.raises(RunDivergedError,
+                       match=r"^non-finite gradient; training halted at step 7 \(seed 0\)$"):
+        train_run(ExplodingBowl(noise=0.0), 0, total_steps=100, delta=50, hyper=hyper)
 
 
 def test_plain_run_shape():
@@ -307,9 +323,9 @@ def test_events_and_checkpoints_are_streamed_to_disk(tmp_path):
 def test_leap_event_json_is_serializable():
     task, hyper = smooth_bowl()
     w = _two_step_window(task)
-    event, _ = leap_or_continue(w, [1.0, 1.0], task, hyper,
+    event, _ = leap_or_continue(w, 50, task, hyper,
                                 SpeculationSettings(predictor="linear", k=10),
-                                regime=RegimeLabel.STABLE, epsilon=0.05, adaptive_window=5)
+                                regime=RegimeLabel.STABLE, sigma=0.0, epsilon=0.05)
     blob = json.dumps(event.to_json())
     back = json.loads(blob)
     assert back["regime_at_leap"] == "stable"
@@ -333,14 +349,14 @@ def stable_window():
 def test_cascade_requires_history_for_the_predictor(stable_window):
     task, hyper, window = stable_window
     with pytest.raises(InsufficientHistoryError):
-        run_cascade(window[-1:], CascadeConfig(2, 25), "linear", "strict",
+        run_cascade(window[-1:], 50, CascadeConfig(2, 25), "linear", "strict",
                     task, hyper, sigma_l=None, epsilon=0.05)
 
 
 def test_cascade_stage_accounting(stable_window):
     task, hyper, window = stable_window
     cfg = CascadeConfig(depth=3, k=25)
-    events = run_cascade(window, cfg, "linear", "strict", task, hyper,
+    events = run_cascade(window, 50, cfg, "linear", "strict", task, hyper,
                          sigma_l=None, epsilon=0.05)
     assert 1 <= len(events) <= cfg.depth
     start = window[-1].step
@@ -359,7 +375,7 @@ def test_cascade_stage_accounting(stable_window):
 
 def test_cascade_chains_losses_stage_to_stage(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, CascadeConfig(3, 25), "linear", "strict",
+    events = run_cascade(window, 50, CascadeConfig(3, 25), "linear", "strict",
                          task, hyper, sigma_l=None, epsilon=0.05)
     pred, l_hat = speculate(window, 50, "linear", 25, task, hyper)
     assert events[0].decision.l_hat == l_hat
@@ -371,7 +387,7 @@ def test_cascade_chains_losses_stage_to_stage(stable_window):
 
 def test_cascade_depth_one_matches_single_speculation(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, CascadeConfig(1, 25), "quadratic", "strict",
+    events = run_cascade(window, 50, CascadeConfig(1, 25), "quadratic", "strict",
                          task, hyper, sigma_l=None, epsilon=0.05)
     _, l_hat = speculate(window, 50, "quadratic", 25, task, hyper)
     expected = decide(l_hat, window[-1].val_loss, None, 0.05)
@@ -384,7 +400,7 @@ def test_cascade_strict_depth_never_exceeds_adaptive(stable_window):
     for predictor in ("momentum", "linear", "quadratic"):
         depths = {}
         for criterion in ("strict", "adaptive"):
-            events = run_cascade(window, CascadeConfig(4, 25), predictor,
+            events = run_cascade(window, 50, CascadeConfig(4, 25), predictor,
                                  criterion, task, hyper,
                                  sigma_l=window[-1].val_loss, epsilon=0.05)
             depths[criterion] = accepted_depth(events, criterion)
@@ -393,7 +409,7 @@ def test_cascade_strict_depth_never_exceeds_adaptive(stable_window):
 
 def test_cascade_later_stages_keep_the_predictor_label(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, CascadeConfig(4, 25), "quadratic", "adaptive",
+    events = run_cascade(window, 50, CascadeConfig(4, 25), "quadratic", "adaptive",
                          task, hyper, sigma_l=10.0, epsilon=0.05)
     assert len(events) >= 2  # a generous sigma accepts at least stage 1
     assert all(ev.predictor == "quadratic" for ev in events)
@@ -401,7 +417,7 @@ def test_cascade_later_stages_keep_the_predictor_label(stable_window):
 
 def test_accepted_depth_counts_leading_acceptances(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, CascadeConfig(4, 25), "momentum", "adaptive",
+    events = run_cascade(window, 50, CascadeConfig(4, 25), "momentum", "adaptive",
                          task, hyper, sigma_l=1e9, epsilon=0.05)
     assert accepted_depth(events, "adaptive") == len(events) == 4
     assert accepted_depth([], "strict") == 0
@@ -426,7 +442,7 @@ def test_momentum_variant_resolves_the_live_formula(tmp_path):
 def test_cascade_later_stages_reuse_the_start_moments(stable_window):
     task, hyper, window = stable_window
     start = window[-1]
-    events = run_cascade(window, CascadeConfig(3, 25), "momentum_descent", "adaptive",
+    events = run_cascade(window, 50, CascadeConfig(3, 25), "momentum_descent", "adaptive",
                          task, hyper, sigma_l=1e9, epsilon=0.05)
     assert [e.stage for e in events] == [1, 2, 3]
     assert all(e.predictor == "momentum_descent" for e in events)

@@ -140,7 +140,12 @@ def test_pass2_eligibility_ramps_with_history(experiment):
     assert math.isnan(ineligible.displacement_norm)
 
 
-def test_pass2_requires_even_checkpoint_spacing(tmp_path):
+@pytest.mark.parametrize("replay", [
+    lambda run_dir, task, hyper: pass2_ksweep(run_dir, task, hyper, k_set=(5,), epsilon=0.05),
+    lambda run_dir, task, hyper: pass3_cascades(run_dir, task, hyper, configs=((2, 25),),
+                                                criterion="strict", epsilon=0.05),
+], ids=["pass2_ksweep", "pass3_cascades"])
+def test_pass2_requires_even_checkpoint_spacing(tmp_path, replay):
     cfg = small_config(tmp_path)
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
@@ -148,10 +153,10 @@ def test_pass2_requires_even_checkpoint_spacing(tmp_path):
     for step in (50, 100, 200):
         save_checkpoint(make_checkpoint(step, np.ones(task.param_dim)),
                         tmp_path / f"ckpt_{step}.lpv")
-        log += f"{step},1.0,,unknown\n"
+        log += f"{step},1.0,,stable\n"
     (tmp_path / "loss_log.csv").write_text(log)
     with pytest.raises(WindowSpacingError):
-        pass2_ksweep(tmp_path, task, hyper, k_set=(5,), epsilon=0.05)
+        replay(tmp_path, task, hyper)
 
 
 def test_pass2_missing_run_dir(tmp_path):
