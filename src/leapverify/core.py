@@ -39,6 +39,14 @@ def l2_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def affine_combination(base: np.ndarray, coeffs, directions) -> np.ndarray:
+    """base + c_1 * d_1 + c_2 * d_2 + ..., added left to right into a new array."""
+    out = base
+    for c, d in zip(coeffs, directions):
+        out = out + c * d
+    return out
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """(a.b) / (|a||b|), in [-1, 1].
 

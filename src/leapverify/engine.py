@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import NonFiniteError, freeze, is_finite
 from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
-from .predict import FORMULAS, LINEAR, Prediction, predict, resolve_predictor
+from .predict import FORMULAS, LINEAR, Prediction, predict, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import Task
 from .trajectory import Checkpoint, history_at, recent_loss_std, save_checkpoint
@@ -135,6 +135,31 @@ def _held_out_loss(pred: Prediction, task: Task) -> float:
     return task.validation_loss(pred.theta_hat) if pred.finite else float("nan")
 
 
+def speculate_grid(
+    ckpts: Sequence[Checkpoint],
+    delta: int,
+    predictor: str,
+    ks: Sequence[int],
+    task: Task,
+    hyper: AdamHyper,
+) -> tuple[list[Prediction], list[float]]:
+    """speculate() at every K of `ks`, scoring all of them in one held-out pass.
+
+    The predictions are speculate()'s, bit for bit. The losses come from
+    Task.affine_losses and agree with speculate()'s exact forward to about
+    1e-12 relative, so this serves offline scoring only: a leap applies the
+    weights it scored, through speculate(). NaN marks a non-finite prediction.
+    """
+    curr = ckpts[-1]
+    directions, coeffs, preds = predict_grid(predictor, [c.theta for c in ckpts], delta, ks,
+                                             curr.m, curr.v, curr.step, hyper)
+    finite = np.array([p.finite for p in preds], dtype=bool)
+    losses = np.full(len(preds), np.nan)
+    if finite.any():
+        losses[finite] = task.affine_losses(curr.theta, directions, coeffs[finite])
+    return preds, losses.tolist()
+
+
 def leap_or_continue(
     window: Sequence[Checkpoint],
     delta: int,
@@ -175,6 +200,9 @@ def leap_or_continue(
     return event, pred
 
 
+# A diverging run stops with RunDivergedError naming its step; numpy's
+# overflow and invalid-value warnings on the way there would only add noise.
+@np.errstate(over="ignore", invalid="ignore")
 def train_run(
     task: Task,
     seed: int,

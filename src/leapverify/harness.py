@@ -38,7 +38,7 @@ from .engine import (
     RunResult,
     accepted_depth,
     run_cascade,
-    speculate,
+    speculate_grid,
     train_run,
 )
 from .optim import AdamHyper
@@ -316,25 +316,30 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     recorded per cell; checkpoints whose history is too short for a
     predictor yield ineligible placeholder cells so the grid stays
     rectangular.
+
+    Each (checkpoint, formula) row of K values is scored in one held-out
+    pass (engine.speculate_grid): every formula is affine in its
+    coefficients, so one first-layer product per direction serves the whole
+    row. Predictions, displacements and finiteness are bit-identical to a
+    per-cell speculate(); L_hat agrees with its exact forward to about 1e-12
+    relative, not bit for bit. Live speculation and cascades keep the exact
+    forward.
     """
     cells: list[SweepCell] = []
     for ckpt, regime, window, delta, sigma in replay_points(
             run_dir, set(RegimeLabel) - {RegimeLabel.CHAOTIC}, adaptive_window):
         for formula in formulas:
-            predictor = FORMULAS[formula].family
             usable = len(window) >= FORMULAS[formula].history
-            for k in k_set:
-                if usable:
-                    pred, l_hat = speculate(window, delta, formula, k, task, hyper)
-                    decision = decide(l_hat, ckpt.val_loss, sigma, epsilon)
-                    displacement = pred.displacement_norm
-                else:
-                    l_hat, decision, displacement = float("nan"), None, float("nan")
+            preds, l_hats = (speculate_grid(window, delta, formula, k_set, task, hyper) if usable
+                             else ([None] * len(k_set), [float("nan")] * len(k_set)))
+            for k, pred, l_hat in zip(k_set, preds, l_hats):
                 cells.append(SweepCell(
                     seed=ckpt.seed, checkpoint_step=ckpt.step,
-                    regime=regime, predictor=predictor, k=k,
-                    l_hat=l_hat, l_t=ckpt.val_loss, decision=decision,
-                    displacement_norm=displacement, eligible=usable))
+                    regime=regime, predictor=FORMULAS[formula].family, k=k,
+                    l_hat=l_hat, l_t=ckpt.val_loss,
+                    decision=decide(l_hat, ckpt.val_loss, sigma, epsilon) if usable else None,
+                    displacement_norm=pred.displacement_norm if usable else float("nan"),
+                    eligible=usable))
     return cells
 
 

@@ -1,27 +1,33 @@
 """Analytic weight predictors: one table of formulas, one dispatch.
 
-Five formulas forecast parameters K steps ahead of a checkpoint. FORMULAS
-names each by the formula actually evaluated and records the checkpoints of
-history it needs and the family label that sweep rows and reports print:
+Five formulas forecast parameters K steps ahead of a checkpoint, and each is
+affine in its coefficients: theta_hat = theta_t + sum_j c_j(K, delta) * D_j,
+where the directions D_j depend on the history window but not on K. FORMULAS
+names each by the formula actually evaluated and records its directions, its
+coefficients, the checkpoints of history it needs and the family label that
+sweep rows and reports print:
 
-* ``momentum``         -- theta + K * m / (sqrt(v) + eps) from the optimizer's
-  raw moment EMAs. Extrapolates the current update direction at constant
+* ``momentum``         -- D = m / (sqrt(v) + eps) from the optimizer's raw
+  moment EMAs, c = K. Extrapolates the current update direction at constant
   velocity; prone to norm explosion at large K.
-* ``momentum_descent`` -- theta - K * lr * m_hat / (sqrt(v_hat) + eps), K
+* ``momentum_descent`` -- D = -lr * m_hat / (sqrt(v_hat) + eps), c = K: K
   repeats of the current Adam update (bias-corrected moments, scheduled lr).
-* ``linear``           -- theta + (K/delta) * (theta - theta_prev), the
-  finite-difference velocity of the observed trajectory.
-* ``quadratic``        -- adds a curvature term with coefficient
-  K(K-delta)/(2 delta^2) on the second difference of the last three
-  checkpoints.
-* ``quadratic_exact``  -- same structure with coefficient K(K+delta)/(2 delta^2),
+* ``linear``           -- D = theta - theta_prev, the finite-difference
+  velocity of the observed trajectory, c = K/delta.
+* ``quadratic``        -- adds the second difference of the last three
+  checkpoints as D_2, with c_2 = K(K-delta)/(2 delta^2).
+* ``quadratic_exact``  -- same structure with c_2 = K(K+delta)/(2 delta^2),
   which is the polynomial-interpolation coefficient that reproduces
   trajectories exactly quadratic in the step index.
 
 The user names a family (``momentum``, ``linear``, ``quadratic``) plus the
 ``momentum_variant`` and ``quad_variant`` settings; resolve_predictor is the
-one place that turns that choice into a formula name. Live speculation, the
-offline sweep and every cascade stage then predict through predict().
+one place that turns that choice into a formula name. Live speculation and
+every cascade stage predict through predict() and score the exact weights
+they would apply. The offline sweep predicts a whole K grid through
+predict_grid(), which computes the directions once and hands them with the
+coefficient matrix to Task.affine_losses. Both build theta_hat through the
+one _combine, so a grid prediction is bit-identical to predict()'s.
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
 is recorded in Prediction.finite rather than raised, and the verifier treats
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import freeze, is_finite, l2_norm
+from .core import affine_combination, freeze, is_finite, l2_norm
 from .optim import AdamHyper, lr_at
 
 MOMENTUM = "momentum"
@@ -63,36 +69,56 @@ class Prediction:
     finite: bool
 
 
-def _finish(predictor: str, k: int, theta_hat: np.ndarray,
-            displacement_norm: float | None = None,
-            theta_t: np.ndarray | None = None) -> Prediction:
-    if displacement_norm is None:
-        displacement_norm = l2_norm(theta_hat - theta_t)
-    return Prediction(
-        predictor=predictor,
-        k=k,
-        theta_hat=freeze(theta_hat),
-        displacement_norm=displacement_norm,
-        finite=is_finite(theta_hat),
-    )
-
-
-def _check_k_delta(k: int, delta: int | None = None) -> None:
+def _check_k_delta(k: int, delta: int) -> None:
     if k < 1:
         raise ValueError("K must be >= 1")
-    if delta is not None and delta < 1:
+    if delta < 1:
         raise ValueError("delta must be >= 1")
+
+
+def _combine(formula: str, theta_t: np.ndarray, directions: Sequence[np.ndarray],
+             k: int, delta: int = 1) -> Prediction:
+    """theta_t + sum_j c_j(K, delta) * D_j for the named formula."""
+    _check_k_delta(k, delta)
+    entry = FORMULAS[formula]
+    coeffs = entry.coeffs(k, delta)
+    theta_hat = affine_combination(theta_t, coeffs, directions)
+    if entry.scaled_norm:
+        # K * ||D|| keeps the momentum displacement exactly linear in K
+        displacement = coeffs[0] * l2_norm(directions[0])
+    else:
+        displacement = l2_norm(theta_hat - theta_t)
+    return Prediction(predictor=formula, k=k, theta_hat=freeze(theta_hat),
+                      displacement_norm=displacement, finite=is_finite(theta_hat))
+
+
+def _momentum_unit(m: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    return m / (np.sqrt(v) + eps)
+
+
+def _descent_unit(m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper) -> np.ndarray:
+    """-lr * m_hat/(sqrt(v_hat)+eps), moments bias-corrected for `step` updates."""
+    t = max(step, 1)
+    m_hat = m / (1.0 - hyper.beta1**t)
+    v_hat = v / (1.0 - hyper.beta2**t)
+    return -(lr_at(hyper, min(step, hyper.total_steps)) * m_hat / (np.sqrt(v_hat) + hyper.eps))
+
+
+def _differences(theta_t: np.ndarray, theta_prev: np.ndarray,
+                 theta_prev2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The velocity theta_t - theta_prev and, given theta_prev2, the second difference."""
+    velocity = theta_t - theta_prev
+    if theta_prev2 is None:
+        return (velocity,)
+    return velocity, theta_t - 2.0 * theta_prev + theta_prev2
 
 
 def predict_momentum(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
                      k: int, eps: float) -> Prediction:
     """theta + K * m/(sqrt(v)+eps), raw moments, additive sign, no lr factor."""
-    _check_k_delta(k)
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    unit = m / (np.sqrt(v) + eps)
-    # K * ||unit|| keeps displacement exactly linear in K
-    return _finish(MOMENTUM, k, theta_t + k * unit, displacement_norm=k * l2_norm(unit))
+    return _combine(MOMENTUM, theta_t, (_momentum_unit(m, v, eps),), k)
 
 
 def predict_momentum_descent(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -103,67 +129,68 @@ def predict_momentum_descent(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
     learning rate at that step, i.e. K repeats of the current Adam update
     direction.
     """
-    _check_k_delta(k)
-    t = max(step, 1)
-    m_hat = m / (1.0 - hyper.beta1**t)
-    v_hat = v / (1.0 - hyper.beta2**t)
-    unit = lr_at(hyper, min(step, hyper.total_steps)) * m_hat / (np.sqrt(v_hat) + hyper.eps)
-    return _finish(MOMENTUM_DESCENT, k, theta_t - k * unit, displacement_norm=k * l2_norm(unit))
+    return _combine(MOMENTUM_DESCENT, theta_t, (_descent_unit(m, v, step, hyper),), k)
 
 
 def predict_linear(theta_t: np.ndarray, theta_prev: np.ndarray,
                    delta: int, k: int) -> Prediction:
     """theta + (K/delta) * (theta - theta_prev)."""
-    _check_k_delta(k, delta)
-    theta_hat = theta_t + (k / delta) * (theta_t - theta_prev)
-    return _finish(LINEAR, k, theta_hat, theta_t=theta_t)
-
-
-def _quadratic(predictor: str, coeff_num: float, theta_t, theta_prev, theta_prev2,
-               delta: int, k: int) -> Prediction:
-    velocity = theta_t - theta_prev
-    second_diff = theta_t - 2.0 * theta_prev + theta_prev2
-    theta_hat = theta_t + (k / delta) * velocity + (coeff_num / (2.0 * delta * delta)) * second_diff
-    return _finish(predictor, k, theta_hat, theta_t=theta_t)
+    return _combine(LINEAR, theta_t, _differences(theta_t, theta_prev), k, delta)
 
 
 def predict_quadratic(theta_t: np.ndarray, theta_prev: np.ndarray,
                       theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Parabola through three checkpoints, curvature coefficient K(K-delta)."""
-    _check_k_delta(k, delta)
-    return _quadratic(QUADRATIC, float(k) * (k - delta), theta_t, theta_prev,
-                      theta_prev2, delta, k)
+    return _combine(QUADRATIC, theta_t, _differences(theta_t, theta_prev, theta_prev2), k, delta)
 
 
 def predict_quadratic_exact(theta_t: np.ndarray, theta_prev: np.ndarray,
                             theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Quadratic variant with coefficient K(K+delta): exact on parabolic trajectories."""
-    _check_k_delta(k, delta)
-    return _quadratic(QUADRATIC_EXACT, float(k) * (k + delta), theta_t, theta_prev,
-                      theta_prev2, delta, k)
+    return _combine(QUADRATIC_EXACT, theta_t, _differences(theta_t, theta_prev, theta_prev2),
+                    k, delta)
 
 
 @dataclass(frozen=True)
 class Formula:
-    family: str   # label of sweep rows and reports
-    history: int  # checkpoints needed, the current one included
+    family: str         # label of sweep rows and reports
+    history: int        # checkpoints needed, the current one included
+    coeffs: Callable[[int, int], tuple[float, ...]]  # (K, delta) -> c_j
+    directions: Callable[..., tuple[np.ndarray, ...]]
     fn: Callable[..., Prediction]
+    scaled_norm: bool = False  # displacement c_1 * ||D_1||, not ||theta_hat - theta_t||
 
 
-# Each fn takes (thetas, spacing, k, m, v, step, hyper) and calls its
-# predict_* function by module-level name, so a wrapper installed on the
-# module attribute sees every call.
+def _k_coeff(k: int, delta: int) -> tuple[float, ...]:
+    return (float(k),)
+
+
+# directions takes (thetas, m, v, step, hyper) and fn (thetas, spacing, k, m,
+# v, step, hyper); fn calls its predict_* function by module-level name, so a
+# wrapper installed on the module attribute sees every call of predict().
 FORMULAS = {
-    MOMENTUM: Formula(MOMENTUM, 1, lambda th, dt, k, m, v, step, h:
-                      predict_momentum(th[-1], m, v, k, h.eps)),
-    MOMENTUM_DESCENT: Formula(MOMENTUM, 1, lambda th, dt, k, m, v, step, h:
-                              predict_momentum_descent(th[-1], m, v, step, h, k)),
-    LINEAR: Formula(LINEAR, 2, lambda th, dt, k, *_:
-                    predict_linear(th[-1], th[-2], dt, k)),
-    QUADRATIC: Formula(QUADRATIC, 3, lambda th, dt, k, *_:
-                       predict_quadratic(th[-1], th[-2], th[-3], dt, k)),
-    QUADRATIC_EXACT: Formula(QUADRATIC, 3, lambda th, dt, k, *_:
-                             predict_quadratic_exact(th[-1], th[-2], th[-3], dt, k)),
+    MOMENTUM: Formula(
+        MOMENTUM, 1, _k_coeff,
+        lambda th, m, v, step, h: (_momentum_unit(m, v, h.eps),),
+        lambda th, dt, k, m, v, step, h: predict_momentum(th[-1], m, v, k, h.eps),
+        scaled_norm=True),
+    MOMENTUM_DESCENT: Formula(
+        MOMENTUM, 1, _k_coeff,
+        lambda th, m, v, step, h: (_descent_unit(m, v, step, h),),
+        lambda th, dt, k, m, v, step, h: predict_momentum_descent(th[-1], m, v, step, h, k),
+        scaled_norm=True),
+    LINEAR: Formula(
+        LINEAR, 2, lambda k, dt: (k / dt,),
+        lambda th, *_: _differences(th[-1], th[-2]),
+        lambda th, dt, k, *_: predict_linear(th[-1], th[-2], dt, k)),
+    QUADRATIC: Formula(
+        QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k - dt) / (2.0 * dt * dt)),
+        lambda th, *_: _differences(th[-1], th[-2], th[-3]),
+        lambda th, dt, k, *_: predict_quadratic(th[-1], th[-2], th[-3], dt, k)),
+    QUADRATIC_EXACT: Formula(
+        QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k + dt) / (2.0 * dt * dt)),
+        lambda th, *_: _differences(th[-1], th[-2], th[-3]),
+        lambda th, dt, k, *_: predict_quadratic_exact(th[-1], th[-2], th[-3], dt, k)),
 }
 
 
@@ -196,10 +223,30 @@ def predict(formula: str, thetas: Sequence[np.ndarray], spacing: int, k: int,
     momentum formulas extrapolate. Raises InsufficientHistoryError when the
     history is too short for the formula.
     """
+    return _formula(formula, thetas).fn(thetas, spacing, k, m, v, step, hyper)
+
+
+def predict_grid(formula: str, thetas: Sequence[np.ndarray], spacing: int, ks: Sequence[int],
+                 m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper,
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[Prediction]]:
+    """predict() at every K of `ks`, from directions computed once.
+
+    Returns (directions, coeffs, predictions): predictions[i] is predict()'s
+    prediction at ks[i], bit for bit, and its theta_hat is thetas[-1] +
+    sum_j coeffs[i, j] * directions[j].
+    """
+    entry = _formula(formula, thetas)
+    directions = entry.directions(thetas, m, v, step, hyper)
+    preds = [_combine(formula, thetas[-1], directions, k, spacing) for k in ks]
+    coeffs = np.array([entry.coeffs(k, spacing) for k in ks], dtype=np.float64)
+    return directions, coeffs.reshape(len(preds), len(directions)), preds
+
+
+def _formula(formula: str, thetas: Sequence[np.ndarray]) -> Formula:
     entry = FORMULAS.get(formula)
     if entry is None:
         raise ValueError(f"unknown predictor {formula!r}")
     if len(thetas) < entry.history:
         raise InsufficientHistoryError(
             f"{formula} needs {entry.history} checkpoints, have {len(thetas)}")
-    return entry.fn(thetas, spacing, k, m, v, step, hyper)
+    return entry

@@ -18,11 +18,12 @@ fingerprints are fixed at construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteError, freeze, is_finite
+from .core import NonFiniteError, affine_combination, freeze, is_finite
 
 # rng stream tags so batches / val / probe / teacher draws never collide
 _TAG_BATCH, _TAG_VAL, _TAG_PROBE, _TAG_TEACHER, _TAG_INIT = 1, 2, 3, 4, 5
@@ -59,6 +60,16 @@ class Task:
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         """Concatenated final-layer activations over the fixed probe set."""
         raise NotImplementedError
+
+    def affine_losses(self, theta: np.ndarray, directions: Sequence[np.ndarray],
+                      coeffs: np.ndarray) -> np.ndarray:
+        """Held-out loss of theta + sum_j coeffs[i, j] * directions[j] for every row i.
+
+        This one evaluates each row's parameters through validation_loss;
+        a task may score the rows together instead, to within rounding.
+        """
+        return np.array([self.validation_loss(affine_combination(theta, row, directions))
+                         for row in coeffs])
 
     def _require_finite(self, theta: np.ndarray) -> None:
         if theta.shape != (self.param_dim,):
@@ -159,6 +170,50 @@ class TanhNetwork:
         hidden = np.tanh(np.add(np.matmul(x, w1, out=out), b1, out=out), out=out)
         return hidden, hidden @ w2 + b2
 
+    def affine_losses(self, theta: np.ndarray, directions: Sequence[np.ndarray],
+                      coeffs: np.ndarray) -> np.ndarray:
+        """Task.affine_losses from one first-layer product per direction.
+
+        [x_val 1] [W1; b1] of row i is taken as the base vector's product
+        plus sum_j coeffs[i, j] times direction j's: the (directions + 1)
+        products serve every row, one coefficient matmul and one tanh cover
+        all rows, and the second layer runs batched on each row's W2 and b2.
+        The losses agree with validation_loss to rounding (about 1e-15
+        relative), not bit for bit.
+        """
+        x1, stack, hidden, out = self._grid_buffers(len(directions) + 1, len(coeffs))
+        k1, h, o = x1.shape[1] * self.hidden_dim, self.hidden_dim, self.out_dim
+        for part, vec in zip(stack, (theta, *directions)):
+            np.matmul(x1, vec[:k1].reshape(-1, h), out=part)
+        weights = np.hstack([np.ones((len(coeffs), 1)), coeffs])
+        np.matmul(weights, stack.reshape(len(stack), -1), out=hidden.reshape(len(hidden), -1))
+        np.tanh(hidden, out=hidden)
+        # W2 and b2 of every row, materialised: small next to W1
+        rest = theta[k1:] + coeffs @ np.stack([d[k1:] for d in directions])
+        np.matmul(hidden, rest[:, :h * o].reshape(-1, h, o), out=out)
+        return self._output_losses(np.add(out, rest[:, None, h * o:], out=out))
+
+    def _grid_buffers(self, parts: int, rows: int):
+        """[x_val 1] and (parts, n, h), (rows, n, h), (rows, n, out) float buffers.
+
+        Kept across calls and grown on demand: fresh arrays this size per
+        call can cost page faults.
+        """
+        have = getattr(self, "_grid", None)
+        if have is None or len(have[1]) < parts or len(have[2]) < rows:
+            x = self._x_val
+            cap_parts = max(parts, len(have[1]) if have else 0)
+            cap_rows = max(rows, len(have[2]) if have else 0)
+            have = self._grid = (np.hstack([x, np.ones((len(x), 1))]),
+                                 np.empty((cap_parts, len(x), self.hidden_dim)),
+                                 np.empty((cap_rows, len(x), self.hidden_dim)),
+                                 np.empty((cap_rows, len(x), self.out_dim)))
+        return have[0], have[1][:parts], have[2][:rows], have[3][:rows]
+
+    def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
+        """Held-out loss of each (n_val, out_dim) block of outputs; may overwrite them."""
+        raise NotImplementedError
+
     def _backprop(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
                   d_out: np.ndarray) -> np.ndarray:
         """Flat gradient of the loss from its gradient d_out at the network output."""
@@ -209,10 +264,12 @@ class MlpRegression(TanhNetwork, Task):
         rng = np.random.default_rng((self.data_seed, _TAG_VAL))
         self._x_val = freeze(rng.standard_normal((n_val, in_dim)))
         self._y_val = freeze(self._teacher_forward(self._x_val))
-        # one activation buffer for all validations: fresh 256 KB arrays can cost page faults
+        # one activation buffer each for all validations and fingerprints: fresh
+        # arrays of 100 KB and more can cost page faults
         self._val_hidden = np.empty((n_val, hidden_dim))
         rng = np.random.default_rng((self.data_seed, _TAG_PROBE))
         self._x_probe = freeze(rng.standard_normal((probe_count, in_dim)))
+        self._probe_hidden = np.empty((probe_count, hidden_dim))
 
     def _random_weights(self, rng: np.random.Generator, scale: float):
         w1 = rng.standard_normal((self.in_dim, self.hidden_dim)) * (scale / np.sqrt(self.in_dim))
@@ -252,9 +309,13 @@ class MlpRegression(TanhNetwork, Task):
         err = pred - self._y_val
         return 0.5 * float(np.sum(err * err)) / err.size
 
+    def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
+        err = np.subtract(outputs, self._y_val, out=outputs)
+        return 0.5 * np.square(err, out=err).sum(axis=(1, 2)) / err[0].size
+
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         self._require_finite(theta)
-        _, pred = self._forward(theta, self._x_probe)
+        _, pred = self._forward(theta, self._x_probe, out=self._probe_hidden)
         return freeze(pred.ravel().copy())
 
 
@@ -324,8 +385,8 @@ class CharSequence(TanhNetwork, Task):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def _ce_loss(self, logits: np.ndarray, targets: np.ndarray) -> float:
         logp = self._log_softmax(logits)
@@ -346,6 +407,10 @@ class CharSequence(TanhNetwork, Task):
             return float("nan")
         _, logits = self._forward(theta, self._x_val)
         return self._ce_loss(logits, self._y_val)
+
+    def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
+        logp = self._log_softmax(outputs)
+        return -logp[:, np.arange(len(self._y_val)), self._y_val].mean(axis=1)
 
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         self._require_finite(theta)

@@ -99,37 +99,35 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     n = ckpt.theta.shape[0]
     if ckpt.m.shape[0] != n or ckpt.v.shape[0] != n:
         raise ValueError("moment length mismatch")
-    parts = [
-        MAGIC,
-        struct.pack("<IQQ", FORMAT_VERSION, ckpt.step, n),
-        np.ascontiguousarray(ckpt.theta, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ckpt.m, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ckpt.v, dtype="<f8").tobytes(),
-        struct.pack("<dQ", ckpt.val_loss, ckpt.seed),
-    ]
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
+    with open(tmp, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, ckpt.step, n))
+        for arr in (ckpt.theta, ckpt.m, ckpt.v):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        fh.write(struct.pack("<dQ", ckpt.val_loss, ckpt.seed))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < 24:
-        raise CheckpointCorruptionError(f"{path}: file too short for a header")
-    if blob[:4] != MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {blob[:4]!r}")
-    version, step, n = struct.unpack_from("<IQQ", blob, 4)
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 24:
+            raise CheckpointCorruptionError(f"{path}: file too short for a header")
+        if header[:4] != MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {header[:4]!r}")
+        version, step, n = struct.unpack_from("<IQQ", header, 4)
+        if version != FORMAT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported version {version}")
 
-    if len(blob) != 24 + 24 * n + 16:
-        raise CheckpointCorruptionError(f"{path}: payload size does not match param_count={n}")
-    theta, m, v = (
-        freeze(np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 8 * n * i).copy())
-        for i in range(3)
-    )
-    val_loss, seed = struct.unpack_from("<dQ", blob, 24 + 24 * n)
-    return Checkpoint(step=step, theta=theta, m=m, v=v, val_loss=val_loss, seed=seed)
+        if os.fstat(fh.fileno()).st_size != 24 + 24 * n + 16:
+            raise CheckpointCorruptionError(f"{path}: payload size does not match param_count={n}")
+        theta, m, v = (np.empty(n, dtype="<f8") for _ in range(3))
+        for arr in (theta, m, v):
+            if fh.readinto(arr) != 8 * n:
+                raise CheckpointCorruptionError(f"{path}: truncated payload")
+        val_loss, seed = struct.unpack("<dQ", fh.read(16))
+    return Checkpoint(step=step, theta=freeze(theta), m=freeze(m), v=freeze(v),
+                      val_loss=val_loss, seed=seed)
 
 
 def checkpoint_steps(run_dir: str | Path) -> list[int]:

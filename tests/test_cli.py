@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,19 @@ def test_diverging_calibration_names_its_pass_seed_and_step(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert re.search(r"calibrate failed for seed 1: .* at step \d+ \(seed 1\)", err), err
+
+
+def test_diverging_run_prints_only_its_error_line(tmp_path):
+    # numpy's overflow warnings go to stderr outside pytest's capture, so run a real process
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "leapverify", "calibrate", "--lr", "1e12", "--steps", "200",
+         "--delta", "50", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: calibrate failed for seed 1: non-finite gradient; "
+                           "training halted at step 19 (seed 1)\n")
 
 
 def test_calibrate_with_explicit_taus_skips_runs(tmp_path, capsys):

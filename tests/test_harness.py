@@ -11,6 +11,7 @@ import pytest
 
 from leapverify import harness, trajectory
 from leapverify.config import RunConfig
+from leapverify.engine import speculate, speculate_grid
 from leapverify.harness import (
     SWEEP_CSV_HEADER,
     PassError,
@@ -26,6 +27,7 @@ from leapverify.harness import (
     ratio_table,
     read_cascade_rows,
     read_sweep_csv,
+    replay_points,
     report_to_json,
     resolve_predictor,
     run_dir_for,
@@ -34,6 +36,7 @@ from leapverify.harness import (
     write_cascade_rows,
     write_sweep_csv,
 )
+from leapverify.predict import FORMULAS
 from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.trajectory import WindowSpacingError, save_checkpoint
 from leapverify.verify import decide
@@ -157,6 +160,75 @@ def test_pass2_requires_even_checkpoint_spacing(tmp_path, replay):
     (tmp_path / "loss_log.csv").write_text(log)
     with pytest.raises(WindowSpacingError):
         replay(tmp_path, task, hyper)
+
+
+GRID_KS = (5, 10, 25, 50, 75, 100)
+
+
+def assert_same_loss(got: float, want: float) -> None:
+    """Equal NaN-ness and infinities; finite values within 1e-12 relative."""
+    if math.isfinite(want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    else:
+        assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
+def assert_grid_matches_speculate(window, delta, formula, task, hyper) -> list[float]:
+    """speculate_grid's predictions are speculate()'s bit for bit, its losses to 1e-12."""
+    preds, losses = speculate_grid(window, delta, formula, GRID_KS, task, hyper)
+    for k, pred, l_hat in zip(GRID_KS, preds, losses):
+        want, want_loss = speculate(window, delta, formula, k, task, hyper)
+        assert (pred.predictor, pred.k, pred.finite) == (want.predictor, want.k, want.finite)
+        assert pred.theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert pred.displacement_norm == want.displacement_norm
+        assert_same_loss(l_hat, want_loss)
+    return losses
+
+
+@pytest.mark.parametrize("task_name", ["mlp-reg", "char-seq", "quad-bowl"])
+def test_pass2_grid_matches_per_cell_speculation(tmp_path, task_name):
+    cfg = RunConfig(task=task_name, seeds=(42,), steps=100, delta=25, warmup_steps=10,
+                    k_set=GRID_KS, out=str(tmp_path))
+    task = build_task(cfg)
+    hyper = build_hyper(cfg, task)
+    run_dir = run_dir_for(tmp_path, task_name, 42)
+    pass1_train(task, 42, cfg, PERMISSIVE, tmp_path)
+    formulas = tuple(FORMULAS)
+    cells = iter(pass2_ksweep(run_dir, task, hyper, k_set=GRID_KS, epsilon=cfg.epsilon,
+                              formulas=formulas))
+    windows = set()
+    for ckpt, _, window, delta, sigma in replay_points(run_dir, set(RegimeLabel), 5):
+        windows.add(len(window))
+        for formula in formulas:
+            usable = len(window) >= FORMULAS[formula].history
+            if usable:
+                assert_grid_matches_speculate(window, delta, formula, task, hyper)
+            for k in GRID_KS:
+                cell = next(cells)
+                assert (cell.checkpoint_step, cell.k, cell.eligible) == (ckpt.step, k, usable)
+                if not usable:  # placeholders stay placeholders
+                    assert math.isnan(cell.l_hat) and math.isnan(cell.displacement_norm)
+                    assert cell.decision is None
+                    continue
+                pred, l_hat = speculate(window, delta, formula, k, task, hyper)
+                want = decide(l_hat, ckpt.val_loss, sigma, cfg.epsilon)
+                assert_same_loss(cell.l_hat, l_hat)
+                assert cell.displacement_norm == pred.displacement_norm
+                assert ((cell.decision.strict, cell.decision.adaptive, cell.decision.proximity)
+                        == (want.strict, want.adaptive, want.proximity))
+    assert next(cells, None) is None
+    assert windows == {1, 2, 3}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_grid_scores_a_non_finite_momentum_prediction_nan():
+    task = build_task(RunConfig(task="mlp-reg"))
+    hyper = build_hyper(RunConfig(task="mlp-reg"), task)
+    m, v = np.zeros(task.param_dim), np.zeros(task.param_dim)
+    m[3] = 1e299  # a W1 entry: unit 1e307 there, so K >= 25 overflows
+    ckpt = make_checkpoint(100, task.init_params(1), val_loss=0.5, m=m, v=v)
+    losses = assert_grid_matches_speculate([ckpt], 25, "momentum", task, hyper)
+    assert [math.isnan(x) for x in losses] == [False, False, True, True, True, True]
 
 
 def test_pass2_missing_run_dir(tmp_path):
