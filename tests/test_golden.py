@@ -109,12 +109,12 @@ VARIANTS = {"paper": ("paper", "paper"), "descent-exact": ("descent", "exact")}
 # variants -> sha256 of each replay output
 GOLDEN_REPLAY = {
     "descent-exact": {
-        "sweep.csv": "3fe069626ca4f9b3f2c4d69f44bda0e650ef7fc47481f6ff607448740476b14f",
+        "sweep.csv": "b9f72daefbc5528df9cbe15712d6b8c17321931c9446f4ccc2f2aaa1463cd1e5",
         "cascades.jsonl": "6247876f062e7d80160ccc7118433248d42290f6c576326f1f64c6bc43638716",
         "report.txt": "50e9d42a78b2f66661cc9659b24c8a6579f8027368de29fbbcf56a3b019f5649",
     },
     "paper": {
-        "sweep.csv": "b9680f07ce86640f9dadc583e896dc43aba599fcedb50b0cb3c2fdc9decff929",
+        "sweep.csv": "b102e02c44db34136684889016ecb2eef2398a2515e241e931810a5140dfcd20",
         "cascades.jsonl": "85298c52e82e5ca6c0fe443aeefc5a964419d052c3f8166b5bc4b5f7bbaf3886",
         "report.txt": "89f3a7cf24f9f5c04694386146b186392c56190b9048a47f769fa9840374ba5f",
     },
