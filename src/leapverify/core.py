@@ -40,10 +40,11 @@ def l2_norm(x: np.ndarray) -> float:
 
 
 def affine_combination(base: np.ndarray, coeffs, directions) -> np.ndarray:
-    """base + c_1 * d_1 + c_2 * d_2 + ..., added left to right into a new array."""
-    out = base
-    for c, d in zip(coeffs, directions):
-        out = out + c * d
+    """base + c_1 * d_1 + c_2 * d_2 + ..., added left to right into one new array."""
+    out = np.multiply(coeffs[0], directions[0])
+    np.add(base, out, out=out)  # base + c_1 * d_1: addition commutes exactly
+    for c, d in zip(coeffs[1:], directions[1:]):
+        out += c * d
     return out
 
 

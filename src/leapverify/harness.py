@@ -321,7 +321,7 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     pass (engine.speculate_grid): every formula is affine in its
     coefficients, so one first-layer product per direction serves the whole
     row. Predictions, displacements and finiteness are bit-identical to a
-    per-cell speculate(); L_hat agrees with its exact forward to about 1e-12
+    per-cell speculate(); L_hat agrees with its exact forward to 1e-12
     relative, not bit for bit. Live speculation and cascades keep the exact
     forward.
     """

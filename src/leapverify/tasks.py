@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,8 +182,11 @@ class TanhNetwork:
         The losses agree with validation_loss to rounding (about 1e-15
         relative), not bit for bit.
         """
-        x1, stack, hidden, out = self._grid_buffers(len(directions) + 1, len(coeffs))
-        k1, h, o = x1.shape[1] * self.hidden_dim, self.hidden_dim, self.out_dim
+        x1, h, o = self._x_val_1, self.hidden_dim, self.out_dim
+        n, k1 = len(x1), x1.shape[1] * h
+        stack = self._scratch("_grid_parts", (len(directions) + 1, n, h))
+        hidden = self._scratch("_grid_hidden", (len(coeffs), n, h))
+        out = self._scratch("_grid_out", (len(coeffs), n, o))
         for part, vec in zip(stack, (theta, *directions)):
             np.matmul(x1, vec[:k1].reshape(-1, h), out=part)
         weights = np.hstack([np.ones((len(coeffs), 1)), coeffs])
@@ -193,22 +197,20 @@ class TanhNetwork:
         np.matmul(hidden, rest[:, :h * o].reshape(-1, h, o), out=out)
         return self._output_losses(np.add(out, rest[:, None, h * o:], out=out))
 
-    def _grid_buffers(self, parts: int, rows: int):
-        """[x_val 1] and (parts, n, h), (rows, n, h), (rows, n, out) float buffers.
+    @cached_property
+    def _x_val_1(self) -> np.ndarray:
+        """The held-out inputs with a column of ones, so one product adds b1 too."""
+        return freeze(np.hstack([self._x_val, np.ones((len(self._x_val), 1))]))
 
-        Kept across calls and grown on demand: fresh arrays this size per
-        call can cost page faults.
+    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A float buffer of `shape` kept on the task, grown along its first axis only.
+
+        Fresh arrays this size on every call can cost page faults.
         """
-        have = getattr(self, "_grid", None)
-        if have is None or len(have[1]) < parts or len(have[2]) < rows:
-            x = self._x_val
-            cap_parts = max(parts, len(have[1]) if have else 0)
-            cap_rows = max(rows, len(have[2]) if have else 0)
-            have = self._grid = (np.hstack([x, np.ones((len(x), 1))]),
-                                 np.empty((cap_parts, len(x), self.hidden_dim)),
-                                 np.empty((cap_rows, len(x), self.hidden_dim)),
-                                 np.empty((cap_rows, len(x), self.out_dim)))
-        return have[0], have[1][:parts], have[2][:rows], have[3][:rows]
+        buf = self.__dict__.get(name)
+        if buf is None or len(buf) < shape[0]:
+            buf = self.__dict__[name] = np.empty(shape)
+        return buf[:shape[0]]
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
         """Held-out loss of each (n_val, out_dim) block of outputs; may overwrite them."""
