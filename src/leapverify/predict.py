@@ -69,17 +69,13 @@ class Prediction:
     finite: bool
 
 
-def _check_k_delta(k: int, delta: int) -> None:
+def _combine(formula: str, theta_t: np.ndarray, directions: Sequence[np.ndarray],
+             k: int, delta: int = 1) -> Prediction:
+    """theta_t + sum_j c_j(K, delta) * D_j for the named formula."""
     if k < 1:
         raise ValueError("K must be >= 1")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-
-
-def _combine(formula: str, theta_t: np.ndarray, directions: Sequence[np.ndarray],
-             k: int, delta: int = 1) -> Prediction:
-    """theta_t + sum_j c_j(K, delta) * D_j for the named formula."""
-    _check_k_delta(k, delta)
     entry = FORMULAS[formula]
     coeffs = entry.coeffs(k, delta)
     theta_hat = affine_combination(theta_t, coeffs, directions)

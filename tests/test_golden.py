@@ -23,7 +23,9 @@ cascades.jsonl and report.txt, and `leapverify live` with the momentum or
 quadratic predictor the same events.jsonl. Each runs under the paper
 formulas and under the variant pair (momentum_variant = descent,
 quad_variant = exact), so every prediction formula is pinned byte for byte,
-including the later cascade stages that extrapolate from predicted states.
+including the later cascade stages that extrapolate from predicted states. The
+sweep scores each K grid in one pass (engine.speculate_grid), so its L_hat
+column pins that path; cascades and live events pin the exact forward.
 Events name the formula that ran, so the descent events read
 "momentum_descent".
 
