@@ -814,13 +814,12 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
     def load(seed: int) -> None:
         run_dir = task_dir / str(seed)
         labels_by_seed[seed] = list(read_labels(run_dir).values())
-        sweep_file = run_dir / "sweep.csv"
-        if not sweep_file.exists():
-            raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
+        sweep_file, cascade_file = run_dir / "sweep.csv", run_dir / "cascades.jsonl"
+        for path, stage in ((sweep_file, "sweep"), (cascade_file, "cascade")):
+            if not path.exists():
+                raise FileNotFoundError(f"{path} missing; run the {stage} pass first")
         cells.extend(read_sweep_csv(sweep_file, cfg.epsilon))
-        cascade_file = run_dir / "cascades.jsonl"
-        if cascade_file.exists():
-            cascade_rows.extend(read_cascade_rows(cascade_file))
+        cascade_rows.extend(read_cascade_rows(cascade_file))
 
     for _ in each_seed("report", cfg.seeds, load):
         pass

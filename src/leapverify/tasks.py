@@ -2,7 +2,7 @@
 
 Three desk-scale systems with very different trajectory character:
 
-* ``quad-bowl``   -- quadratic loss with a configurable curvature spectrum and
+* ``quad-bowl``   -- quadratic loss with a geometric curvature spectrum and
   additive gradient noise; trajectories are analytically tractable.
 * ``mlp-reg``     -- two-layer tanh MLP (~10^4 params) regressing a fixed
   random teacher; minibatch noise gives a realistic chaotic-to-stable arc.
@@ -18,6 +18,7 @@ fingerprints are fixed at construction.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +44,7 @@ class Task:
     param_dim: int
     fingerprint_dim: int
     recommended_lr: float
+    data_seed: int
 
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
@@ -72,6 +74,10 @@ class Task:
         return np.array([self.validation_loss(affine_combination(theta, row, directions))
                          for row in coeffs])
 
+    def _rng(self, *tags: int) -> np.random.Generator:
+        """The generator of one draw stream of this task's data_seed."""
+        return np.random.default_rng((self.data_seed, *tags))
+
     def _require_finite(self, theta: np.ndarray) -> None:
         if theta.shape != (self.param_dim,):
             raise ValueError(f"theta length {theta.shape} != param_dim {self.param_dim}")
@@ -82,47 +88,27 @@ class Task:
 class QuadBowl(Task):
     """0.5 * sum(c_i (theta_i - target_i)^2) with additive gradient noise.
 
-    The minibatch is the noise vector itself, so the noisy loss is still an
-    exact antiderivative of the noisy gradient (finite differences agree).
+    The curvatures c_i run geometrically from 0.1 to 2.0. The minibatch is
+    the noise vector itself, so the noisy loss is still an exact
+    antiderivative of the noisy gradient (finite differences agree).
     Validation loss is the noiseless quadratic; the fingerprint is theta.
     """
 
     name = "quad-bowl"
     recommended_lr = 0.05
 
-    def __init__(
-        self,
-        dim: int = 20,
-        c_min: float = 0.1,
-        c_max: float = 2.0,
-        noise: float = 0.01,
-        data_seed: int = 7,
-        curvature: np.ndarray | None = None,
-        target: np.ndarray | None = None,
-    ):
-        self.param_dim = dim
-        self.fingerprint_dim = dim
+    def __init__(self, dim: int = 20, noise: float = 0.01, data_seed: int = 7):
+        self.param_dim = self.fingerprint_dim = dim
         self.noise = float(noise)
         self.data_seed = int(data_seed)
-        if curvature is None:
-            curvature = np.geomspace(c_min, c_max, dim)
-        self.curvature = freeze(np.asarray(curvature, dtype=np.float64).reshape(-1))
-        if self.curvature.shape != (dim,):
-            raise ValueError("curvature length must equal dim")
-        if target is None:
-            rng = np.random.default_rng((self.data_seed, _TAG_TEACHER))
-            target = rng.standard_normal(dim)
-        self.target = freeze(np.asarray(target, dtype=np.float64).reshape(-1))
-        if self.target.shape != (dim,):
-            raise ValueError("target length must equal dim")
+        self.curvature = freeze(np.geomspace(0.1, 2.0, dim))
+        self.target = freeze(self._rng(_TAG_TEACHER).standard_normal(dim))
 
     def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng((self.data_seed, _TAG_INIT, seed))
-        return freeze(self.target + rng.standard_normal(self.param_dim))
+        return freeze(self.target + self._rng(_TAG_INIT, seed).standard_normal(self.param_dim))
 
     def batch(self, seed: int, step: int) -> np.ndarray:
-        rng = np.random.default_rng((self.data_seed, _TAG_BATCH, seed, step))
-        return self.noise * rng.standard_normal(self.param_dim)
+        return self.noise * self._rng(_TAG_BATCH, seed, step).standard_normal(self.param_dim)
 
     def loss_and_grad(self, theta: np.ndarray, batch: np.ndarray) -> TaskGradient:
         self._require_finite(theta)
@@ -142,17 +128,69 @@ class QuadBowl(Task):
         return freeze(theta.copy())
 
 
-class TanhNetwork:
-    """Two-layer tanh network shared by `mlp-reg` and `char-seq`.
+class TanhNetwork(Task):
+    """Two-layer tanh network: the one training, held-out and fingerprint path
+    of `mlp-reg` and `char-seq`.
 
     theta packs W1 (in_dim x hidden_dim), b1, W2 (hidden_dim x out_dim) and
-    b2; the output is tanh(x W1 + b1) W2 + b2. A mixin, not a Task subclass:
-    the benchmark tracer wraps the methods of Task's direct subclasses.
+    b2; the output is tanh(x W1 + b1) W2 + b2. A subclass states its sizes,
+    its data (`_draw` for a batch, plus `_x_val`, `_y_val` and `_x_probe`),
+    `init_params`, and its loss twice: `_training_loss` with the gradient at
+    the output, `_output_losses` over stacked held-out blocks. It must not
+    override batch, loss_and_grad, validation_loss or fingerprint: the
+    benchmark tracer times only the methods that Task's direct subclasses
+    define.
     """
 
     in_dim: int
     hidden_dim: int
     out_dim: int
+    n_val = 256  # held-out rows
+    _x_val: np.ndarray
+    _y_val: np.ndarray
+    _x_probe: np.ndarray
+
+    def __init__(self, batch_size: int, probe_count: int, data_seed: int):
+        self.batch_size = batch_size
+        self.data_seed = int(data_seed)
+        i, h, o = self.in_dim, self.hidden_dim, self.out_dim
+        self.param_dim = i * h + h + h * o + o
+        self.fingerprint_dim = probe_count * o
+
+    def batch(self, seed: int, step: int):
+        return self._draw(self._rng(_TAG_BATCH, seed, step), self.batch_size)
+
+    def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
+        self._require_finite(theta)
+        x, y = batch
+        hidden, out = self._forward(theta, x)
+        loss, d_out = self._training_loss(out, y)
+        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, d_out))
+
+    def validation_loss(self, theta: np.ndarray) -> float:
+        if not is_finite(theta):
+            return float("nan")
+        hidden = self._scratch("_val_hidden", (self.n_val, self.hidden_dim))
+        _, out = self._forward(theta, self._x_val, out=hidden)
+        return float(self._output_losses(out[None])[0])
+
+    def fingerprint(self, theta: np.ndarray) -> np.ndarray:
+        self._require_finite(theta)
+        hidden = self._scratch("_probe_hidden", (len(self._x_probe), self.hidden_dim))
+        _, out = self._forward(theta, self._x_probe, out=hidden)
+        return freeze(out.ravel())
+
+    def _draw(self, rng: np.random.Generator, n: int):
+        """n training pairs (inputs, targets) from rng."""
+        raise NotImplementedError
+
+    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean loss of a batch's outputs against y, and its gradient at the outputs."""
+        raise NotImplementedError
+
+    def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
+        """Held-out loss of each (n_val, out_dim) block of outputs; may overwrite them."""
+        raise NotImplementedError
 
     def _unpack(self, theta: np.ndarray):
         i, h, o = self.in_dim, self.hidden_dim, self.out_dim
@@ -212,10 +250,6 @@ class TanhNetwork:
             buf = self.__dict__[name] = np.empty(shape)
         return buf[:shape[0]]
 
-    def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
-        """Held-out loss of each (n_val, out_dim) block of outputs; may overwrite them."""
-        raise NotImplementedError
-
     def _backprop(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
                   d_out: np.ndarray) -> np.ndarray:
         """Flat gradient of the loss from its gradient d_out at the network output."""
@@ -228,7 +262,7 @@ class TanhNetwork:
         return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-class MlpRegression(TanhNetwork, Task):
+class MlpRegression(TanhNetwork):
     """Two-layer tanh MLP on synthetic regression against a fixed teacher.
 
     Targets come from a same-architecture teacher network (drawn once from
@@ -240,43 +274,21 @@ class MlpRegression(TanhNetwork, Task):
 
     name = "mlp-reg"
     recommended_lr = 0.01
+    in_dim, hidden_dim, out_dim = 64, 128, 8
 
-    def __init__(
-        self,
-        in_dim: int = 64,
-        hidden_dim: int = 128,
-        out_dim: int = 8,
-        batch_size: int = 32,
-        noise: float = 0.05,
-        n_val: int = 256,
-        probe_count: int = 100,
-        data_seed: int = 7,
-    ):
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
-        self.out_dim = out_dim
-        self.batch_size = batch_size
+    def __init__(self, batch_size: int = 32, noise: float = 0.05, probe_count: int = 100,
+                 data_seed: int = 7):
+        super().__init__(batch_size, probe_count, data_seed)
         self.noise = float(noise)
-        self.data_seed = int(data_seed)
-        self.param_dim = in_dim * hidden_dim + hidden_dim + hidden_dim * out_dim + out_dim
-        self.fingerprint_dim = probe_count * out_dim
-
-        rng = np.random.default_rng((self.data_seed, _TAG_TEACHER))
-        self._teacher = self._random_weights(rng, scale=1.0)
-        rng = np.random.default_rng((self.data_seed, _TAG_VAL))
-        self._x_val = freeze(rng.standard_normal((n_val, in_dim)))
+        self._teacher = self._random_weights(self._rng(_TAG_TEACHER))
+        self._x_val = freeze(self._rng(_TAG_VAL).standard_normal((self.n_val, self.in_dim)))
         self._y_val = freeze(self._teacher_forward(self._x_val))
-        # one activation buffer each for all validations and fingerprints: fresh
-        # arrays of 100 KB and more can cost page faults
-        self._val_hidden = np.empty((n_val, hidden_dim))
-        rng = np.random.default_rng((self.data_seed, _TAG_PROBE))
-        self._x_probe = freeze(rng.standard_normal((probe_count, in_dim)))
-        self._probe_hidden = np.empty((probe_count, hidden_dim))
+        self._x_probe = freeze(self._rng(_TAG_PROBE).standard_normal((probe_count, self.in_dim)))
 
-    def _random_weights(self, rng: np.random.Generator, scale: float):
-        w1 = rng.standard_normal((self.in_dim, self.hidden_dim)) * (scale / np.sqrt(self.in_dim))
+    def _random_weights(self, rng: np.random.Generator):
+        w1 = rng.standard_normal((self.in_dim, self.hidden_dim)) * (1.0 / np.sqrt(self.in_dim))
         b1 = np.zeros(self.hidden_dim)
-        w2 = rng.standard_normal((self.hidden_dim, self.out_dim)) * (scale / np.sqrt(self.hidden_dim))
+        w2 = rng.standard_normal((self.hidden_dim, self.out_dim)) * (1.0 / np.sqrt(self.hidden_dim))
         b2 = np.zeros(self.out_dim)
         return w1, b1, w2, b2
 
@@ -285,43 +297,25 @@ class MlpRegression(TanhNetwork, Task):
         return np.tanh(x @ w1 + b1) @ w2 + b2
 
     def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng((self.data_seed, _TAG_INIT, seed))
-        w1, b1, w2, b2 = self._random_weights(rng, scale=1.0)
+        w1, b1, w2, b2 = self._random_weights(self._rng(_TAG_INIT, seed))
         return freeze(np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
 
-    def batch(self, seed: int, step: int):
-        rng = np.random.default_rng((self.data_seed, _TAG_BATCH, seed, step))
-        x = rng.standard_normal((self.batch_size, self.in_dim))
-        y = self._teacher_forward(x) + self.noise * rng.standard_normal((self.batch_size, self.out_dim))
+    def _draw(self, rng: np.random.Generator, n: int):
+        x = rng.standard_normal((n, self.in_dim))
+        y = self._teacher_forward(x) + self.noise * rng.standard_normal((n, self.out_dim))
         return x, y
 
-    def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
-        self._require_finite(theta)
-        x, y = batch
-        hidden, pred = self._forward(theta, x)
-        err = pred - y
+    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        err = out - y
         n = err.size
-        loss = 0.5 * float(np.sum(err * err)) / n
-        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, err / n))
-
-    def validation_loss(self, theta: np.ndarray) -> float:
-        if not is_finite(theta):
-            return float("nan")
-        _, pred = self._forward(theta, self._x_val, out=self._val_hidden)
-        err = pred - self._y_val
-        return 0.5 * float(np.sum(err * err)) / err.size
+        return 0.5 * float(np.sum(err * err)) / n, err / n
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
         err = np.subtract(outputs, self._y_val, out=outputs)
         return 0.5 * np.square(err, out=err).sum(axis=(1, 2)) / err[0].size
 
-    def fingerprint(self, theta: np.ndarray) -> np.ndarray:
-        self._require_finite(theta)
-        _, pred = self._forward(theta, self._x_probe, out=self._probe_hidden)
-        return freeze(pred.ravel().copy())
 
-
-class CharSequence(TanhNetwork, Task):
+class CharSequence(TanhNetwork):
     """Next-symbol prediction over a synthetic alphabet (Markov-chain data).
 
     One-hot context of length ctx -> tanh hidden layer -> logits, trained with
@@ -331,117 +325,68 @@ class CharSequence(TanhNetwork, Task):
 
     name = "char-seq"
     recommended_lr = 0.02
+    alphabet, ctx, hidden_dim = 12, 4, 32
+    in_dim, out_dim = alphabet * ctx, alphabet
 
-    def __init__(
-        self,
-        alphabet: int = 12,
-        ctx: int = 4,
-        hidden_dim: int = 32,
-        batch_size: int = 32,
-        n_val: int = 256,
-        probe_count: int = 100,
-        data_seed: int = 7,
-    ):
-        self.alphabet = alphabet
-        self.out_dim = alphabet
-        self.ctx = ctx
-        self.hidden_dim = hidden_dim
-        self.batch_size = batch_size
-        self.data_seed = int(data_seed)
-        self.in_dim = alphabet * ctx
-        self.param_dim = self.in_dim * hidden_dim + hidden_dim + hidden_dim * alphabet + alphabet
-        self.fingerprint_dim = probe_count * alphabet
-
+    def __init__(self, batch_size: int = 32, probe_count: int = 100, data_seed: int = 7):
+        super().__init__(batch_size, probe_count, data_seed)
         # fixed Markov chain; sharpened rows so sequences carry structure
-        rng = np.random.default_rng((self.data_seed, _TAG_TEACHER))
-        trans = rng.random((alphabet, alphabet)) ** 3
+        trans = self._rng(_TAG_TEACHER).random((self.alphabet, self.alphabet)) ** 3
         self._transition = freeze(trans / trans.sum(axis=1, keepdims=True))
         # row-wise running sums, so equal bit for bit to the cumsum of any row
         self._cdf = freeze(np.cumsum(self._transition, axis=1))
-        self._x_val, self._y_val = self._draw_sequences(
-            np.random.default_rng((self.data_seed, _TAG_VAL)), n_val
-        )
-        self._x_probe, _ = self._draw_sequences(
-            np.random.default_rng((self.data_seed, _TAG_PROBE)), probe_count
-        )
+        self._x_val, self._y_val = self._draw(self._rng(_TAG_VAL), self.n_val)
+        self._x_probe = self._draw(self._rng(_TAG_PROBE), probe_count)[0]
 
-    def _draw_sequences(self, rng: np.random.Generator, n: int):
+    def _draw(self, rng: np.random.Generator, n: int):
         """n context windows (one-hot, flattened) and their next symbols."""
         sym = rng.integers(0, self.alphabet, size=n)
-        onehot = np.zeros((n, self.ctx * self.alphabet))
+        onehot = np.zeros((n, self.in_dim))
         for pos in range(self.ctx):
             onehot[np.arange(n), pos * self.alphabet + sym] = 1.0
             sym = (rng.random(n)[:, None] < self._cdf[sym]).argmax(axis=1)
         return freeze(onehot), freeze(sym.astype(np.int64))
 
     def init_params(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng((self.data_seed, _TAG_INIT, seed))
-        i, h, o = self.in_dim, self.hidden_dim, self.alphabet
+        rng = self._rng(_TAG_INIT, seed)
+        i, h, o = self.in_dim, self.hidden_dim, self.out_dim
         w1 = rng.standard_normal((i, h)) / np.sqrt(i)
         w2 = rng.standard_normal((h, o)) / np.sqrt(h)
         return freeze(np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(o)]))
-
-    def batch(self, seed: int, step: int):
-        rng = np.random.default_rng((self.data_seed, _TAG_BATCH, seed, step))
-        return self._draw_sequences(rng, self.batch_size)
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
         shifted = logits - logits.max(axis=-1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    def _ce_loss(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        logp = self._log_softmax(logits)
-        return -float(logp[np.arange(len(targets)), targets].mean())
-
-    def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
-        self._require_finite(theta)
-        x, targets = batch
-        hidden, logits = self._forward(theta, x)
-        loss = self._ce_loss(logits, targets)
-
-        probs = np.exp(self._log_softmax(logits))
-        probs[np.arange(len(targets)), targets] -= 1.0
-        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, probs / len(targets)))
-
-    def validation_loss(self, theta: np.ndarray) -> float:
-        if not is_finite(theta):
-            return float("nan")
-        _, logits = self._forward(theta, self._x_val)
-        return self._ce_loss(logits, self._y_val)
+    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        rows = np.arange(len(y))
+        logp = self._log_softmax(out)
+        probs = np.exp(logp)
+        probs[rows, y] -= 1.0
+        return -float(logp[rows, y].mean()), probs / len(y)
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
         logp = self._log_softmax(outputs)
         return -logp[:, np.arange(len(self._y_val)), self._y_val].mean(axis=1)
 
-    def fingerprint(self, theta: np.ndarray) -> np.ndarray:
-        self._require_finite(theta)
-        _, logits = self._forward(theta, self._x_probe)
-        return freeze(logits.ravel().copy())
+
+TASKS: dict[str, type[Task]] = {cls.name: cls for cls in (QuadBowl, MlpRegression, CharSequence)}
+TASK_NAMES = tuple(TASKS)
 
 
-TASK_NAMES = ("quad-bowl", "mlp-reg", "char-seq")
+def make_task(name: str, **overrides) -> Task:
+    """Construct a built-in task by name with the given constructor overrides.
 
-
-def make_task(name: str, *, batch_size: int | None = None,
-              probe_count: int | None = None, noise: float | None = None,
-              dim: int | None = None, data_seed: int = 7) -> Task:
-    """Construct a built-in task by name, overriding only the passed knobs."""
-    kwargs: dict = {"data_seed": data_seed}
-    if name == "quad-bowl":
-        if noise is not None:
-            kwargs["noise"] = noise
-        if dim is not None:
-            kwargs["dim"] = dim
-        return QuadBowl(**kwargs)
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size
-    if probe_count is not None:
-        kwargs["probe_count"] = probe_count
-    if name == "mlp-reg":
-        if noise is not None:
-            kwargs["noise"] = noise
-        return MlpRegression(**kwargs)
-    if name == "char-seq":
-        return CharSequence(**kwargs)
-    raise ValueError(f"unknown task {name!r}; choose from {TASK_NAMES}")
+    An override of None keeps the task's default; one the task's constructor
+    does not take is refused by name, so no setting is silently dropped.
+    """
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r}; choose from {TASK_NAMES}")
+    taken = inspect.signature(TASKS[name]).parameters
+    given = {key: value for key, value in overrides.items() if value is not None}
+    for key in given:
+        if key not in taken:
+            raise ValueError(f"task {name!r} does not take {key!r}; "
+                             f"it takes {', '.join(taken)}")
+    return TASKS[name](**given)

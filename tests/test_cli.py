@@ -130,10 +130,15 @@ def test_sweep_before_train_fails(tmp_path, capsys):
 
 def test_report_requires_the_sweep_pass(tmp_path, capsys):
     out = tmp_path / "exp"
-    assert main(["train", *BASE, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["report", *BASE, "--out", str(out)]) == 1
-    assert "run the sweep pass first" in capsys.readouterr().err
+    run_dir = out / "runs" / "quad-bowl" / "42"
+    # after train alone, then after train and sweep without the cascade pass
+    for command, missing, stage in (("train", "sweep.csv", "sweep"),
+                                    ("sweep", "cascades.jsonl", "cascade")):
+        assert main([command, *BASE, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", *BASE, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{run_dir / missing} missing; run the {stage} pass first" in err
 
 
 def test_train_sweep_cascade_pipeline(tmp_path, capsys):
@@ -173,6 +178,16 @@ def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
     assert main(["sweep", *BASE, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"pass2 (sweep) failed for seed 42: {log} missing" in err
+
+
+def test_an_override_the_task_does_not_take_is_refused(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("task = char-seq\nnoise = 0.5\nseeds = 42\nsteps = 100\ndelta = 25\n")
+    out = tmp_path / "exp"
+    for command in ("train", "live", "run-all"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert "task 'char-seq' does not take 'noise'" in capsys.readouterr().err
+        assert not out.exists()  # refused before any run, even calibration, started
 
 
 def test_config_parse_errors_name_the_file(tmp_path, capsys):

@@ -47,6 +47,13 @@ def test_make_task_overrides():
     assert make_task("mlp-reg", probe_count=10).fingerprint_dim == 80
     assert make_task("char-seq", probe_count=5).fingerprint_dim == 60
     assert make_task("mlp-reg", batch_size=8).batch_size == 8
+    assert make_task("mlp-reg", noise=0.5).noise == 0.5
+    assert make_task("char-seq", data_seed=3).data_seed == 3
+    # None keeps the default, as build_task passes every unset override
+    assert make_task("char-seq", noise=None, dim=None).param_dim == 1964
+    for name, key in (("char-seq", "noise"), ("mlp-reg", "dim"), ("quad-bowl", "batch_size")):
+        with pytest.raises(ValueError, match=f"task '{name}' does not take '{key}'"):
+            make_task(name, **{key: 1})
 
 
 def test_batches_are_pure_functions_of_seed_and_step():
