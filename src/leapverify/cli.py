@@ -74,6 +74,7 @@ def build_config(args: argparse.Namespace, base_file: Path | None = None) -> Run
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    build_task(cfg)  # refuses an override the task does not take, taus given or not
     if cfg.tau_low is not None:
         th = Thresholds(tau_low=cfg.tau_low, tau_high=cfg.tau_high)
         print("using explicit thresholds (calibration skipped)")

@@ -13,6 +13,9 @@ where the finite-difference history (trajectory.history_at) restarts:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
 landing step.
+
+A cascade (run_cascade) applies no leap: its stage n scores theta_t plus n
+times stage 1's displacement against stage n-1's loss.
 """
 
 from __future__ import annotations
@@ -128,11 +131,7 @@ def speculate(
     curr = ckpts[-1]
     pred = predict(predictor, [c.theta for c in ckpts], delta, k,
                    curr.m, curr.v, curr.step, hyper)
-    return pred, _held_out_loss(pred, task)
-
-
-def _held_out_loss(pred: Prediction, task: Task) -> float:
-    return task.validation_loss(pred.theta_hat) if pred.finite else float("nan")
+    return pred, task.validation_loss(pred.theta_hat)
 
 
 def speculate_grid(
@@ -186,18 +185,16 @@ def leap_or_continue(
     curr = window[-1]
     pred, l_hat = speculate(window, delta, settings.predictor, settings.k, task, hyper)
     decision = decide(l_hat, curr.val_loss, sigma, epsilon)
-    accepted = decision.verdict(settings.criterion) is True
-    event = LeapEvent(
+    return LeapEvent(
         step_from=curr.step,
         k=settings.k,
         predictor=settings.predictor,
         decision=decision,
-        applied=accepted and settings.apply,
+        applied=decision.verdict(settings.criterion) is True and settings.apply,
         criterion_used=settings.criterion,
         regime_at_leap=regime,
         displacement_norm=pred.displacement_norm,
-    )
-    return event, pred
+    ), pred
 
 
 # A diverging run stops with RunDivergedError naming its step; numpy's
@@ -335,32 +332,25 @@ def run_cascade(
     sigma_l: float | None,
     epsilon: float,
 ) -> list[LeapEvent]:
-    """Chain up to `cfg.depth` predictions of horizon K from a stable checkpoint.
+    """Score up to `cfg.depth` leaps of horizon K along the first one, from a stable checkpoint.
 
-    Stage 1 extrapolates from the real history window, whose checkpoints are
-    `delta` steps apart; each later stage starts from the previous stage's
-    predicted weights and is verified against the previous stage's predicted
-    loss. Later stages run the formula on the chain
-    [theta_start, stage-1 prediction, ...] at spacing K with the start
-    checkpoint's moments, in the linear form while the chain is too short for
-    the formula. Stages stop at the first rejection under `criterion`; the
-    returned events cover every evaluated stage, so the accepted depth is
-    len(events) minus the trailing rejection if any. The start is the newest
-    checkpoint of `start_window`; callers start only from stable checkpoints,
-    so the events are labelled stable.
+    Stage 1 is speculate() from the history window (spacing `delta`); stage n
+    scores theta_t + n * (stage 1's displacement) against stage n-1's loss, as
+    re-running any formula on the chain of predictions at spacing K would, so
+    a quadratic cascade's curvature enters only in stage 1. Stages stop at the
+    first rejection under `criterion`. Every evaluated stage gives an event
+    with stage 1's displacement norm, labelled stable: callers start only
+    from stable checkpoints, here the newest of `start_window`.
     """
     start = start_window[-1]
-
+    pred, l_hat = speculate(start_window, delta, predictor, cfg.k, task, hyper)
+    leap = pred.theta_hat - start.theta
+    theta, baseline = pred.theta_hat, start.val_loss
     events: list[LeapEvent] = []
-    chain: list[np.ndarray] = [start.theta]
-    baseline = start.val_loss
     for stage in range(1, cfg.depth + 1):
-        if stage == 1:
-            pred, l_hat = speculate(start_window, delta, predictor, cfg.k, task, hyper)
-        else:
-            formula = predictor if len(chain) >= FORMULAS[predictor].history else LINEAR
-            pred = predict(formula, chain, cfg.k, cfg.k, start.m, start.v, start.step, hyper)
-            l_hat = _held_out_loss(pred, task)
+        if stage > 1:
+            theta = theta + leap
+            l_hat = task.validation_loss(theta)
         if not (math.isfinite(baseline) and baseline > 0):
             break  # previous stage's loss cannot anchor a verification
         decision = decide(l_hat, baseline, sigma_l, epsilon)
@@ -377,7 +367,6 @@ def run_cascade(
         ))
         if decision.verdict(criterion) is not True:
             break
-        chain.append(pred.theta_hat)
         baseline = l_hat
     return events
 

@@ -4,7 +4,7 @@ Pass 1 trains each seed with periodic checkpoints and writes loss_log.csv,
 the one record of each checkpoint's regime label, last. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
-run). Pass 3 chains cascaded predictions from stable checkpoints. The report
+run). Pass 3 scores cascades, lines of leaps from stable checkpoints. The report
 is aggregated from the files the passes leave on disk. Statistics follow the
 per-seed-first convention: rates are computed within each seed, then
 summarized as mean/std/CoV across seeds, with denominators carried

@@ -21,13 +21,13 @@ sweep rows and reports print:
   trajectories exactly quadratic in the step index.
 
 The user names a family (``momentum``, ``linear``, ``quadratic``) plus the
-``momentum_variant`` and ``quad_variant`` settings; resolve_predictor is the
-one place that turns that choice into a formula name. Live speculation and
-every cascade stage predict through predict() and score the exact weights
-they would apply. The offline sweep predicts a whole K grid through
-predict_grid(), which computes the directions once and hands them with the
-coefficient matrix to Task.affine_losses. Both build theta_hat through the
-one _combine, so a grid prediction is bit-identical to predict()'s.
+``momentum_variant`` and ``quad_variant`` settings; resolve_predictor turns
+that choice into a formula name. Live speculation and cascade stage 1 score
+predict()'s exact weights; cascade stage n scores theta_t + n * (stage 1's
+displacement), so a quadratic cascade's curvature enters only in stage 1.
+The sweep scores a whole K grid through predict_grid(), whose directions and
+coefficient matrix go to Task.affine_losses. Both read FORMULAS and build
+theta_hat in the one _combine, so a grid prediction is predict()'s, bit for bit.
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
 is recorded in Prediction.finite rather than raised, and the verifier treats
@@ -152,8 +152,7 @@ class Formula:
     family: str         # label of sweep rows and reports
     history: int        # checkpoints needed, the current one included
     coeffs: Callable[[int, int], tuple[float, ...]]  # (K, delta) -> c_j
-    directions: Callable[..., tuple[np.ndarray, ...]]
-    fn: Callable[..., Prediction]
+    directions: Callable[..., tuple[np.ndarray, ...]]  # (thetas, m, v, step, hyper) -> D_j
     scaled_norm: bool = False  # displacement c_1 * ||D_1||, not ||theta_hat - theta_t||
 
 
@@ -161,32 +160,24 @@ def _k_coeff(k: int, delta: int) -> tuple[float, ...]:
     return (float(k),)
 
 
-# directions takes (thetas, m, v, step, hyper) and fn (thetas, spacing, k, m,
-# v, step, hyper); fn calls its predict_* function by module-level name, so a
-# wrapper installed on the module attribute sees every call of predict().
 FORMULAS = {
     MOMENTUM: Formula(
         MOMENTUM, 1, _k_coeff,
         lambda th, m, v, step, h: (_momentum_unit(m, v, h.eps),),
-        lambda th, dt, k, m, v, step, h: predict_momentum(th[-1], m, v, k, h.eps),
         scaled_norm=True),
     MOMENTUM_DESCENT: Formula(
         MOMENTUM, 1, _k_coeff,
         lambda th, m, v, step, h: (_descent_unit(m, v, step, h),),
-        lambda th, dt, k, m, v, step, h: predict_momentum_descent(th[-1], m, v, step, h, k),
         scaled_norm=True),
     LINEAR: Formula(
         LINEAR, 2, lambda k, dt: (k / dt,),
-        lambda th, *_: _differences(th[-1], th[-2]),
-        lambda th, dt, k, *_: predict_linear(th[-1], th[-2], dt, k)),
+        lambda th, *_: _differences(th[-1], th[-2])),
     QUADRATIC: Formula(
         QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k - dt) / (2.0 * dt * dt)),
-        lambda th, *_: _differences(th[-1], th[-2], th[-3]),
-        lambda th, dt, k, *_: predict_quadratic(th[-1], th[-2], th[-3], dt, k)),
+        lambda th, *_: _differences(th[-1], th[-2], th[-3])),
     QUADRATIC_EXACT: Formula(
         QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k + dt) / (2.0 * dt * dt)),
-        lambda th, *_: _differences(th[-1], th[-2], th[-3]),
-        lambda th, dt, k, *_: predict_quadratic_exact(th[-1], th[-2], th[-3], dt, k)),
+        lambda th, *_: _differences(th[-1], th[-2], th[-3])),
 }
 
 
@@ -219,7 +210,8 @@ def predict(formula: str, thetas: Sequence[np.ndarray], spacing: int, k: int,
     momentum formulas extrapolate. Raises InsufficientHistoryError when the
     history is too short for the formula.
     """
-    return _formula(formula, thetas).fn(thetas, spacing, k, m, v, step, hyper)
+    directions = _formula(formula, thetas).directions(thetas, m, v, step, hyper)
+    return _combine(formula, thetas[-1], directions, k, spacing)
 
 
 def predict_grid(formula: str, thetas: Sequence[np.ndarray], spacing: int, ks: Sequence[int],

@@ -184,8 +184,9 @@ def test_an_override_the_task_does_not_take_is_refused(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("task = char-seq\nnoise = 0.5\nseeds = 42\nsteps = 100\ndelta = 25\n")
     out = tmp_path / "exp"
-    for command in ("train", "live", "run-all"):
-        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    for argv in (["train"], ["live"], ["run-all"],
+                 ["calibrate", "--tau-low", "-0.9", "--tau-high", "0.5"]):
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
         assert "task 'char-seq' does not take 'noise'" in capsys.readouterr().err
         assert not out.exists()  # refused before any run, even calibration, started
 

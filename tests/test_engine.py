@@ -19,8 +19,11 @@ from leapverify.engine import (
 )
 from leapverify.optim import AdamHyper
 from leapverify.predict import (
+    FORMULAS,
+    LINEAR,
     MOMENTUM_VARIANTS,
     InsufficientHistoryError,
+    predict,
     predict_momentum_descent,
 )
 from leapverify.regime import RegimeLabel, Thresholds
@@ -439,13 +442,55 @@ def test_momentum_variant_resolves_the_live_formula(tmp_path):
     assert res.events[0].displacement_norm == expected.displacement_norm
 
 
-def test_cascade_later_stages_reuse_the_start_moments(stable_window):
-    task, hyper, window = stable_window
+@pytest.fixture(scope="module")
+def curved_window():
+    task = make_task("mlp-reg")
+    hyper = AdamHyper(lr=task.recommended_lr, warmup_steps=20, total_steps=2000)
+    res = train_run(task, 42, total_steps=300, delta=50, hyper=hyper)
+    window = res.checkpoints[-3:]
+    # curved: quadratic's prediction is not linear's
+    linear, _ = speculate(window, 50, "linear", 25, task, hyper)
+    quadratic, _ = speculate(window, 50, "quadratic", 25, task, hyper)
+    assert np.linalg.norm(quadratic.theta_hat - linear.theta_hat) > 0.01 * linear.displacement_norm
+    return task, hyper, window
+
+
+def chain_rule_losses(window, delta, formula, k, depth, task, hyper):
+    """Stage losses of a cascade that re-runs the formula at every stage.
+
+    Stage 1 predicts from the window; each later stage runs the formula on
+    the chain [theta_t, stage 1, ...] at spacing K with the start
+    checkpoint's moments, in the linear form while the chain is shorter than
+    the formula's history.
+    """
     start = window[-1]
-    events = run_cascade(window, 50, CascadeConfig(3, 25), "momentum_descent", "adaptive",
+    chain = [start.theta]
+    for stage in range(1, depth + 1):
+        if stage == 1:
+            pred = predict(formula, [c.theta for c in window], delta, k,
+                           start.m, start.v, start.step, hyper)
+        else:
+            name = formula if len(chain) >= FORMULAS[formula].history else LINEAR
+            pred = predict(name, chain, k, k, start.m, start.v, start.step, hyper)
+        chain.append(pred.theta_hat)
+    return [task.validation_loss(theta) for theta in chain[1:]]
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+def test_cascade_stages_continue_along_the_first_leap(curved_window, formula):
+    task, hyper, window = curved_window
+    depth, k = 4, 25
+    events = run_cascade(window, 50, CascadeConfig(depth, k), formula, "adaptive",
                          task, hyper, sigma_l=1e9, epsilon=0.05)
-    assert [e.stage for e in events] == [1, 2, 3]
-    assert all(e.predictor == "momentum_descent" for e in events)
-    # every stage repeats the start checkpoint's Adam update: equal displacements
-    unit = predict_momentum_descent(start.theta, start.m, start.v, start.step, hyper, 25)
-    assert [e.displacement_norm for e in events] == [unit.displacement_norm] * 3
+    assert len(events) == depth
+    first, l_first = speculate(window, 50, formula, k, task, hyper)
+    assert events[0].decision.l_hat == l_first
+    leap = first.theta_hat - window[-1].theta
+    theta = first.theta_hat
+    for prev, event in zip(events, events[1:]):
+        theta = theta + leap
+        assert event.decision.l_hat == task.validation_loss(theta)
+        assert event.decision.l_t == prev.decision.l_hat
+    reference = chain_rule_losses(window, 50, formula, k, depth, task, hyper)
+    assert [e.decision.l_hat for e in events] == pytest.approx(reference, rel=1e-12, abs=0)
+    assert [e.displacement_norm for e in events] == [first.displacement_norm] * depth
