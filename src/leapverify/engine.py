@@ -12,10 +12,8 @@ configured policy. The run then marks its next checkpoint as `since_leap`,
 where the finite-difference history (trajectory.history_at) restarts:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
-landing step.
-
-A cascade (run_cascade) applies no leap: its stage n scores theta_t plus n
-times stage 1's displacement against stage n-1's loss.
+landing step. A cascade (run_cascade) applies no leap: its stage n scores
+theta_t plus n times stage 1's displacement against stage n-1's loss.
 """
 
 from __future__ import annotations
@@ -185,16 +183,18 @@ def leap_or_continue(
     curr = window[-1]
     pred, l_hat = speculate(window, delta, settings.predictor, settings.k, task, hyper)
     decision = decide(l_hat, curr.val_loss, sigma, epsilon)
-    return LeapEvent(
+    accepted = decision.verdict(settings.criterion) is True
+    event = LeapEvent(
         step_from=curr.step,
         k=settings.k,
         predictor=settings.predictor,
         decision=decision,
-        applied=decision.verdict(settings.criterion) is True and settings.apply,
+        applied=accepted and settings.apply,
         criterion_used=settings.criterion,
         regime_at_leap=regime,
         displacement_norm=pred.displacement_norm,
-    ), pred
+    )
+    return event, pred
 
 
 # A diverging run stops with RunDivergedError naming its step; numpy's
@@ -336,11 +336,10 @@ def run_cascade(
 
     Stage 1 is speculate() from the history window (spacing `delta`); stage n
     scores theta_t + n * (stage 1's displacement) against stage n-1's loss, as
-    re-running any formula on the chain of predictions at spacing K would, so
-    a quadratic cascade's curvature enters only in stage 1. Stages stop at the
-    first rejection under `criterion`. Every evaluated stage gives an event
-    with stage 1's displacement norm, labelled stable: callers start only
-    from stable checkpoints, here the newest of `start_window`.
+    any formula re-run on the chain of predictions at spacing K would, so a
+    quadratic cascade's curvature enters only in stage 1. Stages stop at the
+    first rejection under `criterion`. Events carry stage 1's displacement norm
+    and the stable label: callers start only from a stable `start_window[-1]`.
     """
     start = start_window[-1]
     pred, l_hat = speculate(start_window, delta, predictor, cfg.k, task, hyper)

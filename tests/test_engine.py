@@ -445,6 +445,7 @@ def test_momentum_variant_resolves_the_live_formula(tmp_path):
 @pytest.fixture(scope="module")
 def curved_window():
     task = make_task("mlp-reg")
+    # a schedule past the run keeps the lr, and so momentum_descent's step, nonzero
     hyper = AdamHyper(lr=task.recommended_lr, warmup_steps=20, total_steps=2000)
     res = train_run(task, 42, total_steps=300, delta=50, hyper=hyper)
     window = res.checkpoints[-3:]
