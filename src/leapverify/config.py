@@ -113,6 +113,9 @@ class RunConfig:
             raise ValueError("live_k must be >= 1")
         for d, k in self.cascades:
             CascadeConfig(depth=d, k=k)  # reuse its validation
+            if k not in self.k_set:  # a cascade's stage 1 is the sweep cell at its K
+                raise ValueError(f"cascade {d}x{k}: K={k} is not in k_set "
+                                 f"{_fmt_value(self.k_set)}")
 
 
 def _fmt_value(value) -> str:

@@ -12,8 +12,9 @@ configured policy. The run then marks its next checkpoint as `since_leap`,
 where the finite-difference history (trajectory.history_at) restarts:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
-landing step. A cascade (run_cascade) applies no leap: its stage n scores
-theta_t plus n times stage 1's displacement against stage n-1's loss.
+landing step. A cascade (run_cascade) applies no leap: its stage 1 takes the
+loss its caller scored, and its stage n scores theta_t plus n times stage 1's
+displacement against stage n-1's loss.
 """
 
 from __future__ import annotations
@@ -135,26 +136,33 @@ def speculate(
 def speculate_grid(
     ckpts: Sequence[Checkpoint],
     delta: int,
-    predictor: str,
+    formulas: Sequence[str],
     ks: Sequence[int],
     task: Task,
     hyper: AdamHyper,
-) -> tuple[list[Prediction], list[float]]:
-    """speculate() at every K of `ks`, scoring all of them in one held-out pass.
+) -> list[tuple[list[Prediction], list[float]]]:
+    """speculate() with every formula of `formulas` at every K of `ks`, scored in one pass.
 
-    The predictions are speculate()'s, bit for bit. The losses come from
-    Task.affine_losses and agree with speculate()'s exact forward to about
-    1e-12 relative, so this serves offline scoring only: a leap applies the
-    weights it scored, through speculate(). NaN marks a non-finite prediction.
+    Returns (predictions, losses) per formula. The predictions are
+    speculate()'s, bit for bit. The losses come from Task.affine_losses, in
+    which formulas that share a direction share its first-layer product, and
+    agree with speculate()'s exact forward to rounding (at most 1.3e-15
+    relative, measured over every sweep cell of the default mlp-reg and
+    char-seq run-alls), so this serves offline scoring only: a leap applies
+    the weights it scored, through speculate(). NaN marks a non-finite
+    prediction.
     """
     curr = ckpts[-1]
-    directions, coeffs, preds = predict_grid(predictor, [c.theta for c in ckpts], delta, ks,
-                                             curr.m, curr.v, curr.step, hyper)
-    finite = np.array([p.finite for p in preds], dtype=bool)
-    losses = np.full(len(preds), np.nan)
-    if finite.any():
-        losses[finite] = task.affine_losses(curr.theta, directions, coeffs[finite])
-    return preds, losses.tolist()
+    grids = predict_grid(formulas, [c.theta for c in ckpts], delta, ks,
+                         curr.m, curr.v, curr.step, hyper)
+    finite = [np.array([p.finite for p in preds], dtype=bool) for _, _, preds in grids]
+    scored = [i for i, ok in enumerate(finite) if ok.any()]
+    scores = task.affine_losses(curr.theta, [(grids[i][0], grids[i][1][finite[i]])
+                                             for i in scored]) if scored else []
+    losses = [np.full(len(ks), np.nan) for _ in grids]
+    for i, score in zip(scored, scores):
+        losses[i][finite[i]] = score
+    return [(preds, loss.tolist()) for (_, _, preds), loss in zip(grids, losses)]
 
 
 def leap_or_continue(
@@ -329,20 +337,25 @@ def run_cascade(
     task: Task,
     hyper: AdamHyper,
     *,
+    l_hat: float,
     sigma_l: float | None,
     epsilon: float,
 ) -> list[LeapEvent]:
     """Score up to `cfg.depth` leaps of horizon K along the first one, from a stable checkpoint.
 
-    Stage 1 is speculate() from the history window (spacing `delta`); stage n
-    scores theta_t + n * (stage 1's displacement) against stage n-1's loss, as
-    any formula re-run on the chain of predictions at spacing K would, so a
+    Stage 1 is predict() from the history window (spacing `delta`), and
+    `l_hat` is its held-out loss, scored by the caller: pass 3 reads it from
+    the sweep, which holds the same prediction. Stage n scores theta_t + n *
+    (stage 1's displacement) with validation_loss against stage n-1's loss,
+    as any formula re-run on the chain of predictions at spacing K would, so a
     quadratic cascade's curvature enters only in stage 1. Stages stop at the
-    first rejection under `criterion`. Events carry stage 1's displacement norm
-    and the stable label: callers start only from a stable `start_window[-1]`.
+    first rejection under `criterion`. Events carry stage 1's displacement
+    norm and the stable label: callers start only from a stable
+    `start_window[-1]`.
     """
     start = start_window[-1]
-    pred, l_hat = speculate(start_window, delta, predictor, cfg.k, task, hyper)
+    pred = predict(predictor, [c.theta for c in start_window], delta, cfg.k,
+                   start.m, start.v, start.step, hyper)
     leap = pred.theta_hat - start.theta
     theta, baseline = pred.theta_hat, start.val_loss
     events: list[LeapEvent] = []

@@ -4,8 +4,10 @@ Pass 1 trains each seed with periodic checkpoints and writes loss_log.csv,
 the one record of each checkpoint's regime label, last. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
-run). Pass 3 scores cascades, lines of leaps from stable checkpoints. The report
-is aggregated from the files the passes leave on disk. Statistics follow the
+run). Pass 3 scores cascades, lines of leaps from stable checkpoints; a
+cascade's stage 1 is a sweep cell, so pass 3 reads its loss from pass 2's
+sweep.csv and needs pass 2 to have run first. The report is aggregated from
+the files the passes leave on disk. Statistics follow the
 per-seed-first convention: rates are computed within each seed, then
 summarized as mean/std/CoV across seeds, with denominators carried
 alongside every rate so each percentage is auditable.
@@ -50,7 +52,7 @@ from .trajectory import (
     checkpoint_spacing,
     checkpoint_steps,
     history_at,
-    load_run_checkpoints,
+    load_checkpoint,
     recent_loss_std,
 )
 from .verify import CRITERIA, Decision, decide
@@ -59,6 +61,7 @@ T = TypeVar("T")
 
 THRESHOLDS_FILE = "thresholds.txt"
 LOSS_LOG = "loss_log.csv"
+SWEEP_CSV = "sweep.csv"
 
 SWEEP_CSV_HEADER = (
     "seed,step,regime,predictor,K,L_hat,L_t,"
@@ -170,7 +173,7 @@ def sweep_formulas(cfg: RunConfig) -> tuple[str, ...]:
                  for p in SWEEP_PREDICTORS)
 
 
-RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", LOSS_LOG, "sweep.csv", "cascades.jsonl",
+RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", LOSS_LOG, SWEEP_CSV, "cascades.jsonl",
                "config.txt")
 
 
@@ -272,8 +275,8 @@ def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
     write_atomic(Path(run_dir) / LOSS_LOG, buf.getvalue())
 
 
-def read_labels(run_dir: str | Path) -> dict[int, RegimeLabel]:
-    """Each checkpoint's regime label by step, from the run's loss_log.csv.
+def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
+    """Each checkpoint's held-out loss and regime label by step, from the run's loss_log.csv.
 
     A run dir without loss_log.csv, or whose log lists other steps than its
     checkpoint files, holds an unfinished or mixed run and is refused.
@@ -282,11 +285,12 @@ def read_labels(run_dir: str | Path) -> dict[int, RegimeLabel]:
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
     with open(path, newline="") as fh:
-        labels = {int(row["step"]): RegimeLabel(row["regime"]) for row in csv.DictReader(fh)}
-    mismatch = set(labels).symmetric_difference(checkpoint_steps(run_dir))
+        log = {int(row["step"]): (float(row["val_loss"]), RegimeLabel(row["regime"]))
+               for row in csv.DictReader(fh)}
+    mismatch = set(log).symmetric_difference(checkpoint_steps(run_dir))
     if mismatch:
         raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")
-    return labels
+    return log
 
 
 def replay_points(
@@ -294,16 +298,21 @@ def replay_points(
 ) -> Iterator[tuple[Checkpoint, RegimeLabel, Sequence[Checkpoint], int, float | None]]:
     """(checkpoint, label, history window, spacing, loss sigma) per checkpoint labelled in `keep`.
 
-    Labels come from loss_log.csv; uneven checkpoint spacing is refused.
+    Labels and losses come from loss_log.csv, and only the checkpoints in the
+    window of some point labelled in `keep` are loaded. Uneven checkpoint
+    spacing is refused.
     """
-    labels = read_labels(run_dir)
-    ckpts = load_run_checkpoints(run_dir)
-    delta = checkpoint_spacing(ckpts)
-    losses = [c.val_loss for c in ckpts]
-    for i, ckpt in enumerate(ckpts):
-        if labels[ckpt.step] in keep:
-            yield (ckpt, labels[ckpt.step], history_at(ckpts, i), delta,
-                   recent_loss_std(losses[: i + 1], adaptive_window))
+    log = read_loss_log(run_dir)
+    steps = sorted(log)
+    delta = checkpoint_spacing(steps)
+    losses = [log[step][0] for step in steps]
+    kept = [i for i, step in enumerate(steps) if log[step][1] in keep]
+    needed = {j for i in kept for j in history_at(range(len(steps)), i)}  # window indices
+    ckpts = [load_checkpoint(Path(run_dir) / f"ckpt_{step}.lpv") if i in needed else None
+             for i, step in enumerate(steps)]
+    for i in kept:
+        yield (ckpts[i], log[steps[i]][1], history_at(ckpts, i), delta,
+               recent_loss_std(losses[: i + 1], adaptive_window))
 
 
 def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
@@ -317,29 +326,32 @@ def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     predictor yield ineligible placeholder cells so the grid stays
     rectangular.
 
-    Each (checkpoint, formula) row of K values is scored in one held-out
-    pass (engine.speculate_grid): every formula is affine in its
-    coefficients, so one first-layer product per direction serves the whole
-    row. Predictions, displacements and finiteness are bit-identical to a
-    per-cell speculate(); L_hat agrees with its exact forward to 1e-12
-    relative, not bit for bit. Live speculation and cascades keep the exact
-    forward.
+    Each checkpoint's whole grid is scored in one held-out pass
+    (engine.speculate_grid): every formula is affine in its coefficients, so
+    one first-layer product per distinct direction serves every formula and
+    K. Predictions, displacements and finiteness are bit-identical to a
+    per-cell speculate(); L_hat agrees with its exact forward to rounding (at
+    most 1.3e-15 relative measured, see speculate_grid), not bit for bit.
+    Live speculation keeps the exact forward, and cascade stage 1 reads this
+    L_hat.
     """
     cells: list[SweepCell] = []
     for ckpt, regime, window, delta, sigma in replay_points(
             run_dir, set(RegimeLabel) - {RegimeLabel.CHAOTIC}, adaptive_window):
+        usable = [f for f in formulas if len(window) >= FORMULAS[f].history]
+        scored = dict(zip(usable, speculate_grid(window, delta, usable, k_set, task, hyper)))
         for formula in formulas:
-            usable = len(window) >= FORMULAS[formula].history
-            preds, l_hats = (speculate_grid(window, delta, formula, k_set, task, hyper) if usable
-                             else ([None] * len(k_set), [float("nan")] * len(k_set)))
+            preds, l_hats = scored.get(formula, ([None] * len(k_set),
+                                                 [float("nan")] * len(k_set)))
             for k, pred, l_hat in zip(k_set, preds, l_hats):
+                eligible = pred is not None
                 cells.append(SweepCell(
                     seed=ckpt.seed, checkpoint_step=ckpt.step,
                     regime=regime, predictor=FORMULAS[formula].family, k=k,
                     l_hat=l_hat, l_t=ckpt.val_loss,
-                    decision=decide(l_hat, ckpt.val_loss, sigma, epsilon) if usable else None,
-                    displacement_norm=pred.displacement_norm if usable else float("nan"),
-                    eligible=usable))
+                    decision=decide(l_hat, ckpt.val_loss, sigma, epsilon) if eligible else None,
+                    displacement_norm=pred.displacement_norm if eligible else float("nan"),
+                    eligible=eligible))
     return cells
 
 
@@ -351,21 +363,40 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
 
     Returns one row per (stable checkpoint, config, predictor) whose history
     admits the predictor; an empty list simply means the run had no usable
-    stable checkpoints.
+    stable checkpoints. Stage 1 of a cascade is the sweep cell of its
+    checkpoint, family and K, so its L_hat is read from the run's sweep.csv
+    and not scored again. A run without sweep.csv, or whose sweep.csv lacks a
+    needed cell or holds another prediction there (another checkpoint or
+    formula variant), is refused.
     """
+    # an unfinished pass 1 is named before a missing sweep
+    points = list(replay_points(run_dir, {RegimeLabel.STABLE}, adaptive_window))
+    sweep_file = Path(run_dir) / SWEEP_CSV
+    if not sweep_file.exists():
+        raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
+    swept = {(c.checkpoint_step, c.predictor, c.k): c
+             for c in read_sweep_csv(sweep_file) if c.eligible}
     rows: list[CascadeRow] = []
-    for ckpt, _, window, delta, sigma in replay_points(run_dir, {RegimeLabel.STABLE},
-                                                       adaptive_window):
+    for ckpt, _, window, delta, sigma in points:
         for d, k in configs:
             for formula in formulas:
                 if len(window) < FORMULAS[formula].history:
                     continue
+                family = FORMULAS[formula].family
+                cell = swept.get((ckpt.step, family, k))
+                if cell is None:
+                    raise ValueError(f"{sweep_file} has no cell for step {ckpt.step}, "
+                                     f"predictor {family}, K={k}; run the sweep pass again")
                 events = run_cascade(window, delta, CascadeConfig(depth=d, k=k),
-                                     formula, criterion, task, hyper,
+                                     formula, criterion, task, hyper, l_hat=cell.l_hat,
                                      sigma_l=sigma, epsilon=epsilon)
+                if events and events[0].displacement_norm != cell.displacement_norm:
+                    raise ValueError(f"{sweep_file} holds another prediction at step "
+                                     f"{ckpt.step}, predictor {family}, K={k}; "
+                                     f"run the sweep pass again")
                 rows.append(CascadeRow(
                     seed=ckpt.seed, start_step=ckpt.step, depth=d, k=k,
-                    predictor=FORMULAS[formula].family, criterion=criterion,
+                    predictor=family, criterion=criterion,
                     accepted_depth=accepted_depth(events, criterion),
                     events=tuple(events)))
     return rows
@@ -399,28 +430,24 @@ def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
 def read_sweep_csv(path: str | Path, epsilon: float = 0.05) -> list[SweepCell]:
     """Rebuild sweep cells from CSV (criterion verdicts are authoritative)."""
     cells: list[SweepCell] = []
+    regimes = {label.value: label for label in RegimeLabel}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_CSV_HEADER.split(","):
-            raise ValueError(f"{path}: unexpected sweep CSV header {reader.fieldnames}")
-        for row in reader:
-            eligible = row["eligible"] == "1"
-            l_t = float(row["L_t"])
-            if eligible:
-                l_hat = float(row["L_hat"])
-                decision = Decision(
-                    strict=row["strict"] == "1",
-                    adaptive=None if row["adaptive"] == "" else row["adaptive"] == "1",
-                    proximity=row["proximity"] == "1",
-                    l_hat=l_hat, l_t=l_t, sigma_l=None, epsilon=epsilon)
-                disp = float(row["displacement_norm"])
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SWEEP_CSV_HEADER.split(","):
+            raise ValueError(f"{path}: unexpected sweep CSV header {header}")
+        # the columns of SWEEP_CSV_HEADER, in order
+        for (seed, step, regime, predictor, k, l_hat, l_t,
+             strict, adaptive, proximity, disp, eligible) in reader:
+            l_t = float(l_t)
+            if eligible == "1":
+                l_hat, disp = float(l_hat), float(disp)
+                decision = Decision(strict == "1", None if adaptive == "" else adaptive == "1",
+                                    proximity == "1", l_hat, l_t, None, epsilon)
             else:
-                l_hat, decision, disp = float("nan"), None, float("nan")
-            cells.append(SweepCell(
-                seed=int(row["seed"]), checkpoint_step=int(row["step"]),
-                regime=RegimeLabel(row["regime"]), predictor=row["predictor"],
-                k=int(row["K"]), l_hat=l_hat, l_t=l_t, decision=decision,
-                displacement_norm=disp, eligible=eligible))
+                l_hat, decision, disp = math.nan, None, math.nan
+            cells.append(SweepCell(int(seed), int(step), regimes[regime], predictor, int(k),
+                                   l_hat, l_t, decision, disp, eligible == "1"))
     return cells
 
 
@@ -773,7 +800,7 @@ def sweep_seeds(cfg: RunConfig, task: Task,
         run_dir = run_dir_for(out_root, task.name, seed)
         cells = pass2_ksweep(run_dir, task, hyper, k_set=cfg.k_set, epsilon=cfg.epsilon,
                              adaptive_window=cfg.adaptive_window, formulas=formulas)
-        write_sweep_csv(cells, run_dir / "sweep.csv")
+        write_sweep_csv(cells, run_dir / SWEEP_CSV)
         return cells
 
     return each_seed("pass2 (sweep)", cfg.seeds, sweep)
@@ -813,8 +840,8 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
 
     def load(seed: int) -> None:
         run_dir = task_dir / str(seed)
-        labels_by_seed[seed] = list(read_labels(run_dir).values())
-        sweep_file, cascade_file = run_dir / "sweep.csv", run_dir / "cascades.jsonl"
+        labels_by_seed[seed] = [label for _, label in read_loss_log(run_dir).values()]
+        sweep_file, cascade_file = run_dir / SWEEP_CSV, run_dir / "cascades.jsonl"
         for path, stage in ((sweep_file, "sweep"), (cascade_file, "cascade")):
             if not path.exists():
                 raise FileNotFoundError(f"{path} missing; run the {stage} pass first")

@@ -22,11 +22,15 @@ sweep rows and reports print:
 
 The user names a family (``momentum``, ``linear``, ``quadratic``) plus the
 ``momentum_variant`` and ``quad_variant`` settings; resolve_predictor turns
-that choice into a formula name. Live speculation and cascade stage 1 score
-predict()'s exact weights; cascade stage n scores theta_t + n * (stage 1's
-displacement), so a quadratic cascade's curvature enters only in stage 1.
-The sweep scores a whole K grid through predict_grid(), whose directions and
-coefficient matrix go to Task.affine_losses. Both read FORMULAS and build
+that choice into a formula name. Each formula names its directions in the
+DIRECTIONS table, so formulas that share one (linear and quadratic share the
+velocity) can share its computation. Live speculation scores predict()'s
+exact weights. The sweep scores every formula's K grid at a checkpoint through
+predict_grid(), which computes each named direction once and hands the
+directions and coefficient matrices to Task.affine_losses. A cascade takes
+stage 1 from predict() and its loss from the sweep; stage n scores theta_t +
+n * (stage 1's displacement), so a quadratic cascade's curvature enters only
+in stage 1. predict() and predict_grid() both read FORMULAS and build
 theta_hat in the one _combine, so a grid prediction is predict()'s, bit for bit.
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
@@ -100,15 +104,6 @@ def _descent_unit(m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper) -> 
     return -(lr_at(hyper, min(step, hyper.total_steps)) * m_hat / (np.sqrt(v_hat) + hyper.eps))
 
 
-def _differences(theta_t: np.ndarray, theta_prev: np.ndarray,
-                 theta_prev2: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """The velocity theta_t - theta_prev and, given theta_prev2, the second difference."""
-    velocity = theta_t - theta_prev
-    if theta_prev2 is None:
-        return (velocity,)
-    return velocity, theta_t - 2.0 * theta_prev + theta_prev2
-
-
 def predict_momentum(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
                      k: int, eps: float) -> Prediction:
     """theta + K * m/(sqrt(v)+eps), raw moments, additive sign, no lr factor."""
@@ -131,20 +126,35 @@ def predict_momentum_descent(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
 def predict_linear(theta_t: np.ndarray, theta_prev: np.ndarray,
                    delta: int, k: int) -> Prediction:
     """theta + (K/delta) * (theta - theta_prev)."""
-    return _combine(LINEAR, theta_t, _differences(theta_t, theta_prev), k, delta)
+    return _combine(LINEAR, theta_t, _directions(LINEAR, (theta_prev, theta_t)), k, delta)
 
 
 def predict_quadratic(theta_t: np.ndarray, theta_prev: np.ndarray,
                       theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Parabola through three checkpoints, curvature coefficient K(K-delta)."""
-    return _combine(QUADRATIC, theta_t, _differences(theta_t, theta_prev, theta_prev2), k, delta)
+    thetas = (theta_prev2, theta_prev, theta_t)
+    return _combine(QUADRATIC, theta_t, _directions(QUADRATIC, thetas), k, delta)
 
 
 def predict_quadratic_exact(theta_t: np.ndarray, theta_prev: np.ndarray,
                             theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Quadratic variant with coefficient K(K+delta): exact on parabolic trajectories."""
-    return _combine(QUADRATIC_EXACT, theta_t, _differences(theta_t, theta_prev, theta_prev2),
-                    k, delta)
+    thetas = (theta_prev2, theta_prev, theta_t)
+    return _combine(QUADRATIC_EXACT, theta_t, _directions(QUADRATIC_EXACT, thetas), k, delta)
+
+
+# the directions formulas combine: (thetas, m, v, step, hyper) -> D, thetas oldest first
+DIRECTIONS: dict[str, Callable[..., np.ndarray]] = {
+    "momentum_unit": lambda th, m, v, step, h: _momentum_unit(m, v, h.eps),
+    "descent_unit": lambda th, m, v, step, h: _descent_unit(m, v, step, h),
+    "velocity": lambda th, *_: th[-1] - th[-2],
+    "curvature": lambda th, *_: th[-1] - 2.0 * th[-2] + th[-3],
+}
+
+
+def _directions(formula: str, thetas: Sequence[np.ndarray], *state) -> list[np.ndarray]:
+    """The formula's directions D_j from the history and the (m, v, step, hyper) state."""
+    return [DIRECTIONS[name](thetas, *state) for name in FORMULAS[formula].directions]
 
 
 @dataclass(frozen=True)
@@ -152,7 +162,7 @@ class Formula:
     family: str         # label of sweep rows and reports
     history: int        # checkpoints needed, the current one included
     coeffs: Callable[[int, int], tuple[float, ...]]  # (K, delta) -> c_j
-    directions: Callable[..., tuple[np.ndarray, ...]]  # (thetas, m, v, step, hyper) -> D_j
+    directions: tuple[str, ...]  # D_j, named in DIRECTIONS
     scaled_norm: bool = False  # displacement c_1 * ||D_1||, not ||theta_hat - theta_t||
 
 
@@ -161,23 +171,15 @@ def _k_coeff(k: int, delta: int) -> tuple[float, ...]:
 
 
 FORMULAS = {
-    MOMENTUM: Formula(
-        MOMENTUM, 1, _k_coeff,
-        lambda th, m, v, step, h: (_momentum_unit(m, v, h.eps),),
-        scaled_norm=True),
-    MOMENTUM_DESCENT: Formula(
-        MOMENTUM, 1, _k_coeff,
-        lambda th, m, v, step, h: (_descent_unit(m, v, step, h),),
-        scaled_norm=True),
-    LINEAR: Formula(
-        LINEAR, 2, lambda k, dt: (k / dt,),
-        lambda th, *_: _differences(th[-1], th[-2])),
+    MOMENTUM: Formula(MOMENTUM, 1, _k_coeff, ("momentum_unit",), scaled_norm=True),
+    MOMENTUM_DESCENT: Formula(MOMENTUM, 1, _k_coeff, ("descent_unit",), scaled_norm=True),
+    LINEAR: Formula(LINEAR, 2, lambda k, dt: (k / dt,), ("velocity",)),
     QUADRATIC: Formula(
         QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k - dt) / (2.0 * dt * dt)),
-        lambda th, *_: _differences(th[-1], th[-2], th[-3])),
+        ("velocity", "curvature")),
     QUADRATIC_EXACT: Formula(
         QUADRATIC, 3, lambda k, dt: (k / dt, float(k) * (k + dt) / (2.0 * dt * dt)),
-        lambda th, *_: _differences(th[-1], th[-2], th[-3])),
+        ("velocity", "curvature")),
 }
 
 
@@ -210,24 +212,33 @@ def predict(formula: str, thetas: Sequence[np.ndarray], spacing: int, k: int,
     momentum formulas extrapolate. Raises InsufficientHistoryError when the
     history is too short for the formula.
     """
-    directions = _formula(formula, thetas).directions(thetas, m, v, step, hyper)
-    return _combine(formula, thetas[-1], directions, k, spacing)
+    _formula(formula, thetas)
+    return _combine(formula, thetas[-1], _directions(formula, thetas, m, v, step, hyper),
+                    k, spacing)
 
 
-def predict_grid(formula: str, thetas: Sequence[np.ndarray], spacing: int, ks: Sequence[int],
-                 m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper,
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[Prediction]]:
-    """predict() at every K of `ks`, from directions computed once.
+def predict_grid(formulas: Sequence[str], thetas: Sequence[np.ndarray], spacing: int,
+                 ks: Sequence[int], m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper,
+                 ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray, list[Prediction]]]:
+    """predict() with every formula of `formulas` at every K of `ks`.
 
-    Returns (directions, coeffs, predictions): predictions[i] is predict()'s
-    prediction at ks[i], bit for bit, and its theta_hat is thetas[-1] +
-    sum_j coeffs[i, j] * directions[j].
+    Returns one (directions, coeffs, predictions) triple per formula:
+    predictions[i] is predict()'s prediction at ks[i], bit for bit, and its
+    theta_hat is thetas[-1] + sum_j coeffs[i, j] * directions[j]. Each named
+    direction is computed once, and formulas that share it share the array.
     """
-    entry = _formula(formula, thetas)
-    directions = entry.directions(thetas, m, v, step, hyper)
-    preds = [_combine(formula, thetas[-1], directions, k, spacing) for k in ks]
-    coeffs = np.array([entry.coeffs(k, spacing) for k in ks], dtype=np.float64)
-    return directions, coeffs.reshape(len(preds), len(directions)), preds
+    computed: dict[str, np.ndarray] = {}
+    grids = []
+    for formula in formulas:
+        entry = _formula(formula, thetas)
+        for name in entry.directions:
+            if name not in computed:
+                computed[name] = DIRECTIONS[name](thetas, m, v, step, hyper)
+        directions = tuple(computed[name] for name in entry.directions)
+        preds = [_combine(formula, thetas[-1], directions, k, spacing) for k in ks]
+        coeffs = np.array([entry.coeffs(k, spacing) for k in ks], dtype=np.float64)
+        grids.append((directions, coeffs.reshape(len(preds), len(directions)), preds))
+    return grids
 
 
 def _formula(formula: str, thetas: Sequence[np.ndarray]) -> Formula:

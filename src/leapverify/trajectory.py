@@ -68,11 +68,11 @@ def history_at(ckpts: Sequence[Checkpoint], i: int, since: int = 0) -> Sequence[
     return ckpts[max(since, i + 1 - WINDOW_CAPACITY): i + 1]
 
 
-def checkpoint_spacing(ckpts: Sequence[Checkpoint]) -> int:
-    """The one step spacing of consecutive checkpoints; uneven spacing is refused."""
-    if len(ckpts) < 2:
+def checkpoint_spacing(steps: Sequence[int]) -> int:
+    """The one spacing of consecutive checkpoint steps; uneven spacing is refused."""
+    if len(steps) < 2:
         return 1  # spacing is irrelevant below the two-checkpoint mark
-    diffs = {b.step - a.step for a, b in zip(ckpts, ckpts[1:])}
+    diffs = {b - a for a, b in zip(steps, steps[1:])}
     if len(diffs) != 1:
         raise WindowSpacingError(f"uneven checkpoint spacing: {sorted(diffs)}")
     return diffs.pop()

@@ -15,7 +15,7 @@ from leapverify.config import OUT_ENV_VAR, load_config
 
 BASE = [
     "--task", "quad-bowl", "--seeds", "42", "--steps", "300", "--delta", "50",
-    "--k-set", "5,10", "--tau-low", "-0.999", "--tau-high", "-0.99",
+    "--k-set", "5,10,25,50", "--tau-low", "-0.999", "--tau-high", "-0.99",
 ]
 
 
@@ -141,6 +141,16 @@ def test_report_requires_the_sweep_pass(tmp_path, capsys):
         assert f"{run_dir / missing} missing; run the {stage} pass first" in err
 
 
+def test_cascade_requires_the_sweep_pass(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["train", *BASE, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["cascade", *BASE, "--out", str(out)]) == 1
+    sweep = out / "runs" / "quad-bowl" / "42" / "sweep.csv"
+    assert (f"pass3 (cascade) failed for seed 42: {sweep} missing; run the sweep pass first"
+            in capsys.readouterr().err)
+
+
 def test_train_sweep_cascade_pipeline(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["train", *BASE, "--out", str(out)]) == 0
@@ -155,7 +165,7 @@ def test_train_sweep_cascade_pipeline(tmp_path, capsys):
 def test_report_after_single_passes_records_the_resolved_lr_and_taus(tmp_path, capsys):
     out = tmp_path / "exp"
     calibrated = ["--task", "quad-bowl", "--seeds", "42", "--steps", "300", "--delta", "50",
-                  "--k-set", "5,10", "--out", str(out)]
+                  "--k-set", "5,10,25,50", "--out", str(out)]
     for command in ("train", "sweep", "cascade"):
         assert main([command, *calibrated]) == 0
     capsys.readouterr()

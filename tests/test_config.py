@@ -126,6 +126,13 @@ def test_validation_rejects(kwargs):
         RunConfig(**kwargs)
 
 
+def test_a_cascade_k_outside_the_k_set_is_refused():
+    # cascade stage 1 is read from the sweep cell at its K
+    with pytest.raises(ValueError, match=r"^cascade 4x30: K=30 is not in k_set "
+                                         r"5,10,25,50,75,100$"):
+        RunConfig(cascades=((4, 25), (4, 30)))
+
+
 def test_config_dict_is_json_friendly():
     d = config_dict(custom_config())
     assert d["seeds"] == [1, 2, 3]

@@ -349,18 +349,24 @@ def stable_window():
     return task, hyper, window
 
 
+def scored_cascade(window, cfg, predictor, criterion, task, hyper, *, sigma_l):
+    """run_cascade at delta 50, with stage 1's loss scored by speculate()."""
+    _, l_hat = speculate(window, 50, predictor, cfg.k, task, hyper)
+    return run_cascade(window, 50, cfg, predictor, criterion, task, hyper,
+                       l_hat=l_hat, sigma_l=sigma_l, epsilon=0.05)
+
+
 def test_cascade_requires_history_for_the_predictor(stable_window):
     task, hyper, window = stable_window
     with pytest.raises(InsufficientHistoryError):
         run_cascade(window[-1:], 50, CascadeConfig(2, 25), "linear", "strict",
-                    task, hyper, sigma_l=None, epsilon=0.05)
+                    task, hyper, l_hat=1.0, sigma_l=None, epsilon=0.05)
 
 
 def test_cascade_stage_accounting(stable_window):
     task, hyper, window = stable_window
     cfg = CascadeConfig(depth=3, k=25)
-    events = run_cascade(window, 50, cfg, "linear", "strict", task, hyper,
-                         sigma_l=None, epsilon=0.05)
+    events = scored_cascade(window, cfg, "linear", "strict", task, hyper, sigma_l=None)
     assert 1 <= len(events) <= cfg.depth
     start = window[-1].step
     for i, ev in enumerate(events):
@@ -378,8 +384,8 @@ def test_cascade_stage_accounting(stable_window):
 
 def test_cascade_chains_losses_stage_to_stage(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, 50, CascadeConfig(3, 25), "linear", "strict",
-                         task, hyper, sigma_l=None, epsilon=0.05)
+    events = scored_cascade(window, CascadeConfig(3, 25), "linear", "strict", task, hyper,
+                            sigma_l=None)
     pred, l_hat = speculate(window, 50, "linear", 25, task, hyper)
     assert events[0].decision.l_hat == l_hat
     assert events[0].decision.l_t == window[-1].val_loss
@@ -390,8 +396,8 @@ def test_cascade_chains_losses_stage_to_stage(stable_window):
 
 def test_cascade_depth_one_matches_single_speculation(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, 50, CascadeConfig(1, 25), "quadratic", "strict",
-                         task, hyper, sigma_l=None, epsilon=0.05)
+    events = scored_cascade(window, CascadeConfig(1, 25), "quadratic", "strict", task, hyper,
+                            sigma_l=None)
     _, l_hat = speculate(window, 50, "quadratic", 25, task, hyper)
     expected = decide(l_hat, window[-1].val_loss, None, 0.05)
     assert len(events) == 1
@@ -403,25 +409,24 @@ def test_cascade_strict_depth_never_exceeds_adaptive(stable_window):
     for predictor in ("momentum", "linear", "quadratic"):
         depths = {}
         for criterion in ("strict", "adaptive"):
-            events = run_cascade(window, 50, CascadeConfig(4, 25), predictor,
-                                 criterion, task, hyper,
-                                 sigma_l=window[-1].val_loss, epsilon=0.05)
+            events = scored_cascade(window, CascadeConfig(4, 25), predictor, criterion,
+                                    task, hyper, sigma_l=window[-1].val_loss)
             depths[criterion] = accepted_depth(events, criterion)
         assert depths["strict"] <= depths["adaptive"]
 
 
 def test_cascade_later_stages_keep_the_predictor_label(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, 50, CascadeConfig(4, 25), "quadratic", "adaptive",
-                         task, hyper, sigma_l=10.0, epsilon=0.05)
+    events = scored_cascade(window, CascadeConfig(4, 25), "quadratic", "adaptive", task, hyper,
+                            sigma_l=10.0)
     assert len(events) >= 2  # a generous sigma accepts at least stage 1
     assert all(ev.predictor == "quadratic" for ev in events)
 
 
 def test_accepted_depth_counts_leading_acceptances(stable_window):
     task, hyper, window = stable_window
-    events = run_cascade(window, 50, CascadeConfig(4, 25), "momentum", "adaptive",
-                         task, hyper, sigma_l=1e9, epsilon=0.05)
+    events = scored_cascade(window, CascadeConfig(4, 25), "momentum", "adaptive", task, hyper,
+                            sigma_l=1e9)
     assert accepted_depth(events, "adaptive") == len(events) == 4
     assert accepted_depth([], "strict") == 0
 
@@ -478,20 +483,28 @@ def chain_rule_losses(window, delta, formula, k, depth, task, hyper):
 
 
 @pytest.mark.parametrize("formula", sorted(FORMULAS))
-def test_cascade_stages_continue_along_the_first_leap(curved_window, formula):
+def test_cascade_stages_continue_along_the_first_leap(curved_window, formula, monkeypatch):
     task, hyper, window = curved_window
     depth, k = 4, 25
-    events = run_cascade(window, 50, CascadeConfig(depth, k), formula, "adaptive",
-                         task, hyper, sigma_l=1e9, epsilon=0.05)
-    assert len(events) == depth
     first, l_first = speculate(window, 50, formula, k, task, hyper)
-    assert events[0].decision.l_hat == l_first
+    # stage 1 takes the loss it is given and scores nothing itself
+    given = l_first * (1.0 + 2.0 ** -40)
+    scored = []
+    validation_loss = task.validation_loss
+    monkeypatch.setattr(task, "validation_loss",
+                        lambda theta: scored.append(theta) or validation_loss(theta))
+    events = run_cascade(window, 50, CascadeConfig(depth, k), formula, "adaptive",
+                         task, hyper, l_hat=given, sigma_l=1e9, epsilon=0.05)
+    assert len(events) == depth
+    assert len(scored) == depth - 1
+    assert events[0].decision.l_hat == given
+    assert events[0].decision.l_t == window[-1].val_loss
     leap = first.theta_hat - window[-1].theta
     theta = first.theta_hat
     for prev, event in zip(events, events[1:]):
         theta = theta + leap
-        assert event.decision.l_hat == task.validation_loss(theta)
+        assert event.decision.l_hat == validation_loss(theta)
         assert event.decision.l_t == prev.decision.l_hat
     reference = chain_rule_losses(window, 50, formula, k, depth, task, hyper)
-    assert [e.decision.l_hat for e in events] == pytest.approx(reference, rel=1e-12, abs=0)
+    assert [e.decision.l_hat for e in events[1:]] == pytest.approx(reference[1:], rel=1e-12, abs=0)
     assert [e.displacement_norm for e in events] == [first.displacement_norm] * depth

@@ -25,8 +25,10 @@ formulas and under the variant pair (momentum_variant = descent,
 quad_variant = exact), so every prediction formula is pinned byte for byte.
 Cascade stage n scores theta_t + n * (stage 1's displacement) against stage
 n-1's loss, so a quadratic cascade's curvature enters only in stage 1. The
-sweep scores each K grid in one pass (engine.speculate_grid), so its L_hat
-column pins that path; cascades and live events pin the exact forward.
+sweep scores each checkpoint's grid in one pass (engine.speculate_grid), so
+its L_hat column pins that path, and so does each cascade's stage 1, which
+reads its loss from the sweep; later cascade stages and live events pin the
+exact forward.
 Events name the formula that ran, so the descent events read
 "momentum_descent".
 
@@ -38,6 +40,7 @@ differently and change them without any change to this package.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import replace
 
@@ -46,7 +49,7 @@ import pytest
 from leapverify.cli import main
 from leapverify.config import RunConfig, save_config
 from leapverify.engine import SpeculationSettings, train_run
-from leapverify.harness import build_hyper, run_experiment, write_loss_log
+from leapverify.harness import build_hyper, read_sweep_csv, run_experiment, write_loss_log
 from leapverify.regime import Thresholds
 from leapverify.tasks import make_task
 from leapverify.trajectory import load_checkpoint
@@ -145,6 +148,23 @@ def test_golden_replay(variants, tmp_path):
     digests = {name: sha256_file(run_dir / name) for name in ("sweep.csv", "cascades.jsonl")}
     digests["report.txt"] = sha256_file(tmp_path / "report.txt")
     assert digests == GOLDEN_REPLAY[variants]
+
+
+@pytest.mark.parametrize("variants", sorted(VARIANTS))
+def test_cascade_stage_one_is_the_sweep_cell(variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    run_experiment(replace(REPLAY, momentum_variant=momentum_variant,
+                           quad_variant=quad_variant, out=str(tmp_path)))
+    run_dir = tmp_path / "runs" / "mlp-reg" / str(SEED)
+    cells = {(c.checkpoint_step, c.predictor, c.k): c
+             for c in read_sweep_csv(run_dir / "sweep.csv")}
+    rows = [json.loads(line) for line in (run_dir / "cascades.jsonl").read_text().splitlines()]
+    assert rows
+    for row in rows:
+        cell, event = cells[row["start_step"], row["predictor"], row["k"]], row["events"][0]
+        assert event["stage"] == 1
+        assert event["decision"]["l_hat"].hex() == cell.l_hat.hex()
+        assert event["decision"][REPLAY.criterion] == cell.decision.verdict(REPLAY.criterion)
 
 
 @pytest.mark.parametrize("predictor, variants", sorted(GOLDEN_LIVE_EVENTS))

@@ -162,6 +162,27 @@ def test_pass2_requires_even_checkpoint_spacing(tmp_path, replay):
         replay(tmp_path, task, hyper)
 
 
+def test_replay_loads_only_the_windows_it_replays(tmp_path, monkeypatch):
+    labels = ["chaotic", "chaotic", "chaotic", "stable", "chaotic", "chaotic"]
+    log = "step,val_loss,similarity,regime\n"
+    for i, label in enumerate(labels):
+        step = 50 * (i + 1)
+        save_checkpoint(make_checkpoint(step, np.ones(3), val_loss=1.0 + i),
+                        tmp_path / f"ckpt_{step}.lpv")
+        log += f"{step},{1.0 + i!r},,{label}\n"
+    (tmp_path / "loss_log.csv").write_text(log)
+    loaded = []
+    load = harness.load_checkpoint
+    monkeypatch.setattr(harness, "load_checkpoint", lambda path: loaded.append(path.name)
+                        or load(path))
+    (ckpt, label, window, delta, sigma), = replay_points(tmp_path, {RegimeLabel.STABLE}, 5)
+    assert loaded == ["ckpt_100.lpv", "ckpt_150.lpv", "ckpt_200.lpv"]
+    assert [c.step for c in window] == [100, 150, 200] and window[-1] is ckpt
+    assert (label, delta) == (RegimeLabel.STABLE, 50)
+    # step 50's loss counts too, read from the log: its checkpoint was not loaded
+    assert sigma == float(np.std([1.0, 2.0, 3.0, 4.0], ddof=1))
+
+
 GRID_KS = (5, 10, 25, 50, 75, 100)
 
 
@@ -173,16 +194,24 @@ def assert_same_loss(got: float, want: float) -> None:
         assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
 
 
-def assert_grid_matches_speculate(window, delta, formula, task, hyper) -> list[float]:
-    """speculate_grid's predictions are speculate()'s bit for bit, its losses to 1e-12."""
-    preds, losses = speculate_grid(window, delta, formula, GRID_KS, task, hyper)
-    for k, pred, l_hat in zip(GRID_KS, preds, losses):
-        want, want_loss = speculate(window, delta, formula, k, task, hyper)
-        assert (pred.predictor, pred.k, pred.finite) == (want.predictor, want.k, want.finite)
-        assert pred.theta_hat.tobytes() == want.theta_hat.tobytes()
-        assert pred.displacement_norm == want.displacement_norm
-        assert_same_loss(l_hat, want_loss)
-    return losses
+def assert_grid_matches_speculate(window, delta, formulas, task, hyper) -> list[list[float]]:
+    """speculate_grid's predictions are speculate()'s bit for bit, its losses to 1e-12.
+
+    Scored together, the formulas' losses equal, bit for bit, each formula's
+    scored alone: a shared first-layer product is the same floats.
+    """
+    grids = speculate_grid(window, delta, formulas, GRID_KS, task, hyper)
+    assert len(grids) == len(formulas)
+    for formula, (preds, losses) in zip(formulas, grids):
+        (_, alone), = speculate_grid(window, delta, [formula], GRID_KS, task, hyper)
+        assert np.array_equal(losses, alone, equal_nan=True)
+        for k, pred, l_hat in zip(GRID_KS, preds, losses):
+            want, want_loss = speculate(window, delta, formula, k, task, hyper)
+            assert (pred.predictor, pred.k, pred.finite) == (want.predictor, want.k, want.finite)
+            assert pred.theta_hat.tobytes() == want.theta_hat.tobytes()
+            assert pred.displacement_norm == want.displacement_norm
+            assert_same_loss(l_hat, want_loss)
+    return [losses for _, losses in grids]
 
 
 @pytest.mark.parametrize("task_name", ["mlp-reg", "char-seq", "quad-bowl"])
@@ -199,10 +228,11 @@ def test_pass2_grid_matches_per_cell_speculation(tmp_path, task_name):
     windows = set()
     for ckpt, _, window, delta, sigma in replay_points(run_dir, set(RegimeLabel), 5):
         windows.add(len(window))
+        assert_grid_matches_speculate(
+            window, delta, [f for f in formulas if len(window) >= FORMULAS[f].history],
+            task, hyper)
         for formula in formulas:
             usable = len(window) >= FORMULAS[formula].history
-            if usable:
-                assert_grid_matches_speculate(window, delta, formula, task, hyper)
             for k in GRID_KS:
                 cell = next(cells)
                 assert (cell.checkpoint_step, cell.k, cell.eligible) == (ckpt.step, k, usable)
@@ -227,7 +257,7 @@ def test_grid_scores_a_non_finite_momentum_prediction_nan():
     m, v = np.zeros(task.param_dim), np.zeros(task.param_dim)
     m[3] = 1e299  # a W1 entry: unit 1e307 there, so K >= 25 overflows
     ckpt = make_checkpoint(100, task.init_params(1), val_loss=0.5, m=m, v=v)
-    losses = assert_grid_matches_speculate([ckpt], 25, "momentum", task, hyper)
+    losses, = assert_grid_matches_speculate([ckpt], 25, ["momentum"], task, hyper)
     assert [math.isnan(x) for x in losses] == [False, False, True, True, True, True]
 
 
@@ -318,6 +348,7 @@ def test_pass3_without_stable_checkpoints(tmp_path):
     task = build_task(cfg)
     # tau_high = 1.0 is unreachable for a cosine, so nothing is ever stable
     pass1_train(task, 42, cfg, Thresholds(0.5, 1.0), tmp_path)
+    list(harness.sweep_seeds(replace(cfg, seeds=(42,)), task, tmp_path))
     rows = pass3_cascades(run_dir_for(tmp_path, "quad-bowl", 42), task,
                           build_hyper(cfg, task), configs=cfg.cascades,
                           criterion="strict", epsilon=cfg.epsilon)
@@ -325,6 +356,46 @@ def test_pass3_without_stable_checkpoints(tmp_path):
     report = aggregate([], rows, {42: [RegimeLabel.TRANSITION]}, {})
     assert report.cascades == []
     assert "zero denominators" in report.cascade_note
+
+
+def cascade_over_a_sweep(experiment, tmp_path, formulas, k_set):
+    """Pass 3 at cfg's formulas over a copy of seed 42's run, swept at `formulas` and `k_set`."""
+    cfg, _, out = experiment
+    task = build_task(cfg)
+    hyper = build_hyper(cfg, task)
+    run_dir = shutil.copytree(run_dir_for(out, "quad-bowl", 42), tmp_path / "42")
+    write_sweep_csv(pass2_ksweep(run_dir, task, hyper, k_set=k_set, epsilon=cfg.epsilon,
+                                 formulas=formulas), run_dir / "sweep.csv")
+    return pass3_cascades(run_dir, task, hyper, configs=cfg.cascades, criterion=cfg.criterion,
+                          epsilon=cfg.epsilon, formulas=sweep_formulas(cfg))
+
+
+def test_pass3_reads_stage_one_from_the_sweep(experiment, tmp_path):
+    cfg, _, _ = experiment
+    rows = cascade_over_a_sweep(experiment, tmp_path, sweep_formulas(cfg), cfg.k_set)
+    cells = {(c.checkpoint_step, c.predictor, c.k): c
+             for c in read_sweep_csv(tmp_path / "42" / "sweep.csv")}
+    assert rows
+    for row in rows:
+        cell, first = cells[row.start_step, row.predictor, row.k], row.events[0]
+        assert (first.stage, first.decision.l_hat) == (1, cell.l_hat)
+        assert first.displacement_norm == cell.displacement_norm
+
+
+def test_pass3_refuses_a_sweep_without_its_cell(experiment, tmp_path):
+    cfg, _, _ = experiment
+    # a sweep left from another k_set: the 2x25 cascade finds no K=25 cell
+    with pytest.raises(ValueError, match=r"sweep.csv has no cell for step 100, "
+                                         r"predictor momentum, K=25"):
+        cascade_over_a_sweep(experiment, tmp_path, sweep_formulas(cfg), (5, 10))
+
+
+def test_pass3_refuses_a_sweep_of_another_formula(experiment, tmp_path):
+    cfg, _, _ = experiment
+    exact = sweep_formulas(replace(cfg, quad_variant="exact"))
+    with pytest.raises(ValueError, match=r"sweep.csv holds another prediction at step 150, "
+                                         r"predictor quadratic, K=25"):
+        cascade_over_a_sweep(experiment, tmp_path, exact, cfg.k_set)
 
 
 def test_sweep_csv_header_and_round_trip(experiment):
