@@ -116,12 +116,12 @@ VARIANTS = {"paper": ("paper", "paper"), "descent-exact": ("descent", "exact")}
 GOLDEN_REPLAY = {
     "descent-exact": {
         "sweep.csv": "b9f72daefbc5528df9cbe15712d6b8c17321931c9446f4ccc2f2aaa1463cd1e5",
-        "cascades.jsonl": "42660786da06c777c6e9d1063e9428bfab7194ca32ca9c32fa0f2a7f196e65b1",
+        "cascades.jsonl": "3aeee12242671bb1773c4da6386e03a28ee9ecc639fd6a1dfedfd544444fe030",
         "report.txt": "50e9d42a78b2f66661cc9659b24c8a6579f8027368de29fbbcf56a3b019f5649",
     },
     "paper": {
         "sweep.csv": "b102e02c44db34136684889016ecb2eef2398a2515e241e931810a5140dfcd20",
-        "cascades.jsonl": "03eba9984f06df79e90c9e30df59d598c06426a7061e3d2b4067b98555616fb8",
+        "cascades.jsonl": "fdca310bb11f82292e68e1576eba4593007d188600a827205cdb478ccc5a121d",
         "report.txt": "89f3a7cf24f9f5c04694386146b186392c56190b9048a47f769fa9840374ba5f",
     },
 }
