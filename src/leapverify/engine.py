@@ -147,10 +147,10 @@ def speculate_grid(
     speculate()'s, bit for bit. The losses come from Task.affine_losses, in
     which formulas that share a direction share its first-layer product, and
     agree with speculate()'s exact forward to rounding (at most 1.3e-15
-    relative, measured over every sweep cell of the default mlp-reg and
-    char-seq run-alls), so this serves offline scoring only: a leap applies
-    the weights it scored, through speculate(). NaN marks a non-finite
-    prediction.
+    relative, measured over every sweep cell of default run-alls of
+    mlp-reg, 5 seeds, and char-seq, 3 seeds), so this serves offline scoring
+    only: a leap applies the weights it scored, through speculate(). NaN
+    marks a non-finite prediction.
     """
     curr = ckpts[-1]
     grids = predict_grid(formulas, [c.theta for c in ckpts], delta, ks,

@@ -226,8 +226,8 @@ class TanhNetwork(Task):
         own products and one tanh cover all its rows, and the second layer
         runs batched on each row's W2 and b2. The losses agree with
         validation_loss to rounding (at most 1.3e-15 relative, measured over
-        every sweep cell of the default mlp-reg and char-seq run-alls), not
-        bit for bit.
+        every sweep cell of default run-alls of mlp-reg, 5 seeds, and
+        char-seq, 3 seeds), not bit for bit.
         """
         x1, h, o = self._x_val_1, self.hidden_dim, self.out_dim
         n, k1 = len(x1), x1.shape[1] * h
