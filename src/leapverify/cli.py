@@ -25,6 +25,7 @@ from .harness import (
     build_task,
     calibrate_thresholds,
     cascade_seeds,
+    check_cascade_ks,
     each_seed,
     effective_config,
     fresh_run_dir,
@@ -165,6 +166,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_run_all(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    check_cascade_ks(cfg)  # before --force deletes anything
     out_root = resolve_out_root(cfg)
     if (out_root / "report.json").exists() and not args.force:
         raise RuntimeError(f"{out_root / 'report.json'} already exists; pass --force to overwrite")

@@ -12,9 +12,9 @@ configured policy. The run then marks its next checkpoint as `since_leap`,
 where the finite-difference history (trajectory.history_at) restarts:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
-landing step. A cascade (run_cascade) applies no leap: its stage 1 takes the
-loss its caller scored, and its stage n scores theta_t plus n times stage 1's
-displacement against stage n-1's loss.
+landing step. A cascade (run_cascade) applies no leap: it walks from a
+stage-1 prediction and loss its caller already holds, and its stage n scores
+theta_t plus n times stage 1's displacement against stage n-1's loss.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ class SpeculationSettings:
     criterion: str = "strict"
     apply: bool = True          # False: verify but never leap (force-reject)
     regime_gating: bool = True  # suppress speculation in chaotic/unknown
-
-
-@dataclass(frozen=True)
-class CascadeConfig:
-    depth: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 1 or self.k < 1:
-            raise ValueError("cascade depth and K must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -329,37 +319,32 @@ def train_run(
 
 
 def run_cascade(
-    start_window: Sequence[Checkpoint],
-    delta: int,
-    cfg: CascadeConfig,
-    predictor: str,
+    start: Checkpoint,
+    pred: Prediction,
+    depth: int,
     criterion: str,
     task: Task,
-    hyper: AdamHyper,
     *,
     l_hat: float,
     sigma_l: float | None,
     epsilon: float,
 ) -> list[LeapEvent]:
-    """Score up to `cfg.depth` leaps of horizon K along the first one, from a stable checkpoint.
+    """Score up to `depth` leaps along the stage-1 leap `pred` from the stable checkpoint `start`.
 
-    Stage 1 is predict() from the history window (spacing `delta`), and
-    `l_hat` is its held-out loss, scored by the caller: pass 3 reads it from
-    the sweep, which holds the same prediction. Stage n scores theta_t + n *
-    (stage 1's displacement) with validation_loss against stage n-1's loss,
-    as any formula re-run on the chain of predictions at spacing K would, so a
-    quadratic cascade's curvature enters only in stage 1. Stages stop at the
-    first rejection under `criterion`. Events carry stage 1's displacement
-    norm and the stable label: callers start only from a stable
-    `start_window[-1]`.
+    `pred` predicts K steps past `start` and `l_hat` is its held-out loss;
+    pass 3 takes them from predict() and the sweep. Stage n scores theta_t +
+    n * (stage 1's displacement) with validation_loss against stage n-1's
+    loss, as any formula re-run on the chain of predictions at spacing K
+    would, so a quadratic cascade's curvature enters only in stage 1. Stages
+    stop at the first rejection under `criterion`. Events carry pred's
+    formula, K and displacement norm, and the stable label.
     """
-    start = start_window[-1]
-    pred = predict(predictor, [c.theta for c in start_window], delta, cfg.k,
-                   start.m, start.v, start.step, hyper)
+    if depth < 1:
+        raise ValueError("cascade depth must be >= 1")
     leap = pred.theta_hat - start.theta
     theta, baseline = pred.theta_hat, start.val_loss
     events: list[LeapEvent] = []
-    for stage in range(1, cfg.depth + 1):
+    for stage in range(1, depth + 1):
         if stage > 1:
             theta = theta + leap
             l_hat = task.validation_loss(theta)
@@ -367,9 +352,9 @@ def run_cascade(
             break  # previous stage's loss cannot anchor a verification
         decision = decide(l_hat, baseline, sigma_l, epsilon)
         events.append(LeapEvent(
-            step_from=start.step + (stage - 1) * cfg.k,
-            k=cfg.k,
-            predictor=predictor,
+            step_from=start.step + (stage - 1) * pred.k,
+            k=pred.k,
+            predictor=pred.predictor,
             decision=decision,
             applied=False,
             criterion_used=criterion,

@@ -4,9 +4,10 @@ Pass 1 trains each seed with periodic checkpoints and writes loss_log.csv,
 the one record of each checkpoint's regime label, last. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
-run). Pass 3 scores cascades, lines of leaps from stable checkpoints; a
-cascade's stage 1 is a sweep cell, so pass 3 reads its loss from pass 2's
-sweep.csv and needs pass 2 to have run first. The report is aggregated from
+run). Pass 3 scores cascades, lines of leaps from stable checkpoints: it
+predicts each cascade's stage 1, reads that sweep cell's loss from pass 2's
+sweep.csv, so pass 2 must have run first with every cascade K in k_set, and
+engine.run_cascade walks the later stages. The report is aggregated from
 the files the passes leave on disk. Statistics follow the
 per-seed-first convention: rates are computed within each seed, then
 summarized as mean/std/CoV across seeds, with denominators carried
@@ -27,7 +28,7 @@ import math
 import os
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from typing import TypeVar
 
@@ -35,7 +36,6 @@ import numpy as np
 
 from .config import RunConfig, config_dict, format_config, resolve_out_root
 from .engine import (
-    CascadeConfig,
     LeapEvent,
     RunResult,
     accepted_depth,
@@ -44,7 +44,7 @@ from .engine import (
     train_run,
 )
 from .optim import AdamHyper
-from .predict import FORMULAS, SWEEP_PREDICTORS, resolve_predictor
+from .predict import FORMULAS, SWEEP_PREDICTORS, predict, resolve_predictor
 from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (
@@ -171,6 +171,14 @@ def sweep_formulas(cfg: RunConfig) -> tuple[str, ...]:
     """The formula each predictor family evaluates under cfg's variants."""
     return tuple(resolve_predictor(p, cfg.quad_variant, cfg.momentum_variant)
                  for p in SWEEP_PREDICTORS)
+
+
+def check_cascade_ks(cfg: RunConfig) -> None:
+    """Refuse a cascade whose K is not in k_set: its stage 1 is the sweep cell at that K."""
+    for d, k in cfg.cascades:
+        if k not in cfg.k_set:
+            raise ValueError(f"cascade {d}x{k}: K={k} is not in k_set "
+                             f"{','.join(map(str, cfg.k_set))}")
 
 
 RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", LOSS_LOG, SWEEP_CSV, "cascades.jsonl",
@@ -363,11 +371,12 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
 
     Returns one row per (stable checkpoint, config, predictor) whose history
     admits the predictor; an empty list simply means the run had no usable
-    stable checkpoints. Stage 1 of a cascade is the sweep cell of its
-    checkpoint, family and K, so its L_hat is read from the run's sweep.csv
-    and not scored again. A run without sweep.csv, or whose sweep.csv lacks a
-    needed cell or holds another prediction there (another checkpoint or
-    formula variant), is refused.
+    stable checkpoints. A cascade's stage 1 is the sweep cell of its
+    checkpoint, family and K: pass 3 predicts it and takes its L_hat from
+    sweep.csv instead of scoring it again, and run_cascade walks the later
+    stages. A missing sweep.csv, or a needed cell that is missing or holds
+    another prediction (another checkpoint or formula variant), is refused
+    before any stage is scored.
     """
     # an unfinished pass 1 is named before a missing sweep
     points = list(replay_points(run_dir, {RegimeLabel.STABLE}, adaptive_window))
@@ -376,29 +385,30 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
         raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
     swept = {(c.checkpoint_step, c.predictor, c.k): c
              for c in read_sweep_csv(sweep_file) if c.eligible}
-    rows: list[CascadeRow] = []
+    starts = []  # (checkpoint, depth, stage-1 prediction, its L_hat, sigma) per cascade
     for ckpt, _, window, delta, sigma in points:
-        for d, k in configs:
-            for formula in formulas:
-                if len(window) < FORMULAS[formula].history:
-                    continue
-                family = FORMULAS[formula].family
-                cell = swept.get((ckpt.step, family, k))
-                if cell is None:
-                    raise ValueError(f"{sweep_file} has no cell for step {ckpt.step}, "
-                                     f"predictor {family}, K={k}; run the sweep pass again")
-                events = run_cascade(window, delta, CascadeConfig(depth=d, k=k),
-                                     formula, criterion, task, hyper, l_hat=cell.l_hat,
-                                     sigma_l=sigma, epsilon=epsilon)
-                if events and events[0].displacement_norm != cell.displacement_norm:
-                    raise ValueError(f"{sweep_file} holds another prediction at step "
-                                     f"{ckpt.step}, predictor {family}, K={k}; "
-                                     f"run the sweep pass again")
-                rows.append(CascadeRow(
-                    seed=ckpt.seed, start_step=ckpt.step, depth=d, k=k,
-                    predictor=family, criterion=criterion,
-                    accepted_depth=accepted_depth(events, criterion),
-                    events=tuple(events)))
+        usable = [f for f in formulas if len(window) >= FORMULAS[f].history]
+        for (d, k), formula in product(configs, usable):
+            family = FORMULAS[formula].family
+            cell = swept.get((ckpt.step, family, k))
+            where = f"step {ckpt.step}, predictor {family}, K={k}"
+            if cell is None:
+                raise ValueError(f"{sweep_file} has no cell for {where}; run the sweep pass again")
+            pred = predict(formula, [c.theta for c in window], delta, k,
+                           ckpt.m, ckpt.v, ckpt.step, hyper)
+            if pred.displacement_norm != cell.displacement_norm:
+                raise ValueError(f"{sweep_file} holds another prediction at {where}; "
+                                 f"run the sweep pass again")
+            starts.append((ckpt, d, pred, cell.l_hat, sigma))
+    rows: list[CascadeRow] = []
+    for ckpt, d, pred, l_hat, sigma in starts:
+        events = run_cascade(ckpt, pred, d, criterion, task, l_hat=l_hat,
+                             sigma_l=sigma, epsilon=epsilon)
+        rows.append(CascadeRow(
+            seed=ckpt.seed, start_step=ckpt.step, depth=d, k=pred.k,
+            predictor=FORMULAS[pred.predictor].family, criterion=criterion,
+            accepted_depth=accepted_depth(events, criterion),
+            events=tuple(events)))
     return rows
 
 
@@ -809,6 +819,7 @@ def sweep_seeds(cfg: RunConfig, task: Task,
 def cascade_seeds(cfg: RunConfig, task: Task,
                   out_root: str | Path) -> Iterator[tuple[int, list[CascadeRow]]]:
     """Pass 3 for every seed of cfg, each seed's rows written to its cascades.jsonl."""
+    check_cascade_ks(cfg)  # before any seed
     hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
 
     def cascade(seed: int) -> list[CascadeRow]:
@@ -861,6 +872,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     The effective config is written to config.txt before the report is
     aggregated from disk, as `leapverify report` aggregates it.
     """
+    check_cascade_ks(cfg)  # before thresholds are resolved or calibrated
     task = build_task(cfg)
     out_root = resolve_out_root(cfg)
     thresholds = resolve_thresholds(cfg, out_root)

@@ -27,11 +27,12 @@ DIRECTIONS table, so formulas that share one (linear and quadratic share the
 velocity) can share its computation. Live speculation scores predict()'s
 exact weights. The sweep scores every formula's K grid at a checkpoint through
 predict_grid(), which computes each named direction once and hands the
-directions and coefficient matrices to Task.affine_losses. A cascade takes
-stage 1 from predict() and its loss from the sweep; stage n scores theta_t +
-n * (stage 1's displacement), so a quadratic cascade's curvature enters only
-in stage 1. predict() and predict_grid() both read FORMULAS and build
-theta_hat in the one _combine, so a grid prediction is predict()'s, bit for bit.
+directions and coefficient matrices to Task.affine_losses. Pass 3 takes a
+cascade's stage 1 from predict() and its loss from the sweep, and
+run_cascade walks on from there: stage n scores theta_t + n * (stage 1's
+displacement), so a quadratic cascade's curvature enters only in stage 1.
+predict() and predict_grid() both read FORMULAS and build theta_hat in the
+one _combine, so a grid prediction is predict()'s, bit for bit.
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
 is recorded in Prediction.finite rather than raised, and the verifier treats

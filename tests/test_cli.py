@@ -190,6 +190,42 @@ def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
     assert f"pass2 (sweep) failed for seed 42: {log} missing" in err
 
 
+def test_a_corrupt_checkpoint_names_its_pass_seed_and_file(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["train", *BASE, "--out", str(out)]) == 0
+    ckpt = out / "runs" / "quad-bowl" / "42" / "ckpt_150.lpv"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])  # a truncated write
+    capsys.readouterr()
+    assert main(["sweep", *BASE, "--out", str(out)]) == 1
+    assert f"pass2 (sweep) failed for seed 42: {ckpt}: " in capsys.readouterr().err
+
+
+def files_under(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_cascade_k_outside_the_k_set_is_refused(tmp_path, capsys):
+    # only a cascade needs its K in k_set, since its stage 1 is the sweep cell
+    # at that K; the default cascades are 4x25, 2x50 and 10x10
+    out = tmp_path / "exp"
+    narrow = ["--task", "quad-bowl", "--seeds", "42", "--steps", "300", "--delta", "50",
+              "--k-set", "5,10", "--out", str(out)]
+    taus = ["--tau-low", "-0.999", "--tau-high", "-0.99"]
+    for command in ("train", "sweep"):
+        assert main([command, *narrow, *taus]) == 0
+    before = files_under(out)
+    capsys.readouterr()
+    refusal = "error: cascade 4x25: K=25 is not in k_set 5,10\n"
+    # refused before --force deletes a run dir or a calibration writes thresholds.txt
+    assert main(["run-all", *narrow, "--force"]) == 1
+    assert capsys.readouterr().err == refusal
+    assert files_under(out) == before
+    assert not (out / "thresholds.txt").exists()
+    assert main(["cascade", *narrow, *taus]) == 1
+    assert capsys.readouterr().err == refusal
+    assert files_under(out) == before
+
+
 def test_an_override_the_task_does_not_take_is_refused(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("task = char-seq\nnoise = 0.5\nseeds = 42\nsteps = 100\ndelta = 25\n")

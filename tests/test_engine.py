@@ -8,7 +8,6 @@ import pytest
 
 from leapverify.engine import (
     FF_POLICIES,
-    CascadeConfig,
     RunDivergedError,
     SpeculationSettings,
     accepted_depth,
@@ -61,14 +60,6 @@ def test_eligibility_follows_history_requirements():
             else:
                 with pytest.raises(InsufficientHistoryError):
                     speculate(window[-size:], 50, formula, 10, task, hyper)
-
-
-def test_cascade_config_validation():
-    CascadeConfig(depth=1, k=1)
-    with pytest.raises(ValueError):
-        CascadeConfig(depth=0, k=25)
-    with pytest.raises(ValueError):
-        CascadeConfig(depth=4, k=0)
 
 
 def test_speculate_validates_inputs():
@@ -349,42 +340,43 @@ def stable_window():
     return task, hyper, window
 
 
-def scored_cascade(window, cfg, predictor, criterion, task, hyper, *, sigma_l):
-    """run_cascade at delta 50, with stage 1's loss scored by speculate()."""
-    _, l_hat = speculate(window, 50, predictor, cfg.k, task, hyper)
-    return run_cascade(window, 50, cfg, predictor, criterion, task, hyper,
+def scored_cascade(window, depth, k, predictor, criterion, task, hyper, *, sigma_l):
+    """run_cascade at delta 50 from speculate()'s stage-1 prediction and loss."""
+    pred, l_hat = speculate(window, 50, predictor, k, task, hyper)
+    return run_cascade(window[-1], pred, depth, criterion, task,
                        l_hat=l_hat, sigma_l=sigma_l, epsilon=0.05)
 
 
-def test_cascade_requires_history_for_the_predictor(stable_window):
+def test_cascade_refuses_depth_zero(stable_window):
     task, hyper, window = stable_window
-    with pytest.raises(InsufficientHistoryError):
-        run_cascade(window[-1:], 50, CascadeConfig(2, 25), "linear", "strict",
-                    task, hyper, l_hat=1.0, sigma_l=None, epsilon=0.05)
+    pred, l_hat = speculate(window, 50, "linear", 25, task, hyper)
+    with pytest.raises(ValueError, match="cascade depth must be >= 1"):
+        run_cascade(window[-1], pred, 0, "strict", task, l_hat=l_hat, sigma_l=None,
+                    epsilon=0.05)
 
 
 def test_cascade_stage_accounting(stable_window):
     task, hyper, window = stable_window
-    cfg = CascadeConfig(depth=3, k=25)
-    events = scored_cascade(window, cfg, "linear", "strict", task, hyper, sigma_l=None)
-    assert 1 <= len(events) <= cfg.depth
+    depth, k = 3, 25
+    events = scored_cascade(window, depth, k, "linear", "strict", task, hyper, sigma_l=None)
+    assert 1 <= len(events) <= depth
     start = window[-1].step
     for i, ev in enumerate(events):
         assert ev.stage == i + 1
-        assert ev.step_from == start + i * cfg.k
-        assert ev.k == cfg.k
+        assert ev.step_from == start + i * k
+        assert ev.k == k
         assert not ev.applied
         assert ev.regime_at_leap is RegimeLabel.STABLE
-    depth = accepted_depth(events, "strict")
-    if depth < cfg.depth:
-        assert len(events) == depth + 1  # the rejection is kept as evidence
+    accepted = accepted_depth(events, "strict")
+    if accepted < depth:
+        assert len(events) == accepted + 1  # the rejection is kept as evidence
     else:
-        assert len(events) == cfg.depth
+        assert len(events) == depth
 
 
 def test_cascade_chains_losses_stage_to_stage(stable_window):
     task, hyper, window = stable_window
-    events = scored_cascade(window, CascadeConfig(3, 25), "linear", "strict", task, hyper,
+    events = scored_cascade(window, 3, 25, "linear", "strict", task, hyper,
                             sigma_l=None)
     pred, l_hat = speculate(window, 50, "linear", 25, task, hyper)
     assert events[0].decision.l_hat == l_hat
@@ -396,7 +388,7 @@ def test_cascade_chains_losses_stage_to_stage(stable_window):
 
 def test_cascade_depth_one_matches_single_speculation(stable_window):
     task, hyper, window = stable_window
-    events = scored_cascade(window, CascadeConfig(1, 25), "quadratic", "strict", task, hyper,
+    events = scored_cascade(window, 1, 25, "quadratic", "strict", task, hyper,
                             sigma_l=None)
     _, l_hat = speculate(window, 50, "quadratic", 25, task, hyper)
     expected = decide(l_hat, window[-1].val_loss, None, 0.05)
@@ -409,7 +401,7 @@ def test_cascade_strict_depth_never_exceeds_adaptive(stable_window):
     for predictor in ("momentum", "linear", "quadratic"):
         depths = {}
         for criterion in ("strict", "adaptive"):
-            events = scored_cascade(window, CascadeConfig(4, 25), predictor, criterion,
+            events = scored_cascade(window, 4, 25, predictor, criterion,
                                     task, hyper, sigma_l=window[-1].val_loss)
             depths[criterion] = accepted_depth(events, criterion)
         assert depths["strict"] <= depths["adaptive"]
@@ -417,7 +409,7 @@ def test_cascade_strict_depth_never_exceeds_adaptive(stable_window):
 
 def test_cascade_later_stages_keep_the_predictor_label(stable_window):
     task, hyper, window = stable_window
-    events = scored_cascade(window, CascadeConfig(4, 25), "quadratic", "adaptive", task, hyper,
+    events = scored_cascade(window, 4, 25, "quadratic", "adaptive", task, hyper,
                             sigma_l=10.0)
     assert len(events) >= 2  # a generous sigma accepts at least stage 1
     assert all(ev.predictor == "quadratic" for ev in events)
@@ -425,7 +417,7 @@ def test_cascade_later_stages_keep_the_predictor_label(stable_window):
 
 def test_accepted_depth_counts_leading_acceptances(stable_window):
     task, hyper, window = stable_window
-    events = scored_cascade(window, CascadeConfig(4, 25), "momentum", "adaptive", task, hyper,
+    events = scored_cascade(window, 4, 25, "momentum", "adaptive", task, hyper,
                             sigma_l=1e9)
     assert accepted_depth(events, "adaptive") == len(events) == 4
     assert accepted_depth([], "strict") == 0
@@ -493,8 +485,8 @@ def test_cascade_stages_continue_along_the_first_leap(curved_window, formula, mo
     validation_loss = task.validation_loss
     monkeypatch.setattr(task, "validation_loss",
                         lambda theta: scored.append(theta) or validation_loss(theta))
-    events = run_cascade(window, 50, CascadeConfig(depth, k), formula, "adaptive",
-                         task, hyper, l_hat=given, sigma_l=1e9, epsilon=0.05)
+    events = run_cascade(window[-1], first, depth, "adaptive", task,
+                         l_hat=given, sigma_l=1e9, epsilon=0.05)
     assert len(events) == depth
     assert len(scored) == depth - 1
     assert events[0].decision.l_hat == given

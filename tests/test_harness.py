@@ -358,14 +358,22 @@ def test_pass3_without_stable_checkpoints(tmp_path):
     assert "zero denominators" in report.cascade_note
 
 
-def cascade_over_a_sweep(experiment, tmp_path, formulas, k_set):
-    """Pass 3 at cfg's formulas over a copy of seed 42's run, swept at `formulas` and `k_set`."""
+def cascade_over_a_sweep(experiment, tmp_path, formulas, k_set, cascade_cfg=None, scored=None):
+    """Pass 3 over a copy of seed 42's run, swept at `formulas` and `k_set`.
+
+    Pass 3 runs at the settings of `cascade_cfg`, by default the experiment's.
+    When `scored` is given, pass 3's held-out forwards are appended to it.
+    """
     cfg, _, out = experiment
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
     run_dir = shutil.copytree(run_dir_for(out, "quad-bowl", 42), tmp_path / "42")
     write_sweep_csv(pass2_ksweep(run_dir, task, hyper, k_set=k_set, epsilon=cfg.epsilon,
                                  formulas=formulas), run_dir / "sweep.csv")
+    if scored is not None:
+        validation_loss = task.validation_loss
+        task.validation_loss = lambda theta: scored.append(theta) or validation_loss(theta)
+    cfg = cascade_cfg or cfg
     return pass3_cascades(run_dir, task, hyper, configs=cfg.cascades, criterion=cfg.criterion,
                           epsilon=cfg.epsilon, formulas=sweep_formulas(cfg))
 
@@ -396,6 +404,33 @@ def test_pass3_refuses_a_sweep_of_another_formula(experiment, tmp_path):
     with pytest.raises(ValueError, match=r"sweep.csv holds another prediction at step 150, "
                                          r"predictor quadratic, K=25"):
         cascade_over_a_sweep(experiment, tmp_path, exact, cfg.k_set)
+
+
+def test_pass3_refuses_another_formula_before_scoring_any_stage(experiment, tmp_path):
+    cfg, _, _ = experiment
+    # under the adaptive criterion a linear cascade from step 100 passes stage 1, so
+    # its later stages would be scored before the first quadratic cell, at step 150
+    adaptive = replace(cfg, criterion="adaptive")
+    rows = cascade_over_a_sweep(experiment, tmp_path / "paper", sweep_formulas(cfg), cfg.k_set,
+                                adaptive)
+    assert any(r.start_step == 100 and r.accepted_depth > 0 for r in rows)
+    scored = []
+    with pytest.raises(ValueError, match="holds another prediction at step 150"):
+        cascade_over_a_sweep(experiment, tmp_path / "exact",
+                             sweep_formulas(replace(cfg, quad_variant="exact")), cfg.k_set,
+                             adaptive, scored)
+    assert scored == []
+
+
+def test_a_cascade_k_outside_the_k_set_is_refused_before_any_work(tmp_path):
+    cfg = replace(small_config(tmp_path), tau_low=None, tau_high=None, k_set=(5, 10))
+    refusal = r"^cascade 2x25: K=25 is not in k_set 5,10$"
+    # before run-all calibrates, and before pass 3 looks at a seed
+    with pytest.raises(ValueError, match=refusal):
+        run_experiment(cfg)
+    with pytest.raises(ValueError, match=refusal):
+        harness.cascade_seeds(cfg, build_task(cfg), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_csv_header_and_round_trip(experiment):
