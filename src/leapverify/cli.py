@@ -94,7 +94,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         fresh_run_dir(run_dir_for(out_root, task.name, seed), args.force)
     thresholds = resolve_thresholds(cfg, out_root)
     for seed, result in train_seeds(cfg, task, thresholds, out_root):
-        print(f"seed {seed}: {len(result.checkpoints)} checkpoints, "
+        print(f"seed {seed}: {len(result.steps)} checkpoints, "
               f"final val loss {result.loss_log[-1]:.6f}")
     return 0
 

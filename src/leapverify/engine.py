@@ -8,8 +8,9 @@ contract the force-reject mode exists to demonstrate.
 
 On an accepted leap the parameters jump to the predicted vector, the global
 step advances by K and the optimizer clock fast-forwards under the
-configured policy. The run then marks its next checkpoint as `since_leap`,
-where the finite-difference history (trajectory.history_at) restarts:
+configured policy. The run keeps in memory only its history window, the
+last trajectory.WINDOW_CAPACITY checkpoints, and empties it on a leap, so
+the finite-difference history restarts at the next trained checkpoint:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
 landing step. A cascade (run_cascade) applies no leap: it walks from a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +34,7 @@ from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state,
 from .predict import FORMULAS, LINEAR, Prediction, predict, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import Task
-from .trajectory import Checkpoint, history_at, recent_loss_std, save_checkpoint
+from .trajectory import WINDOW_CAPACITY, Checkpoint, recent_loss_std, save_checkpoint
 from .verify import Decision, decide
 
 FF_POLICIES = ("carry", "decay")
@@ -91,8 +93,11 @@ class LeapEvent:
 
 @dataclass
 class RunResult:
+    """What a run observed at each checkpoint, and its final state; the
+    checkpoints themselves are only stored (trajectory.load_run_checkpoints)."""
+
     seed: int
-    checkpoints: list[Checkpoint]
+    steps: list[int]
     loss_log: list[float]
     similarities: list[float | None]
     labels: list[RegimeLabel]
@@ -220,7 +225,8 @@ def train_run(
     leap; accepted leaps fast-forward the run under `ff_policy`, and
     `momentum_variant` picks the formula of a `momentum` predictor, through
     predict.resolve_predictor. Checkpoints are persisted to store_dir when
-    given, and leap events are streamed to events.jsonl alongside them.
+    given, and leap events are streamed to events.jsonl alongside them; in
+    memory the run keeps only its history window.
 
     The run owns one writable parameter buffer and its optimizer state's
     moment buffers, and every step updates them in place. Nothing outside
@@ -243,8 +249,8 @@ def train_run(
 
     theta = task.init_params(seed).copy()
     state = init_state(task.param_dim, hyper)
-    ckpts: list[Checkpoint] = []
-    since_leap = 0  # index of the first checkpoint after the last applied leap
+    window: deque[Checkpoint] = deque(maxlen=WINDOW_CAPACITY)  # emptied by a leap
+    ckpt_steps: list[int] = []
     loss_log: list[float] = []
     sims: list[float | None] = []
     labels: list[RegimeLabel] = []
@@ -281,14 +287,15 @@ def train_run(
                           seed=seed)
         if store_path is not None:
             save_checkpoint(ckpt, store_path / f"ckpt_{step}.lpv")
-        ckpts.append(ckpt)
+        window.append(ckpt)
+        ckpt_steps.append(step)
         loss_log.append(val_loss)
         sims.append(sim)
         labels.append(label)
 
         if speculation is not None and step + speculation.k <= total_steps:
             event, pred = leap_or_continue(
-                history_at(ckpts, len(ckpts) - 1, since_leap), delta, task, hyper, speculation,
+                window, delta, task, hyper, speculation,
                 regime=label, sigma=recent_loss_std(loss_log, adaptive_window), epsilon=epsilon,
             )
             if event is not None:
@@ -302,12 +309,12 @@ def train_run(
                     fast_forward(state, speculation.k, ff_policy)
                     step += speculation.k
                     skipped += speculation.k
-                    since_leap = len(ckpts)
+                    window.clear()
         next_ckpt = (step // delta + 1) * delta
 
     return RunResult(
         seed=seed,
-        checkpoints=ckpts,
+        steps=ckpt_steps,
         loss_log=loss_log,
         similarities=sims,
         labels=labels,
@@ -341,10 +348,11 @@ def run_cascade(
     """
     if depth < 1:
         raise ValueError("cascade depth must be >= 1")
-    leap = pred.theta_hat - start.theta
     theta, baseline = pred.theta_hat, start.val_loss
     events: list[LeapEvent] = []
     for stage in range(1, depth + 1):
+        if stage == 2:  # only a cascade that scores stage 2 reads the parameters
+            leap = pred.theta_hat - start.theta
         if stage > 1:
             theta = theta + leap
             l_hat = task.validation_loss(theta)

@@ -14,9 +14,12 @@ summarized as mean/std/CoV across seeds, with denominators carried
 alongside every rate so each percentage is auditable.
 
 Every command that runs many seeds goes through `each_seed`, one seed at a
-time, so a failure names its pass and seed. `run_experiment` (`run-all`) is
-the composition of the per-pass functions `train_seeds`, `sweep_seeds`,
-`cascade_seeds` and `make_report` that the single-pass commands call.
+time, so a failure names its pass and seed. No pass holds a seed's whole
+run: training returns a RunResult without checkpoints, and replay_points
+streams stored checkpoints through the history window. `run_experiment`
+(`run-all`) is the composition of the per-pass functions `train_seeds`,
+`sweep_seeds`, `cascade_seeds` and `make_report` that the single-pass
+commands call.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .engine import (
     train_run,
 )
 from .optim import AdamHyper
-from .predict import FORMULAS, SWEEP_PREDICTORS, predict, resolve_predictor
+from .predict import FORMULAS, SWEEP_PREDICTORS, Prediction, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (
@@ -277,8 +280,9 @@ def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["step", "val_loss", "similarity", "regime"])
-    for ckpt, sim, label in zip(result.checkpoints, result.similarities, result.labels):
-        writer.writerow([ckpt.step, repr(ckpt.val_loss),
+    for step, val_loss, sim, label in zip(result.steps, result.loss_log, result.similarities,
+                                          result.labels):
+        writer.writerow([step, repr(val_loss),
                          "" if sim is None else repr(sim), label.value])
     write_atomic(Path(run_dir) / LOSS_LOG, buf.getvalue())
 
@@ -301,26 +305,37 @@ def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
     return log
 
 
-def replay_points(
-    run_dir: str | Path, keep: Collection[RegimeLabel], adaptive_window: int,
-) -> Iterator[tuple[Checkpoint, RegimeLabel, Sequence[Checkpoint], int, float | None]]:
+ReplayPoint = tuple[Checkpoint, RegimeLabel, Sequence[Checkpoint], int, float | None]
+
+
+def replay_points(run_dir: str | Path, keep: Collection[RegimeLabel],
+                  adaptive_window: int) -> Iterator[ReplayPoint]:
     """(checkpoint, label, history window, spacing, loss sigma) per checkpoint labelled in `keep`.
 
-    Labels and losses come from loss_log.csv, and only the checkpoints in the
-    window of some point labelled in `keep` are loaded. Uneven checkpoint
-    spacing is refused.
+    Labels and losses come from loss_log.csv, read when this is called, so an
+    unfinished or unevenly spaced run is refused before any point. The points
+    then stream in step order: each checkpoint of some window is loaded once
+    and dropped when the window moves past it, so no more than
+    WINDOW_CAPACITY are held at a time.
     """
     log = read_loss_log(run_dir)
     steps = sorted(log)
     delta = checkpoint_spacing(steps)
     losses = [log[step][0] for step in steps]
-    kept = [i for i, step in enumerate(steps) if log[step][1] in keep]
-    needed = {j for i in kept for j in history_at(range(len(steps)), i)}  # window indices
-    ckpts = [load_checkpoint(Path(run_dir) / f"ckpt_{step}.lpv") if i in needed else None
-             for i, step in enumerate(steps)]
-    for i in kept:
-        yield (ckpts[i], log[steps[i]][1], history_at(ckpts, i), delta,
-               recent_loss_std(losses[: i + 1], adaptive_window))
+
+    def points() -> Iterator[ReplayPoint]:
+        window: list[Checkpoint] = []
+        for i, step in enumerate(steps):
+            if log[step][1] not in keep:
+                continue
+            needed = history_at(steps, i)
+            held = {c.step: c for c in window if c.step in needed}
+            window = [held.get(s) or load_checkpoint(Path(run_dir) / f"ckpt_{s}.lpv")
+                      for s in needed]
+            yield (window[-1], log[step][1], window, delta,
+                   recent_loss_std(losses[: i + 1], adaptive_window))
+
+    return points()
 
 
 def pass2_ksweep(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
@@ -372,44 +387,53 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     Returns one row per (stable checkpoint, config, predictor) whose history
     admits the predictor; an empty list simply means the run had no usable
     stable checkpoints. A cascade's stage 1 is the sweep cell of its
-    checkpoint, family and K: pass 3 predicts it and takes its L_hat from
-    sweep.csv instead of scoring it again, and run_cascade walks the later
-    stages. A missing sweep.csv, or a needed cell that is missing or holds
-    another prediction (another checkpoint or formula variant), is refused
-    before any stage is scored.
+    checkpoint, family and K: pass 3 predicts a checkpoint's cascade Ks in
+    one predict_grid call, takes each L_hat from sweep.csv instead of scoring
+    it again, and run_cascade walks the later stages. A missing sweep.csv, or
+    a needed cell that is missing or holds another prediction (another
+    checkpoint or formula variant), is refused before any stage is scored.
+    So the cascades that score a held-out forward, those of depth > 1 whose
+    sweep cell accepts stage 1 under `criterion`, wait for every cell to be
+    matched; they alone keep their checkpoint and prediction until then.
     """
-    # an unfinished pass 1 is named before a missing sweep
-    points = list(replay_points(run_dir, {RegimeLabel.STABLE}, adaptive_window))
+    points = replay_points(run_dir, {RegimeLabel.STABLE}, adaptive_window)
     sweep_file = Path(run_dir) / SWEEP_CSV
     if not sweep_file.exists():
         raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
     swept = {(c.checkpoint_step, c.predictor, c.k): c
-             for c in read_sweep_csv(sweep_file) if c.eligible}
-    starts = []  # (checkpoint, depth, stage-1 prediction, its L_hat, sigma) per cascade
+             for c in read_sweep_csv(sweep_file, regime=RegimeLabel.STABLE)}
+    ks = tuple(dict.fromkeys(k for _, k in configs))
+
+    def cascade(ckpt: Checkpoint, pred: Prediction, d: int, l_hat: float,
+                sigma: float | None) -> CascadeRow:
+        events = run_cascade(ckpt, pred, d, criterion, task, l_hat=l_hat,
+                             sigma_l=sigma, epsilon=epsilon)
+        return CascadeRow(
+            seed=ckpt.seed, start_step=ckpt.step, depth=d, k=pred.k,
+            predictor=FORMULAS[pred.predictor].family, criterion=criterion,
+            accepted_depth=accepted_depth(events, criterion),
+            events=tuple(events))
+
+    rows: list[CascadeRow | tuple] = []  # a row, or the arguments of a waiting cascade
     for ckpt, _, window, delta, sigma in points:
         usable = [f for f in formulas if len(window) >= FORMULAS[f].history]
+        grids = predict_grid(usable, [c.theta for c in window], delta, ks,
+                             ckpt.m, ckpt.v, ckpt.step, hyper)
+        preds = {(p.predictor, p.k): p for _, _, grid in grids for p in grid}
         for (d, k), formula in product(configs, usable):
             family = FORMULAS[formula].family
             cell = swept.get((ckpt.step, family, k))
             where = f"step {ckpt.step}, predictor {family}, K={k}"
             if cell is None:
                 raise ValueError(f"{sweep_file} has no cell for {where}; run the sweep pass again")
-            pred = predict(formula, [c.theta for c in window], delta, k,
-                           ckpt.m, ckpt.v, ckpt.step, hyper)
+            pred = preds[formula, k]
             if pred.displacement_norm != cell.displacement_norm:
                 raise ValueError(f"{sweep_file} holds another prediction at {where}; "
                                  f"run the sweep pass again")
-            starts.append((ckpt, d, pred, cell.l_hat, sigma))
-    rows: list[CascadeRow] = []
-    for ckpt, d, pred, l_hat, sigma in starts:
-        events = run_cascade(ckpt, pred, d, criterion, task, l_hat=l_hat,
-                             sigma_l=sigma, epsilon=epsilon)
-        rows.append(CascadeRow(
-            seed=ckpt.seed, start_step=ckpt.step, depth=d, k=pred.k,
-            predictor=FORMULAS[pred.predictor].family, criterion=criterion,
-            accepted_depth=accepted_depth(events, criterion),
-            events=tuple(events)))
-    return rows
+            args = (ckpt, pred, d, cell.l_hat, sigma)
+            waits = d > 1 and cell.decision.verdict(criterion) is True
+            rows.append(args if waits else cascade(*args))
+    return [cascade(*row) if isinstance(row, tuple) else row for row in rows]
 
 
 # --------------------------------------------------------- CSV and JSONL
@@ -437,8 +461,13 @@ def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
     write_atomic(path, buf.getvalue())
 
 
-def read_sweep_csv(path: str | Path, epsilon: float = 0.05) -> list[SweepCell]:
-    """Rebuild sweep cells from CSV (criterion verdicts are authoritative)."""
+def read_sweep_csv(path: str | Path, epsilon: float = 0.05,
+                   regime: RegimeLabel | None = None) -> list[SweepCell]:
+    """Rebuild sweep cells from CSV (criterion verdicts are authoritative).
+
+    With `regime`, only the eligible cells of checkpoints labelled `regime`
+    are built, and the other rows are skipped.
+    """
     cells: list[SweepCell] = []
     regimes = {label.value: label for label in RegimeLabel}
     with open(path, newline="") as fh:
@@ -447,8 +476,10 @@ def read_sweep_csv(path: str | Path, epsilon: float = 0.05) -> list[SweepCell]:
         if header != SWEEP_CSV_HEADER.split(","):
             raise ValueError(f"{path}: unexpected sweep CSV header {header}")
         # the columns of SWEEP_CSV_HEADER, in order
-        for (seed, step, regime, predictor, k, l_hat, l_t,
+        for (seed, step, label, predictor, k, l_hat, l_t,
              strict, adaptive, proximity, disp, eligible) in reader:
+            if regime is not None and (label != regime.value or eligible != "1"):
+                continue
             l_t = float(l_t)
             if eligible == "1":
                 l_hat, disp = float(l_hat), float(disp)
@@ -456,7 +487,7 @@ def read_sweep_csv(path: str | Path, epsilon: float = 0.05) -> list[SweepCell]:
                                     proximity == "1", l_hat, l_t, None, epsilon)
             else:
                 l_hat, decision, disp = math.nan, None, math.nan
-            cells.append(SweepCell(int(seed), int(step), regimes[regime], predictor, int(k),
+            cells.append(SweepCell(int(seed), int(step), regimes[label], predictor, int(k),
                                    l_hat, l_t, decision, disp, eligible == "1"))
     return cells
 

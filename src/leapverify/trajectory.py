@@ -6,11 +6,11 @@ run seed. What was observed there (the fingerprint similarity and the regime
 label) is recorded in the run's loss_log.csv, not in the checkpoint.
 
 The finite-difference predictors read a short history: `history_at` gives a
-checkpoint and at most two predecessors, none before index `since`. A live
-run passes the index of its first checkpoint after the last applied leap,
-because a predicted point is not a trained one. Checkpoints land on
-multiples of delta, so every window is evenly spaced; `checkpoint_spacing`
-checks that of a stored run.
+checkpoint and at most two predecessors. Training and replay hold that
+window in memory, not the whole run. A live run empties its window on an
+applied leap, because a predicted point is not a trained one. Checkpoints
+land on multiples of delta, so every window is evenly spaced;
+`checkpoint_spacing` checks that of a stored run.
 
 On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
 
@@ -61,11 +61,11 @@ class Checkpoint:
     seed: int
 
 
-def history_at(ckpts: Sequence[Checkpoint], i: int, since: int = 0) -> Sequence[Checkpoint]:
-    """ckpts[i] and at most WINDOW_CAPACITY - 1 predecessors, none before index `since`.
+def history_at(ckpts: Sequence[Checkpoint], i: int) -> Sequence[Checkpoint]:
+    """ckpts[i] and at most WINDOW_CAPACITY - 1 predecessors.
 
     Its length sets which predictors can run: 1 momentum, 2 + linear, 3 + quadratic."""
-    return ckpts[max(since, i + 1 - WINDOW_CAPACITY): i + 1]
+    return ckpts[max(0, i + 1 - WINDOW_CAPACITY): i + 1]
 
 
 def checkpoint_spacing(steps: Sequence[int]) -> int:

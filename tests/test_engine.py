@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from leapverify import engine
 from leapverify.engine import (
     FF_POLICIES,
     RunDivergedError,
@@ -27,7 +29,12 @@ from leapverify.predict import (
 )
 from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.tasks import QuadBowl, make_task
-from leapverify.trajectory import load_checkpoint
+from leapverify.trajectory import (
+    WINDOW_CAPACITY,
+    load_checkpoint,
+    load_run_checkpoints,
+    save_checkpoint,
+)
 from leapverify.verify import decide
 
 from conftest import make_checkpoint
@@ -73,10 +80,10 @@ def test_speculate_validates_inputs():
         speculate([ck], 50, "linear", 10, task, hyper)
 
 
-def test_speculate_scores_prediction_on_held_out_set():
+def test_speculate_scores_prediction_on_held_out_set(tmp_path):
     task, hyper = smooth_bowl()
-    res = train_run(task, 42, total_steps=150, delta=50, hyper=hyper)
-    pred, l_hat = speculate(res.checkpoints, 50, "linear", 10, task, hyper)
+    train_run(task, 42, total_steps=150, delta=50, hyper=hyper, store_dir=tmp_path)
+    pred, l_hat = speculate(load_run_checkpoints(tmp_path), 50, "linear", 10, task, hyper)
     assert l_hat == task.validation_loss(pred.theta_hat)
     assert pred.finite
 
@@ -90,14 +97,14 @@ def test_speculate_non_finite_prediction_scores_nan():
     assert np.isnan(l_hat)
 
 
-def test_predictions_track_true_continuation():
+def test_predictions_track_true_continuation(tmp_path):
     # near convergence every predictor's forecast loss lands within 1e-6
     # of the loss the paused run would actually reach K steps later
     task = make_task("quad-bowl", noise=0.0)
     hyper = AdamHyper(lr=task.recommended_lr, weight_decay=0.0,
                       warmup_steps=20, total_steps=300)
-    paused = train_run(task, 42, total_steps=300, delta=50, hyper=hyper)
-    window = paused.checkpoints[2:5]
+    train_run(task, 42, total_steps=300, delta=50, hyper=hyper, store_dir=tmp_path)
+    window = load_run_checkpoints(tmp_path)[2:5]
     assert [c.step for c in window] == [150, 200, 250]
     continued = train_run(task, 42, total_steps=255, delta=50, hyper=hyper)
     l_true = task.validation_loss(continued.theta_final)
@@ -198,16 +205,17 @@ def test_train_run_reports_divergence():
         train_run(ExplodingBowl(noise=0.0), 0, total_steps=100, delta=50, hyper=hyper)
 
 
-def test_plain_run_shape():
+def test_plain_run_shape(tmp_path):
     task, hyper = smooth_bowl()
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
-                    thresholds=PERMISSIVE)
-    assert [c.step for c in res.checkpoints] == list(range(50, 501, 50))
-    assert res.loss_log == [c.val_loss for c in res.checkpoints]
+                    thresholds=PERMISSIVE, store_dir=tmp_path)
+    ckpts = load_run_checkpoints(tmp_path)
+    assert [c.step for c in ckpts] == res.steps == list(range(50, 501, 50))
+    assert res.loss_log == [c.val_loss for c in ckpts]
     assert res.similarities[0] is None
     assert all(isinstance(s, float) for s in res.similarities[1:])
     labels = res.labels
-    assert len(labels) == len(res.checkpoints)
+    assert len(labels) == len(ckpts)
     assert labels[0] is RegimeLabel.UNKNOWN
     assert all(lab is RegimeLabel.STABLE for lab in labels[1:])
     assert res.adam_final.step == 500
@@ -245,12 +253,12 @@ def test_verify_only_mode_never_alters_the_run():
     assert any(e.decision.verdict("proximity") is True for e in forced.events)
 
 
-def test_accepted_leaps_bookkeeping():
+def test_accepted_leaps_bookkeeping(tmp_path):
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
-                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec)
-    assert [c.step for c in res.checkpoints] == list(range(50, 501, 50))
+                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec, store_dir=tmp_path)
+    assert [c.step for c in load_run_checkpoints(tmp_path)] == list(range(50, 501, 50))
     assert [(e.step_from, e.applied) for e in res.events] == [
         (100, False), (150, False), (200, True), (300, True), (400, True),
     ]
@@ -265,35 +273,75 @@ def test_accepted_leaps_bookkeeping():
     assert all(e.step_from + e.k <= 500 for e in res.events)
 
 
-def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path):
+def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path, monkeypatch):
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
+    # the checkpoints the run holds in memory, as it hands them to the store
+    held = []
+    monkeypatch.setattr(engine, "save_checkpoint",
+                        lambda ckpt, path: (held.append(ckpt), save_checkpoint(ckpt, path)))
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
                     thresholds=PERMISSIVE, epsilon=0.9, speculation=spec,
                     store_dir=tmp_path)
+    assert [c.step for c in held] == [c.step for c in load_run_checkpoints(tmp_path)]
     assert any(e.applied for e in res.events)  # a leap landed in the buffer too
-    for ckpt in res.checkpoints:
+    for ckpt in held:
         saved = load_checkpoint(tmp_path / f"ckpt_{ckpt.step}.lpv")
         for name in ("theta", "m", "v"):
             arr = getattr(ckpt, name)
             assert not arr.flags.writeable
             assert arr.tobytes() == getattr(saved, name).tobytes(), (ckpt.step, name)
-    assert not np.shares_memory(res.checkpoints[-1].theta, res.theta_final)
-    assert not np.shares_memory(res.checkpoints[-1].m, res.adam_final.m)
+    assert not np.shares_memory(held[-1].theta, res.theta_final)
+    assert not np.shares_memory(held[-1].m, res.adam_final.m)
 
 
-def test_leap_realigns_to_the_checkpoint_grid():
+def test_leap_realigns_to_the_checkpoint_grid(tmp_path):
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=75, criterion="proximity")
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
-                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec)
+                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec, store_dir=tmp_path)
     # leaps from 200 and 350 land mid-interval; 250 and 400 are skipped over
-    assert [c.step for c in res.checkpoints] == [50, 100, 150, 200, 300, 350, 450, 500]
+    assert [c.step for c in load_run_checkpoints(tmp_path)] == res.steps == [
+        50, 100, 150, 200, 300, 350, 450, 500]
     assert [(e.step_from, e.applied) for e in res.events] == [
         (100, False), (150, False), (200, True), (350, True),
     ]
     assert res.skipped_steps == 150
     assert res.adam_final.step == 500
+
+
+def test_the_window_restarts_after_a_leap(monkeypatch):
+    task, hyper = smooth_bowl()
+    spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
+    windows = []
+    attempt = engine.leap_or_continue
+    monkeypatch.setattr(engine, "leap_or_continue", lambda window, *args, **kwargs: (
+        windows.append([c.step for c in window]), attempt(window, *args, **kwargs))[1])
+    res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
+                    thresholds=PERMISSIVE, epsilon=0.9, speculation=spec)
+    assert [e.step_from for e in res.events if e.applied] == [200, 300, 400]
+    # trimmed to the newest WINDOW_CAPACITY; after a leap the history holds
+    # nothing from before it and grows again from the next trained checkpoint
+    assert windows == [[50], [50, 100], [50, 100, 150], [100, 150, 200],
+                       [250], [250, 300], [350], [350, 400], [450]]
+    assert max(map(len, windows)) == WINDOW_CAPACITY
+
+
+def test_a_run_holds_only_its_window_in_memory(tmp_path):
+    task = make_task("mlp-reg")
+    hyper = AdamHyper(lr=task.recommended_lr, warmup_steps=20, total_steps=2000)
+    peaks = {}
+    for steps in (400, 2000):
+        tracemalloc.start()
+        try:
+            train_run(task, 42, total_steps=steps, delta=50, hyper=hyper,
+                      store_dir=tmp_path / str(steps))
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # five times the checkpoints, and less than one more checkpoint's bytes
+    checkpoint_bytes = 3 * 8 * task.param_dim
+    assert peaks[2000] <= peaks[400] + checkpoint_bytes, (peaks, checkpoint_bytes)
 
 
 def test_events_and_checkpoints_are_streamed_to_disk(tmp_path):
@@ -302,10 +350,10 @@ def test_events_and_checkpoints_are_streamed_to_disk(tmp_path):
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
                     thresholds=PERMISSIVE, epsilon=0.9, speculation=spec,
                     store_dir=tmp_path)
-    for c in res.checkpoints:
-        stored = load_checkpoint(tmp_path / f"ckpt_{c.step}.lpv")
-        assert stored.step == c.step
-        assert stored.val_loss == c.val_loss
+    for step, val_loss in zip(res.steps, res.loss_log, strict=True):
+        stored = load_checkpoint(tmp_path / f"ckpt_{step}.lpv")
+        assert stored.step == step
+        assert stored.val_loss == val_loss
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     assert len(lines) == len(res.events)
     first = json.loads(lines[0])
@@ -331,11 +379,12 @@ def test_leap_event_json_is_serializable():
 
 
 @pytest.fixture(scope="module")
-def stable_window():
+def stable_window(tmp_path_factory):
     task, hyper = smooth_bowl()
+    store = tmp_path_factory.mktemp("stable")
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
-                    thresholds=PERMISSIVE)
-    window = res.checkpoints[-3:]
+                    thresholds=PERMISSIVE, store_dir=store)
+    window = load_run_checkpoints(store)[-3:]
     assert all(label is RegimeLabel.STABLE for label in res.labels[-3:])
     return task, hyper, window
 
@@ -434,18 +483,19 @@ def test_momentum_variant_resolves_the_live_formula(tmp_path):
     assert {e.predictor for e in res.events} == {"momentum_descent"}
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     assert {json.loads(line)["predictor"] for line in lines} == {"momentum_descent"}
-    first = next(c for c in res.checkpoints if c.step == res.events[0].step_from)
+    first = next(c for c in load_run_checkpoints(tmp_path) if c.step == res.events[0].step_from)
     expected = predict_momentum_descent(first.theta, first.m, first.v, first.step, hyper, 30)
     assert res.events[0].displacement_norm == expected.displacement_norm
 
 
 @pytest.fixture(scope="module")
-def curved_window():
+def curved_window(tmp_path_factory):
     task = make_task("mlp-reg")
     # a schedule past the run keeps the lr, and so momentum_descent's step, nonzero
     hyper = AdamHyper(lr=task.recommended_lr, warmup_steps=20, total_steps=2000)
-    res = train_run(task, 42, total_steps=300, delta=50, hyper=hyper)
-    window = res.checkpoints[-3:]
+    store = tmp_path_factory.mktemp("curved")
+    train_run(task, 42, total_steps=300, delta=50, hyper=hyper, store_dir=store)
+    window = load_run_checkpoints(store)[-3:]
     # curved: quadratic's prediction is not linear's
     linear, _ = speculate(window, 50, "linear", 25, task, hyper)
     quadratic, _ = speculate(window, 50, "quadratic", 25, task, hyper)

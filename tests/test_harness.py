@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +182,37 @@ def test_replay_loads_only_the_windows_it_replays(tmp_path, monkeypatch):
     assert (label, delta) == (RegimeLabel.STABLE, 50)
     # step 50's loss counts too, read from the log: its checkpoint was not loaded
     assert sigma == float(np.std([1.0, 2.0, 3.0, 4.0], ddof=1))
+
+
+def test_replay_holds_no_more_than_a_window_of_checkpoints(tmp_path, monkeypatch):
+    labels = ["unknown", "stable", "chaotic", "stable", "transition", "transition",
+              "chaotic", "chaotic", "chaotic", "stable", "stable", "stable"]
+    log = "step,val_loss,similarity,regime\n"
+    for i, label in enumerate(labels):
+        step = 50 * (i + 1)
+        save_checkpoint(make_checkpoint(step, np.full(3, float(i))), tmp_path / f"ckpt_{step}.lpv")
+        log += f"{step},1.0,,{label}\n"
+    (tmp_path / "loss_log.csv").write_text(log)
+    loaded, refs = [], []
+    load = harness.load_checkpoint
+
+    def counted_load(path):
+        ckpt = load(path)
+        loaded.append(ckpt.step)
+        refs.append(weakref.ref(ckpt))
+        return ckpt
+
+    monkeypatch.setattr(harness, "load_checkpoint", counted_load)
+    keep = {RegimeLabel.STABLE, RegimeLabel.TRANSITION}
+    windows, alive = [], []
+    for point in replay_points(tmp_path, keep, 5):
+        alive.append(sum(ref() is not None for ref in refs))
+        windows.append([c.step for c in point[2]])
+        del point
+    assert windows == [[50, 100], [100, 150, 200], [150, 200, 250], [200, 250, 300],
+                       [400, 450, 500], [450, 500, 550], [500, 550, 600]]
+    assert loaded == sorted(set(loaded)) == sorted({s for w in windows for s in w})
+    assert max(alive) == trajectory.WINDOW_CAPACITY
 
 
 GRID_KS = (5, 10, 25, 50, 75, 100)
@@ -455,6 +487,16 @@ def test_sweep_csv_header_and_round_trip(experiment):
         else:
             assert math.isnan(b.l_hat)
             assert b.decision is None
+
+
+def test_sweep_csv_reads_only_the_eligible_cells_of_one_regime(experiment):
+    _, _, out = experiment
+    path = run_dir_for(out, "quad-bowl", 42) / "sweep.csv"
+    cells = read_sweep_csv(path)
+    stable = [c for c in cells if c.eligible and c.regime is RegimeLabel.STABLE]
+    # the run holds cells of another regime and ineligible stable cells
+    assert len(stable) < sum(c.regime is RegimeLabel.STABLE for c in cells) < len(cells)
+    assert read_sweep_csv(path, regime=RegimeLabel.STABLE) == stable
 
 
 def test_sweep_csv_rejects_foreign_header(tmp_path):

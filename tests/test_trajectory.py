@@ -21,8 +21,8 @@ from leapverify.trajectory import (
 from conftest import make_checkpoint
 
 
-def _history_steps(ckpts, i, since=0):
-    return [c.step for c in history_at(ckpts, i, since)]
+def _history_steps(ckpts, i):
+    return [c.step for c in history_at(ckpts, i)]
 
 
 def test_window_orders_and_trims_to_capacity():
@@ -31,13 +31,6 @@ def test_window_orders_and_trims_to_capacity():
     assert _history_steps(ckpts, 0) == [50]
     assert _history_steps(ckpts, 1) == [50, 100]
     assert _history_steps(ckpts, 4) == [150, 200, 250]  # trimmed to the newest 3, oldest first
-
-
-def test_window_clear_and_restart_at_any_step():
-    ckpts = [make_checkpoint(50 * (i + 1), np.ones(2)) for i in range(6)]
-    assert _history_steps(ckpts, 4, since=3) == [200, 250]  # nothing from before `since`
-    assert _history_steps(ckpts, 4, since=4) == [250]  # history restarts at `since`
-    assert _history_steps(ckpts, 5, since=4) == [250, 300]  # and grows again from there
 
 
 def test_recent_loss_std_uses_tail_with_sample_std():
