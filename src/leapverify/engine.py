@@ -93,8 +93,8 @@ class LeapEvent:
 
 @dataclass
 class RunResult:
-    """What a run observed at each checkpoint, and its final state; the
-    checkpoints themselves are only stored (trajectory.load_run_checkpoints)."""
+    """What a run observed at each checkpoint, and its final state. Checkpoints
+    are not kept: with a store_dir, trajectory.load_run_checkpoints reads them."""
 
     seed: int
     steps: list[int]

@@ -315,8 +315,8 @@ def replay_points(run_dir: str | Path, keep: Collection[RegimeLabel],
     Labels and losses come from loss_log.csv, read when this is called, so an
     unfinished or unevenly spaced run is refused before any point. The points
     then stream in step order: each checkpoint of some window is loaded once
-    and dropped when the window moves past it, so no more than
-    WINDOW_CAPACITY are held at a time.
+    and dropped when the window moves past it, so at each point no more than
+    WINDOW_CAPACITY are held.
     """
     log = read_loss_log(run_dir)
     steps = sorted(log)
