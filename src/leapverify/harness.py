@@ -394,7 +394,9 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     checkpoint or formula variant), is refused before any stage is scored.
     So the cascades that score a held-out forward, those of depth > 1 whose
     sweep cell accepts stage 1 under `criterion`, wait for every cell to be
-    matched; they alone keep their checkpoint and prediction until then.
+    matched; they alone keep their start and prediction until then. A start
+    is the checkpoint without its Adam moments, which neither run_cascade
+    nor the row reads.
     """
     points = replay_points(run_dir, {RegimeLabel.STABLE}, adaptive_window)
     sweep_file = Path(run_dir) / SWEEP_CSV
@@ -404,12 +406,12 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
              for c in read_sweep_csv(sweep_file, regime=RegimeLabel.STABLE)}
     ks = tuple(dict.fromkeys(k for _, k in configs))
 
-    def cascade(ckpt: Checkpoint, pred: Prediction, d: int, l_hat: float,
+    def cascade(start: Checkpoint, pred: Prediction, d: int, l_hat: float,
                 sigma: float | None) -> CascadeRow:
-        events = run_cascade(ckpt, pred, d, criterion, task, l_hat=l_hat,
+        events = run_cascade(start, pred, d, criterion, task, l_hat=l_hat,
                              sigma_l=sigma, epsilon=epsilon)
         return CascadeRow(
-            seed=ckpt.seed, start_step=ckpt.step, depth=d, k=pred.k,
+            seed=start.seed, start_step=start.step, depth=d, k=pred.k,
             predictor=FORMULAS[pred.predictor].family, criterion=criterion,
             accepted_depth=accepted_depth(events, criterion),
             events=tuple(events))
@@ -420,6 +422,7 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
         grids = predict_grid(usable, [c.theta for c in window], delta, ks,
                              ckpt.m, ckpt.v, ckpt.step, hyper)
         preds = {(p.predictor, p.k): p for _, _, grid in grids for p in grid}
+        start = replace(ckpt, m=None, v=None)
         for (d, k), formula in product(configs, usable):
             family = FORMULAS[formula].family
             cell = swept.get((ckpt.step, family, k))
@@ -430,7 +433,7 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
             if pred.displacement_norm != cell.displacement_norm:
                 raise ValueError(f"{sweep_file} holds another prediction at {where}; "
                                  f"run the sweep pass again")
-            args = (ckpt, pred, d, cell.l_hat, sigma)
+            args = (start, pred, d, cell.l_hat, sigma)
             waits = d > 1 and cell.decision.verdict(criterion) is True
             rows.append(args if waits else cascade(*args))
     return [cascade(*row) if isinstance(row, tuple) else row for row in rows]

@@ -12,7 +12,11 @@ Three desk-scale systems with very different trajectory character:
 Everything is deterministic: minibatches are a pure function of
 (task, run seed, step), so two runs with the same seed see bit-identical
 streams and a fast-forwarded run sees exactly the batches it would have seen
-anyway. The held-out validation set and the probe set used for activation
+anyway. Step s's batch is drawn from its own generator, seeded by (data_seed,
+batch tag, seed, s). A task draws the batches of BATCH_BLOCK consecutive
+steps at once, one generator per step, and keeps the last block it drew; each
+block is a set of fresh read-only arrays, so a batch handed out earlier never
+changes. The held-out validation set and the probe set used for activation
 fingerprints are fixed at construction.
 """
 
@@ -31,6 +35,9 @@ from .core import NonFiniteError, affine_combination, freeze, is_finite
 # rng stream tags so batches / val / probe / teacher draws never collide
 _TAG_BATCH, _TAG_VAL, _TAG_PROBE, _TAG_TEACHER, _TAG_INIT = 1, 2, 3, 4, 5
 
+# steps whose batches are drawn together; 16 divides the default 2000 steps
+BATCH_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class TaskGradient:
@@ -46,6 +53,7 @@ class Task:
     fingerprint_dim: int
     recommended_lr: float
     data_seed: int
+    batch_size: int  # rows of one batch drawn from one generator
 
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
@@ -79,9 +87,37 @@ class Task:
                           for row in coeffs])
                 for directions, coeffs in grids]
 
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int):
+        """A batch's arrays, frozen, with n rows from each generator in turn.
+
+        Rows i*n to (i+1)*n - 1 are what rngs[i] alone would give, bit for
+        bit, so a block of steps and a single draw share this one path.
+        """
+        raise NotImplementedError
+
+    def _batch_block(self, seed: int, step: int):
+        """The drawn block of BATCH_BLOCK steps that holds step, and step's index in it.
+
+        Only the last block drawn is kept, so a run that walks its steps in
+        order draws each block once.
+        """
+        first = step - step % BATCH_BLOCK
+        if self.__dict__.get("_block_at") != (seed, first):
+            rngs = [self._rng(_TAG_BATCH, seed, s) for s in range(first, first + BATCH_BLOCK)]
+            self._block = self._draw(rngs, self.batch_size)
+            self._block_at = (seed, first)
+        return self._block, step - first
+
     def _rng(self, *tags: int) -> np.random.Generator:
-        """The generator of one draw stream of this task's data_seed."""
-        return np.random.default_rng((self.data_seed, *tags))
+        """The generator of one draw stream of this task's data_seed.
+
+        When every value fits in 32 bits, a uint32 array of them seeds the
+        same SeedSequence as their tuple, and builds it in about half the time.
+        """
+        key = (self.data_seed, *tags)
+        if 0 <= min(key) and max(key) < 2**32:
+            key = np.array(key, dtype=np.uint32)
+        return np.random.default_rng(key)
 
     def _require_finite(self, theta: np.ndarray) -> None:
         if theta.shape != (self.param_dim,):
@@ -101,6 +137,7 @@ class QuadBowl(Task):
 
     name = "quad-bowl"
     recommended_lr = 0.05
+    batch_size = 1  # a batch is one noise row
 
     def __init__(self, dim: int = 20, noise: float = 0.01, data_seed: int = 7):
         self.param_dim = self.fingerprint_dim = dim
@@ -113,7 +150,12 @@ class QuadBowl(Task):
         return freeze(self.target + self._rng(_TAG_INIT, seed).standard_normal(self.param_dim))
 
     def batch(self, seed: int, step: int) -> np.ndarray:
-        return self.noise * self._rng(_TAG_BATCH, seed, step).standard_normal(self.param_dim)
+        block, i = self._batch_block(seed, step)
+        return block[i]
+
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+        z = np.concatenate([rng.standard_normal((n, self.param_dim)) for rng in rngs])
+        return freeze(np.multiply(self.noise, z, out=z))
 
     def loss_and_grad(self, theta: np.ndarray, batch: np.ndarray) -> TaskGradient:
         self._require_finite(theta)
@@ -139,12 +181,15 @@ class TanhNetwork(Task):
 
     theta packs W1 (in_dim x hidden_dim), b1, W2 (hidden_dim x out_dim) and
     b2; the output is tanh(x W1 + b1) W2 + b2. A subclass states its sizes,
-    its data (`_draw` for a batch, plus `_x_val`, `_y_val` and `_x_probe`),
-    `init_params`, and its loss twice: `_training_loss` with the gradient at
-    the output, `_output_losses` over stacked held-out blocks. It must not
-    override batch, loss_and_grad, validation_loss or fingerprint: the
-    benchmark tracer times only the methods that Task's direct subclasses
-    define.
+    its data (`_x_val`, `_y_val` and `_x_probe`, and `_draw`, which returns
+    a pair (inputs, targets) of n rows per generator, frozen), `init_params`,
+    and its loss twice: `_training_loss` with the gradient at the output,
+    `_output_losses` over stacked held-out blocks. A batch is batch_size rows
+    of a block that `_draw` gives for BATCH_BLOCK steps at once, so work that
+    is the same row for row at any height, such as char-seq's one-hot fill
+    and Markov walk, runs once per block. It must not override batch,
+    loss_and_grad, validation_loss or fingerprint: the benchmark tracer
+    times only the methods that Task's direct subclasses define.
     """
 
     in_dim: int
@@ -163,7 +208,9 @@ class TanhNetwork(Task):
         self.fingerprint_dim = probe_count * o
 
     def batch(self, seed: int, step: int):
-        return self._draw(self._rng(_TAG_BATCH, seed, step), self.batch_size)
+        (x, y), i = self._batch_block(seed, step)
+        rows = slice(i * self.batch_size, (i + 1) * self.batch_size)
+        return x[rows], y[rows]
 
     def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
         self._require_finite(theta)
@@ -184,10 +231,6 @@ class TanhNetwork(Task):
         hidden = self._scratch("_probe_hidden", (len(self._x_probe), self.hidden_dim))
         _, out = self._forward(theta, self._x_probe, out=hidden)
         return freeze(out.ravel())
-
-    def _draw(self, rng: np.random.Generator, n: int):
-        """n training pairs (inputs, targets) from rng."""
-        raise NotImplementedError
 
     def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean loss of a batch's outputs against y, and its gradient at the outputs."""
@@ -317,10 +360,16 @@ class MlpRegression(TanhNetwork):
         w1, b1, w2, b2 = self._random_weights(self._rng(_TAG_INIT, seed))
         return freeze(np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
 
-    def _draw(self, rng: np.random.Generator, n: int):
-        x = rng.standard_normal((n, self.in_dim))
-        y = self._teacher_forward(x) + self.noise * rng.standard_normal((n, self.out_dim))
-        return x, y
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int):
+        x = np.empty((len(rngs) * n, self.in_dim))
+        y = np.empty((len(rngs) * n, self.out_dim))
+        for i, rng in enumerate(rngs):
+            rows = slice(i * n, (i + 1) * n)
+            rng.standard_normal(out=x[rows])
+            noise = rng.standard_normal((n, self.out_dim))
+            # one batch at a time: BLAS may round a row of a taller product differently
+            y[rows] = self._teacher_forward(x[rows]) + self.noise * noise
+        return freeze(x), freeze(y)
 
     def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         err = out - y
@@ -352,16 +401,21 @@ class CharSequence(TanhNetwork):
         self._transition = freeze(trans / trans.sum(axis=1, keepdims=True))
         # row-wise running sums, so equal bit for bit to the cumsum of any row
         self._cdf = freeze(np.cumsum(self._transition, axis=1))
-        self._x_val, self._y_val = self._draw(self._rng(_TAG_VAL), self.n_val)
-        self._x_probe = self._draw(self._rng(_TAG_PROBE), probe_count)[0]
+        self._x_val, self._y_val = self._draw([self._rng(_TAG_VAL)], self.n_val)
+        self._x_probe = self._draw([self._rng(_TAG_PROBE)], probe_count)[0]
 
-    def _draw(self, rng: np.random.Generator, n: int):
-        """n context windows (one-hot, flattened) and their next symbols."""
-        sym = rng.integers(0, self.alphabet, size=n)
-        onehot = np.zeros((n, self.in_dim))
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int):
+        """n context windows (one-hot, flattened) and their next symbols per generator."""
+        sym = np.empty(len(rngs) * n, dtype=np.int64)
+        uniform = np.empty((len(rngs), self.ctx, n))
+        for i, rng in enumerate(rngs):
+            sym[i * n:(i + 1) * n] = rng.integers(0, self.alphabet, size=n)
+            rng.random(out=uniform[i])  # the same numbers as ctx calls of random(n)
+        uniform = uniform.transpose(1, 0, 2).reshape(self.ctx, -1)
+        onehot = np.zeros((len(sym), self.in_dim))
         for pos in range(self.ctx):
-            onehot[np.arange(n), pos * self.alphabet + sym] = 1.0
-            sym = (rng.random(n)[:, None] < self._cdf[sym]).argmax(axis=1)
+            onehot[np.arange(len(sym)), pos * self.alphabet + sym] = 1.0
+            sym = (uniform[pos][:, None] < self._cdf[sym]).argmax(axis=1)
         return freeze(onehot), freeze(sym.astype(np.int64))
 
     def init_params(self, seed: int) -> np.ndarray:

@@ -454,6 +454,33 @@ def test_pass3_refuses_another_formula_before_scoring_any_stage(experiment, tmp_
     assert scored == []
 
 
+def test_waiting_cascades_hold_no_adam_moments(experiment, tmp_path, monkeypatch):
+    cfg, _, _ = experiment
+    moments = []
+    load = harness.load_checkpoint
+
+    def tracked_load(path):
+        ckpt = load(path)
+        moments.extend((weakref.ref(ckpt.m), weakref.ref(ckpt.v)))
+        return ckpt
+
+    alive = []
+    walk = harness.run_cascade
+
+    def counted_walk(start, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in moments))
+        return walk(start, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_checkpoint", tracked_load)
+    monkeypatch.setattr(harness, "run_cascade", counted_walk)
+    adaptive = replace(cfg, criterion="adaptive")
+    rows = cascade_over_a_sweep(experiment, tmp_path, sweep_formulas(cfg), cfg.k_set, adaptive)
+    waited = {r.start_step for r in rows if r.depth > 1 and r.accepted_depth > 0}
+    assert len(waited) > trajectory.WINDOW_CAPACITY
+    # the cascades run last are the waiting ones: only the last window's moments are left
+    assert alive[-1] <= 2 * trajectory.WINDOW_CAPACITY
+
+
 def test_a_cascade_k_outside_the_k_set_is_refused_before_any_work(tmp_path):
     cfg = replace(small_config(tmp_path), tau_low=None, tau_high=None, k_set=(5, 10))
     refusal = r"^cascade 2x25: K=25 is not in k_set 5,10$"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leapverify.core import NonFiniteError
-from leapverify.tasks import _TAG_BATCH, TASK_NAMES, make_task
+from leapverify.tasks import _TAG_BATCH, BATCH_BLOCK, TASK_NAMES, make_task
 
 
 def central_diff_directional(loss_fn, theta, u, h=1e-5):
@@ -61,11 +61,9 @@ def test_batches_are_pure_functions_of_seed_and_step():
         a, b = make_task(name), make_task(name)
         ba = a.batch(42, 7)
         bb = b.batch(42, 7)
-        flat = lambda batch: batch.tobytes() if isinstance(batch, np.ndarray) \
-            else b"".join(np.asarray(part).tobytes() for part in batch)
-        assert flat(ba) == flat(bb)
-        assert flat(a.batch(42, 8)) != flat(ba)
-        assert flat(a.batch(43, 7)) != flat(ba)
+        assert batch_bytes(ba) == batch_bytes(bb)
+        assert batch_bytes(a.batch(42, 8)) != batch_bytes(ba)
+        assert batch_bytes(a.batch(43, 7)) != batch_bytes(ba)
 
 
 def test_init_params_deterministic_per_seed():
@@ -133,9 +131,14 @@ def test_char_seq_uniform_logits_score_log_alphabet():
     assert batch_loss == pytest.approx(np.log(12.0), rel=1e-12)
 
 
+def step_rng(task, seed: int, step: int) -> np.random.Generator:
+    """The generator of one step's batch, seeded from a tuple as batches were drawn per step."""
+    return np.random.default_rng((task.data_seed, _TAG_BATCH, seed, step))
+
+
 def per_row_cumsum_batch(task, seed: int, step: int):
-    """char-seq batch drawn with a cumsum of the gathered transition rows."""
-    rng = np.random.default_rng((task.data_seed, _TAG_BATCH, seed, step))
+    """char-seq batch of one step, drawn with a cumsum of the gathered transition rows."""
+    rng = step_rng(task, seed, step)
     n = task.batch_size
     sym = rng.integers(0, task.alphabet, size=n)
     onehot = np.zeros((n, task.ctx * task.alphabet))
@@ -146,13 +149,92 @@ def per_row_cumsum_batch(task, seed: int, step: int):
     return onehot, sym
 
 
-@pytest.mark.parametrize("seed, step", [(0, 0), (42, 7), (43, 1999), (2**40, 123456)])
-def test_char_seq_cdf_table_draws_the_per_row_cumsum_batch(seed, step):
-    task = make_task("char-seq")
-    x, y = task.batch(seed, step)
-    x_ref, y_ref = per_row_cumsum_batch(task, seed, step)
+def per_step_mlp_batch(task, seed: int, step: int):
+    """mlp-reg batch of one step: inputs, then the teacher's outputs plus noise."""
+    rng = step_rng(task, seed, step)
+    w1, b1, w2, b2 = task._teacher
+    x = rng.standard_normal((task.batch_size, task.in_dim))
+    y = np.tanh(x @ w1 + b1) @ w2 + b2 + task.noise * rng.standard_normal((len(x), task.out_dim))
+    return x, y
+
+
+def per_step_quad_batch(task, seed: int, step: int):
+    """quad-bowl batch of one step: the scaled noise vector."""
+    return task.noise * step_rng(task, seed, step).standard_normal(task.param_dim)
+
+
+PER_STEP = {"char-seq": per_row_cumsum_batch, "mlp-reg": per_step_mlp_batch,
+            "quad-bowl": per_step_quad_batch}
+
+
+def batch_bytes(batch) -> bytes:
+    parts = (batch,) if isinstance(batch, np.ndarray) else batch
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
+
+def assert_per_step_batch(task, seed: int, step: int):
+    assert batch_bytes(task.batch(seed, step)) == batch_bytes(PER_STEP[task.name](task, seed, step))
+
+
+@pytest.fixture(scope="module")
+def tasks():
+    return {name: make_task(name) for name in TASK_NAMES}
+
+
+# the block edges, a step past the default run and a seed too wide for 32 bits
+STEPS = [(0, 0), (42, 7), (42, BATCH_BLOCK - 1), (42, BATCH_BLOCK), (42, 2 * BATCH_BLOCK - 1),
+         (43, 1999), (2**40, 123456), (2**40, BATCH_BLOCK)]
+
+
+@pytest.mark.parametrize("seed, step", STEPS)
+def test_char_seq_cdf_table_draws_the_per_row_cumsum_batch(tasks, seed, step):
+    x, y = tasks["char-seq"].batch(seed, step)
+    x_ref, y_ref = per_row_cumsum_batch(tasks["char-seq"], seed, step)
     assert x.tobytes() == x_ref.tobytes()
     assert y.tobytes() == y_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mlp-reg", "quad-bowl"])
+@pytest.mark.parametrize("seed, step", STEPS)
+def test_blocked_batches_equal_the_per_step_draw(tasks, name, seed, step):
+    assert_per_step_batch(tasks[name], seed, step)
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_mlp_batches_equal_the_per_step_draw_at_any_batch_size(batch_size):
+    # a teacher forward over a whole block would round a 1-row batch differently
+    task = make_task("mlp-reg", batch_size=batch_size)
+    for step in (0, BATCH_BLOCK - 1, BATCH_BLOCK):
+        assert_per_step_batch(task, 42, step)
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_blocked_batches_in_any_call_order(name):
+    task = make_task(name)
+    for seed, step in ((42, 40), (42, 7), (42, 40), (43, 7), (42, 8), (43, 8), (42, 6),
+                       (43, 2 * BATCH_BLOCK), (42, 7)):
+        assert_per_step_batch(task, seed, step)
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_batch_held_across_a_block_refill_stays_unchanged(name):
+    task = make_task(name)
+    held = task.batch(42, 3)
+    parts = (held,) if isinstance(held, np.ndarray) else held
+    before = batch_bytes(held)
+    task.batch(42, BATCH_BLOCK + 3)
+    task.batch(43, 3)
+    assert batch_bytes(held) == before == batch_bytes(PER_STEP[name](task, 42, 3))
+    assert not any(part.flags.writeable for part in parts)
+
+
+@pytest.mark.parametrize("data_seed", [0, 7, 2**32 - 1, 2**32, 2**40])
+def test_rng_equals_the_tuple_seeded_generator(data_seed):
+    task = make_task("quad-bowl", data_seed=data_seed)
+    for tags in ((_TAG_BATCH, 0, 0), (_TAG_BATCH, 2**32 - 1, 1999), (_TAG_BATCH, 2**32, 5),
+                 (_TAG_BATCH, 2**40, 0), (3,), ()):
+        want = np.random.default_rng((data_seed, *tags)).random(64)
+        assert task._rng(*tags).random(64).tobytes() == want.tobytes()
 
 
 def test_char_seq_batch_structure():
