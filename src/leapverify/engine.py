@@ -13,9 +13,12 @@ last trajectory.WINDOW_CAPACITY checkpoints, and empties it on a leap, so
 the finite-difference history restarts at the next trained checkpoint:
 predicted states must never masquerade as observed checkpoint deltas. The
 next checkpoint lands on the next multiple of delta strictly after the
-landing step. A cascade (run_cascade) applies no leap: it walks from a
-stage-1 prediction and loss its caller already holds, and its stage n scores
-theta_t plus n times stage 1's displacement against stage n-1's loss.
+landing step. Live attempts and offline cascades share one stage walker,
+run_cascade: it walks from a stage-1 prediction and loss its caller already
+holds, and its stage n scores theta_t plus n times stage 1's displacement
+against stage n-1's loss. A live attempt is a depth-1 walk from
+speculate()'s exact prediction, and leap_or_continue only marks its event
+applied; an offline cascade walks deeper and applies nothing.
 """
 
 from __future__ import annotations
@@ -174,30 +177,22 @@ def leap_or_continue(
     """One speculation attempt at the newest checkpoint of `window`, labelled `regime`.
 
     `window` is the history at spacing `delta`, oldest first, and `sigma` the
-    recent validation-loss std. Returns (event, prediction), both None when
-    gating or history makes the checkpoint ineligible; event.applied says
-    whether the caller should fast-forward to prediction.theta_hat.
+    recent validation-loss std. The attempt is stage 1 of run_cascade's walk
+    from speculate()'s exact prediction and loss. Returns (event, prediction),
+    both None when gating or history makes the checkpoint ineligible;
+    event.applied says whether the caller should fast-forward to
+    prediction.theta_hat.
     """
     if settings.regime_gating and regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
         return None, None
     if len(window) < FORMULAS[settings.predictor].history:
         return None, None
 
-    curr = window[-1]
     pred, l_hat = speculate(window, delta, settings.predictor, settings.k, task, hyper)
-    decision = decide(l_hat, curr.val_loss, sigma, epsilon)
-    accepted = decision.verdict(settings.criterion) is True
-    event = LeapEvent(
-        step_from=curr.step,
-        k=settings.k,
-        predictor=settings.predictor,
-        decision=decision,
-        applied=accepted and settings.apply,
-        criterion_used=settings.criterion,
-        regime_at_leap=regime,
-        displacement_norm=pred.displacement_norm,
-    )
-    return event, pred
+    events = run_cascade(window[-1], pred, 1, settings.criterion, task, l_hat=l_hat,
+                         sigma_l=sigma, epsilon=epsilon, regime=regime)
+    accepted = accepted_depth(events, settings.criterion) == 1
+    return replace(events[0], applied=accepted and settings.apply), pred
 
 
 # A diverging run stops with RunDivergedError naming its step; numpy's
@@ -335,16 +330,18 @@ def run_cascade(
     l_hat: float,
     sigma_l: float | None,
     epsilon: float,
+    regime: RegimeLabel,
 ) -> list[LeapEvent]:
-    """Score up to `depth` leaps along the stage-1 leap `pred` from the stable checkpoint `start`.
+    """Score up to `depth` leaps along the stage-1 leap `pred` from the checkpoint `start`.
 
-    `pred` predicts K steps past `start` and `l_hat` is its held-out loss;
-    pass 3 takes them from predict() and the sweep. Stage n scores theta_t +
+    `pred` predicts K steps past `start` and `l_hat` is its held-out loss:
+    pass 3 takes them from predict() and the sweep, and a live attempt, a
+    depth-1 walk, from speculate(). Stage n scores theta_t +
     n * (stage 1's displacement) with validation_loss against stage n-1's
     loss, as any formula re-run on the chain of predictions at spacing K
     would, so a quadratic cascade's curvature enters only in stage 1. Stages
     stop at the first rejection under `criterion`. Events carry pred's
-    formula, K and displacement norm, and the stable label.
+    formula, K and displacement norm, and the label `regime`; none is applied.
     """
     if depth < 1:
         raise ValueError("cascade depth must be >= 1")
@@ -356,8 +353,6 @@ def run_cascade(
         if stage > 1:
             theta = theta + leap
             l_hat = task.validation_loss(theta)
-        if not (math.isfinite(baseline) and baseline > 0):
-            break  # previous stage's loss cannot anchor a verification
         decision = decide(l_hat, baseline, sigma_l, epsilon)
         events.append(LeapEvent(
             step_from=start.step + (stage - 1) * pred.k,
@@ -366,12 +361,12 @@ def run_cascade(
             decision=decision,
             applied=False,
             criterion_used=criterion,
-            regime_at_leap=RegimeLabel.STABLE,
+            regime_at_leap=regime,
             displacement_norm=pred.displacement_norm,
             stage=stage,
         ))
-        if decision.verdict(criterion) is not True:
-            break
+        if decision.verdict(criterion) is not True or not l_hat > 0:
+            break  # a zero loss cannot anchor the next stage's verification
         baseline = l_hat
     return events
 

@@ -216,6 +216,9 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 def calibrate_thresholds(cfg: RunConfig) -> Thresholds:
     """Quantile-calibrate regime thresholds from fresh calibration runs."""
+    if cfg.steps // cfg.delta < 3:  # each run needs 2 similarities, so 3 checkpoints
+        raise ValueError(f"calibrate needs steps // delta >= 3, got steps={cfg.steps}, "
+                         f"delta={cfg.delta}")
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
     runs = each_seed("calibrate", cfg.calibration_seeds,
@@ -409,7 +412,7 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     def cascade(start: Checkpoint, pred: Prediction, d: int, l_hat: float,
                 sigma: float | None) -> CascadeRow:
         events = run_cascade(start, pred, d, criterion, task, l_hat=l_hat,
-                             sigma_l=sigma, epsilon=epsilon)
+                             sigma_l=sigma, epsilon=epsilon, regime=RegimeLabel.STABLE)
         return CascadeRow(
             seed=start.seed, start_step=start.step, depth=d, k=pred.k,
             predictor=FORMULAS[pred.predictor].family, criterion=criterion,
@@ -891,7 +894,12 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
             if not path.exists():
                 raise FileNotFoundError(f"{path} missing; run the {stage} pass first")
         cells.extend(read_sweep_csv(sweep_file, cfg.epsilon))
-        cascade_rows.extend(read_cascade_rows(cascade_file))
+        rows = read_cascade_rows(cascade_file)
+        for row in rows:
+            if row.criterion != cfg.criterion:
+                raise ValueError(f"{cascade_file} was scored under criterion {row.criterion}, "
+                                 f"not the configured {cfg.criterion}; run the cascade pass again")
+        cascade_rows.extend(rows)
 
     for _ in each_seed("report", cfg.seeds, load):
         pass

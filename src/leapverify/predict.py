@@ -24,15 +24,15 @@ The user names a family (``momentum``, ``linear``, ``quadratic``) plus the
 ``momentum_variant`` and ``quad_variant`` settings; resolve_predictor turns
 that choice into a formula name. Each formula names its directions in the
 DIRECTIONS table, so formulas that share one (linear and quadratic share the
-velocity) can share its computation. Live speculation scores predict()'s
-exact weights. The sweep scores every formula's K grid at a checkpoint through
-predict_grid(), which computes each named direction once and hands the
-directions and coefficient matrices to Task.affine_losses. Pass 3 takes a
-cascade's stage 1 from predict() and its loss from the sweep, and
-run_cascade walks on from there: stage n scores theta_t + n * (stage 1's
-displacement), so a quadratic cascade's curvature enters only in stage 1.
-predict() and predict_grid() both read FORMULAS and build theta_hat in the
-one _combine, so a grid prediction is predict()'s, bit for bit.
+velocity) can share its computation. predict_grid() is the one dispatch: it
+computes each named direction once and builds every theta_hat in _combine.
+predict() is predict_grid() at one formula and one K, and the named
+predict_* functions are one-line calls of predict(). The live loop scores
+predict()'s exact weights; the sweep hands predict_grid()'s directions and
+coefficient matrices to Task.affine_losses. Pass 3 takes a cascade's stage 1
+from predict_grid() and its loss from the sweep, and run_cascade walks on:
+stage n scores theta_t + n * (stage 1's displacement), so a quadratic
+cascade's curvature enters only in stage 1.
 
 Predicted vectors may be non-finite (momentum at large K can overflow); that
 is recorded in Prediction.finite rather than raised, and the verifier treats
@@ -108,40 +108,26 @@ def _descent_unit(m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper) -> 
 def predict_momentum(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
                      k: int, eps: float) -> Prediction:
     """theta + K * m/(sqrt(v)+eps), raw moments, additive sign, no lr factor."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    return _combine(MOMENTUM, theta_t, (_momentum_unit(m, v, eps),), k)
-
-
-def predict_momentum_descent(theta_t: np.ndarray, m: np.ndarray, v: np.ndarray,
-                             step: int, hyper: AdamHyper, k: int) -> Prediction:
-    """Descent-flavored momentum: theta - K * lr * m_hat/(sqrt(v_hat)+eps).
-
-    Uses the moments bias-corrected for `step` updates and the scheduled
-    learning rate at that step, i.e. K repeats of the current Adam update
-    direction.
-    """
-    return _combine(MOMENTUM_DESCENT, theta_t, (_descent_unit(m, v, step, hyper),), k)
+    return predict(MOMENTUM, (theta_t,), 1, k, m, v, 0, AdamHyper(eps=eps))
 
 
 def predict_linear(theta_t: np.ndarray, theta_prev: np.ndarray,
                    delta: int, k: int) -> Prediction:
     """theta + (K/delta) * (theta - theta_prev)."""
-    return _combine(LINEAR, theta_t, _directions(LINEAR, (theta_prev, theta_t)), k, delta)
+    return predict(LINEAR, (theta_prev, theta_t), delta, k, None, None, 0, None)
 
 
 def predict_quadratic(theta_t: np.ndarray, theta_prev: np.ndarray,
                       theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Parabola through three checkpoints, curvature coefficient K(K-delta)."""
-    thetas = (theta_prev2, theta_prev, theta_t)
-    return _combine(QUADRATIC, theta_t, _directions(QUADRATIC, thetas), k, delta)
+    return predict(QUADRATIC, (theta_prev2, theta_prev, theta_t), delta, k, None, None, 0, None)
 
 
 def predict_quadratic_exact(theta_t: np.ndarray, theta_prev: np.ndarray,
                             theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Quadratic variant with coefficient K(K+delta): exact on parabolic trajectories."""
-    thetas = (theta_prev2, theta_prev, theta_t)
-    return _combine(QUADRATIC_EXACT, theta_t, _directions(QUADRATIC_EXACT, thetas), k, delta)
+    return predict(QUADRATIC_EXACT, (theta_prev2, theta_prev, theta_t), delta, k,
+                   None, None, 0, None)
 
 
 # the directions formulas combine: (thetas, m, v, step, hyper) -> D, thetas oldest first
@@ -151,11 +137,6 @@ DIRECTIONS: dict[str, Callable[..., np.ndarray]] = {
     "velocity": lambda th, *_: th[-1] - th[-2],
     "curvature": lambda th, *_: th[-1] - 2.0 * th[-2] + th[-3],
 }
-
-
-def _directions(formula: str, thetas: Sequence[np.ndarray], *state) -> list[np.ndarray]:
-    """The formula's directions D_j from the history and the (m, v, step, hyper) state."""
-    return [DIRECTIONS[name](thetas, *state) for name in FORMULAS[formula].directions]
 
 
 @dataclass(frozen=True)
@@ -211,27 +192,32 @@ def predict(formula: str, thetas: Sequence[np.ndarray], spacing: int, k: int,
     `thetas` is the trajectory history, oldest first, at uniform `spacing`
     steps. m, v and step are the raw Adam moments and update count the
     momentum formulas extrapolate. Raises InsufficientHistoryError when the
-    history is too short for the formula.
+    history is too short for the formula. It is predict_grid() at one
+    formula and one K.
     """
-    _formula(formula, thetas)
-    return _combine(formula, thetas[-1], _directions(formula, thetas, m, v, step, hyper),
-                    k, spacing)
+    return predict_grid((formula,), thetas, spacing, (k,), m, v, step, hyper)[0][2][0]
 
 
 def predict_grid(formulas: Sequence[str], thetas: Sequence[np.ndarray], spacing: int,
                  ks: Sequence[int], m: np.ndarray, v: np.ndarray, step: int, hyper: AdamHyper,
                  ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray, list[Prediction]]]:
-    """predict() with every formula of `formulas` at every K of `ks`.
+    """Predict with every formula of `formulas` at every K of `ks`: the one dispatch.
 
     Returns one (directions, coeffs, predictions) triple per formula:
-    predictions[i] is predict()'s prediction at ks[i], bit for bit, and its
-    theta_hat is thetas[-1] + sum_j coeffs[i, j] * directions[j]. Each named
-    direction is computed once, and formulas that share it share the array.
+    predictions[i] is the prediction at ks[i], predict()'s bit for bit, and
+    its theta_hat is thetas[-1] + sum_j coeffs[i, j] * directions[j]. Each
+    named direction is computed once, and formulas that share it share the
+    array. Raises as predict() does.
     """
     computed: dict[str, np.ndarray] = {}
     grids = []
     for formula in formulas:
-        entry = _formula(formula, thetas)
+        entry = FORMULAS.get(formula)
+        if entry is None:
+            raise ValueError(f"unknown predictor {formula!r}")
+        if len(thetas) < entry.history:
+            raise InsufficientHistoryError(
+                f"{formula} needs {entry.history} checkpoints, have {len(thetas)}")
         for name in entry.directions:
             if name not in computed:
                 computed[name] = DIRECTIONS[name](thetas, m, v, step, hyper)
@@ -240,13 +226,3 @@ def predict_grid(formulas: Sequence[str], thetas: Sequence[np.ndarray], spacing:
         coeffs = np.array([entry.coeffs(k, spacing) for k in ks], dtype=np.float64)
         grids.append((directions, coeffs.reshape(len(preds), len(directions)), preds))
     return grids
-
-
-def _formula(formula: str, thetas: Sequence[np.ndarray]) -> Formula:
-    entry = FORMULAS.get(formula)
-    if entry is None:
-        raise ValueError(f"unknown predictor {formula!r}")
-    if len(thetas) < entry.history:
-        raise InsufficientHistoryError(
-            f"{formula} needs {entry.history} checkpoints, have {len(thetas)}")
-    return entry

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from leapverify import harness
 from leapverify.cli import build_config, build_parser, main
 from leapverify.config import OUT_ENV_VAR, load_config
 
@@ -179,6 +180,19 @@ def test_report_after_single_passes_records_the_resolved_lr_and_taus(tmp_path, c
                                                        float(stored["tau_high"]))
 
 
+def test_report_refuses_cascades_of_another_criterion(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(run_all_args(out)) == 0  # strict, the default
+    assert main(["cascade", "--config", str(out / "config.txt"), "--out", str(out),
+                 "--criterion", "adaptive"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    cascades = out / "runs" / "quad-bowl" / "42" / "cascades.jsonl"
+    assert capsys.readouterr().err == (
+        f"error: report failed for seed 42: {cascades} was scored under criterion adaptive, "
+        f"not the configured strict; run the cascade pass again\n")
+
+
 def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["train", *BASE, "--out", str(out)]) == 0
@@ -291,6 +305,24 @@ def test_calibrate_stores_thresholds(tmp_path, capsys):
                  "--delta", "50", "--seeds", "42", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "calibrating" not in stdout
+
+
+def test_a_calibration_that_cannot_succeed_is_refused_before_any_run(tmp_path, capsys,
+                                                                     monkeypatch):
+    trained = []
+    train_run = harness.train_run
+    monkeypatch.setattr(harness, "train_run",
+                        lambda *args, **kwargs: trained.append(args) or train_run(*args, **kwargs))
+    out = tmp_path / "exp"
+    # 100 // 50 = 2 checkpoints per run give 1 similarity; calibration needs 2
+    short = ["--task", "quad-bowl", "--seeds", "42", "--steps", "100", "--delta", "50",
+             "--out", str(out)]
+    for command in ("calibrate", "run-all"):
+        assert main([command, *short]) == 1
+        assert capsys.readouterr().err == (
+            "error: calibrate needs steps // delta >= 3, got steps=100, delta=50\n")
+    assert trained == []
+    assert not (out / "thresholds.txt").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges the run

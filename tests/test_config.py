@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from leapverify.config import (
@@ -149,3 +152,8 @@ def test_resolve_out_root_precedence(monkeypatch):
 def test_retired_jobs_key_is_rejected_by_name():
     with pytest.raises(ValueError, match="unknown config key 'jobs'"):
         parse_config("task = mlp-reg\njobs = 2\n")
+
+
+def test_the_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [f.name for f in fields(RunConfig) if f"`{f.name}`" not in readme] == []

@@ -25,7 +25,6 @@ from leapverify.predict import (
     MOMENTUM_VARIANTS,
     InsufficientHistoryError,
     predict,
-    predict_momentum_descent,
 )
 from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.tasks import QuadBowl, make_task
@@ -163,6 +162,25 @@ def test_leap_or_continue_accepts_stationary_prediction():
     assert event.decision.sigma_l is None  # single loss: no sigma yet
     assert event.criterion_used == "strict"
     assert np.array_equal(pred.theta_hat, w[-1].theta)
+
+
+@pytest.mark.parametrize("apply", [True, False])
+@pytest.mark.parametrize("criterion", ["strict", "proximity"])  # accepts, rejects
+def test_a_live_attempt_is_a_depth_one_cascade_walk(criterion, apply):
+    task, hyper = smooth_bowl()
+    w = _two_step_window(task)
+    settings = SpeculationSettings(predictor="linear", k=10, criterion=criterion, apply=apply)
+    event, pred = leap_or_continue(w, 50, task, hyper, settings,
+                                   regime=RegimeLabel.TRANSITION, sigma=0.1, epsilon=0.05)
+    walked = run_cascade(w[-1], pred, 1, criterion, task,
+                         l_hat=task.validation_loss(pred.theta_hat), sigma_l=0.1,
+                         epsilon=0.05, regime=RegimeLabel.TRANSITION)
+    # l_hat ~ 0.05 against l_t = 1.0: strict accepts, proximity at 5% rejects
+    accepted = criterion == "strict"
+    assert event.decision.verdict(criterion) is accepted
+    assert event.applied is (accepted and apply)
+    assert event.regime_at_leap is RegimeLabel.TRANSITION
+    assert walked == [replace(event, applied=False)]
 
 
 def test_train_run_validates_arguments():
@@ -393,7 +411,7 @@ def scored_cascade(window, depth, k, predictor, criterion, task, hyper, *, sigma
     """run_cascade at delta 50 from speculate()'s stage-1 prediction and loss."""
     pred, l_hat = speculate(window, 50, predictor, k, task, hyper)
     return run_cascade(window[-1], pred, depth, criterion, task,
-                       l_hat=l_hat, sigma_l=sigma_l, epsilon=0.05)
+                       l_hat=l_hat, sigma_l=sigma_l, epsilon=0.05, regime=RegimeLabel.STABLE)
 
 
 def test_cascade_refuses_depth_zero(stable_window):
@@ -401,7 +419,7 @@ def test_cascade_refuses_depth_zero(stable_window):
     pred, l_hat = speculate(window, 50, "linear", 25, task, hyper)
     with pytest.raises(ValueError, match="cascade depth must be >= 1"):
         run_cascade(window[-1], pred, 0, "strict", task, l_hat=l_hat, sigma_l=None,
-                    epsilon=0.05)
+                    epsilon=0.05, regime=RegimeLabel.STABLE)
 
 
 def test_cascade_stage_accounting(stable_window):
@@ -484,7 +502,8 @@ def test_momentum_variant_resolves_the_live_formula(tmp_path):
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     assert {json.loads(line)["predictor"] for line in lines} == {"momentum_descent"}
     first = next(c for c in load_run_checkpoints(tmp_path) if c.step == res.events[0].step_from)
-    expected = predict_momentum_descent(first.theta, first.m, first.v, first.step, hyper, 30)
+    expected = predict("momentum_descent", [first.theta], 50, 30, first.m, first.v, first.step,
+                       hyper)
     assert res.events[0].displacement_norm == expected.displacement_norm
 
 
@@ -536,7 +555,7 @@ def test_cascade_stages_continue_along_the_first_leap(curved_window, formula, mo
     monkeypatch.setattr(task, "validation_loss",
                         lambda theta: scored.append(theta) or validation_loss(theta))
     events = run_cascade(window[-1], first, depth, "adaptive", task,
-                         l_hat=given, sigma_l=1e9, epsilon=0.05)
+                         l_hat=given, sigma_l=1e9, epsilon=0.05, regime=RegimeLabel.STABLE)
     assert len(events) == depth
     assert len(scored) == depth - 1
     assert events[0].decision.l_hat == given

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from leapverify.predict import (
     predict,
     predict_linear,
     predict_momentum,
-    predict_momentum_descent,
     predict_quadratic,
     predict_quadratic_exact,
 )
@@ -59,14 +60,20 @@ def test_momentum_nonfinite_is_flagged_not_raised():
 
 def test_momentum_descent_variant_moves_against_update_direction():
     h = AdamHyper(lr=0.1, warmup_steps=0, total_steps=100, weight_decay=0.0)
-    theta = np.zeros(2)
-    pred = predict_momentum_descent(theta, np.array([0.09, 0.0]), np.array([0.0081, 0.0]),
-                                    step=20, hyper=h, k=10)
+    theta, m, v = np.zeros(2), np.array([0.09, 0.0]), np.array([0.0081, 0.0])
+    step, k = 20, 10
+    pred = predict("momentum_descent", [theta], 50, k, m, v, step, h)
     assert pred.predictor == "momentum_descent"
     # positive gradient EMA means descent goes negative
     assert pred.theta_hat[0] < 0
     assert pred.theta_hat[1] == 0.0
     assert pred.displacement_norm == pytest.approx(abs(pred.theta_hat[0]))
+    # K repeats of the Adam update: -K * lr * m_hat / (sqrt(v_hat) + eps), with
+    # bias-corrected moments and the cosine-scheduled lr at `step`
+    lr = 0.5 * 0.1 * (1.0 + math.cos(math.pi * step / 100))
+    m_hat, v_hat = m / (1.0 - 0.9**step), v / (1.0 - 0.999**step)
+    want = theta - k * lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert pred.theta_hat == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_linear_exact_on_affine_trajectories():
@@ -147,7 +154,6 @@ def test_predict_dispatches_each_formula_on_the_history():
     thetas = [t0, t1, t2]
     expected = {
         "momentum": predict_momentum(t2, m, v, 25, h.eps),
-        "momentum_descent": predict_momentum_descent(t2, m, v, 30, h, 25),
         "linear": predict_linear(t2, t1, 10, 25),
         "quadratic": predict_quadratic(t2, t1, t0, 10, 25),
         "quadratic_exact": predict_quadratic_exact(t2, t1, t0, 10, 25),
