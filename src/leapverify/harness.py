@@ -13,13 +13,14 @@ per-seed-first convention: rates are computed within each seed, then
 summarized as mean/std/CoV across seeds, with denominators carried
 alongside every rate so each percentage is auditable.
 
-Every command that runs many seeds goes through `each_seed`, one seed at a
-time, so a failure names its pass and seed. No pass holds a seed's whole
-run: training returns a RunResult without checkpoints, and replay_points
-streams stored checkpoints through the history window. `run_experiment`
-(`run-all`) is the composition of the per-pass functions `train_seeds`,
-`sweep_seeds`, `cascade_seeds` and `make_report` that the single-pass
-commands call.
+Every command that runs many seeds goes through `each_seed`, which runs
+them at the same time in forked workers, one per CPU, hands their results
+back in seed order, and names the pass and seed of a failure. No pass holds
+a seed's whole run: training returns a RunResult without checkpoints, and
+replay_points streams stored checkpoints through the history window.
+`run_experiment` (`run-all`) is the composition of the per-pass functions
+`train_seeds`, `sweep_seeds`, `cascade_seeds` and `make_report` that the
+single-pass commands call.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, product
@@ -223,8 +225,8 @@ def calibrate_thresholds(cfg: RunConfig) -> Thresholds:
     hyper = build_hyper(cfg, task)
     runs = each_seed("calibrate", cfg.calibration_seeds,
                      lambda seed: train_run(task, seed, total_steps=cfg.steps,
-                                            delta=cfg.delta, hyper=hyper))
-    traces = [[s for s in result.similarities if s is not None] for _, result in runs]
+                                            delta=cfg.delta, hyper=hyper).similarities)
+    traces = [[s for s in similarities if s is not None] for _, similarities in runs]
     return calibrate(traces, cfg.q_low, cfg.q_high)
 
 
@@ -812,15 +814,51 @@ def write_report(report: ExperimentReport, out_root: str | Path) -> None:
 
 # ------------------------------------------------------------ experiment
 
+def _seed_results(fn: Callable[[int], T], seeds: tuple[int, ...]):
+    """(pool, fn(seed) for each seed in seed order): workers.fork_pool's, or (None, inline).
+
+    Inline: one seed or one CPU, a caller that is itself a pool worker, or
+    another platform than Linux, where fork may not be safe with the
+    system's libraries.
+    """
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    n_workers = min(len(seeds), cpus)
+    if n_workers > 1:
+        from . import workers
+
+        pool = workers.fork_pool(fn, n_workers)
+        if pool is not None:
+            return pool, pool.imap(workers.run, seeds)
+    return None, map(fn, seeds)
+
+
 def each_seed(stage: str, seeds: tuple[int, ...],
               fn: Callable[[int], T]) -> Iterator[tuple[int, T]]:
-    """Yield (seed, fn(seed)) seed by seed; a failure raises a PassError naming both."""
-    for seed in seeds:
-        try:
-            result = fn(seed)
-        except Exception as exc:
-            raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
-        yield seed, result
+    """Yield (seed, fn(seed)) in seed order; a failure raises a PassError naming both.
+
+    The seeds run at the same time, one per CPU, in forked worker processes
+    (see _seed_results); fn must depend only on its seed and write only that
+    seed's outputs. No worker outlives the generator: the pool is closed when
+    every seed is done, and terminated when a seed fails or the caller stops
+    early.
+    """
+    pool, results = _seed_results(fn, seeds)
+    finished = False
+    try:
+        for seed in seeds:
+            try:
+                result = next(results)
+            except Exception as exc:
+                raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
+            yield seed, result
+        finished = True
+    finally:
+        if pool is not None:
+            if finished:
+                pool.close()
+            else:
+                pool.terminate()
+            pool.join()
 
 
 def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
@@ -884,25 +922,26 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
         raise FileNotFoundError(f"no run directories under {task_dir}")
     cfg = effective_config(cfg, build_task(cfg), stored_thresholds(cfg, out_root), out_root)
 
-    cells, cascade_rows, labels_by_seed = [], [], {}
-
-    def load(seed: int) -> None:
+    def load(seed: int) -> tuple[list[RegimeLabel], list[SweepCell], list[CascadeRow]]:
         run_dir = task_dir / str(seed)
-        labels_by_seed[seed] = [label for _, label in read_loss_log(run_dir).values()]
+        labels = [label for _, label in read_loss_log(run_dir).values()]
         sweep_file, cascade_file = run_dir / SWEEP_CSV, run_dir / "cascades.jsonl"
         for path, stage in ((sweep_file, "sweep"), (cascade_file, "cascade")):
             if not path.exists():
                 raise FileNotFoundError(f"{path} missing; run the {stage} pass first")
-        cells.extend(read_sweep_csv(sweep_file, cfg.epsilon))
+        cells = read_sweep_csv(sweep_file, cfg.epsilon)
         rows = read_cascade_rows(cascade_file)
         for row in rows:
             if row.criterion != cfg.criterion:
                 raise ValueError(f"{cascade_file} was scored under criterion {row.criterion}, "
                                  f"not the configured {cfg.criterion}; run the cascade pass again")
-        cascade_rows.extend(rows)
+        return labels, cells, rows
 
-    for _ in each_seed("report", cfg.seeds, load):
-        pass
+    cells, cascade_rows, labels_by_seed = [], [], {}
+    for seed, (labels, seed_cells, rows) in each_seed("report", cfg.seeds, load):
+        labels_by_seed[seed] = labels
+        cells.extend(seed_cells)
+        cascade_rows.extend(rows)
     report = aggregate(cells, cascade_rows, labels_by_seed, config_dict(cfg))
     write_report(report, out_root)
     return report

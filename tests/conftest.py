@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from leapverify.core import freeze
 from leapverify.trajectory import Checkpoint
@@ -18,3 +21,11 @@ def make_checkpoint(step: int, theta, *, val_loss: float = 1.0, seed: int = 0,
         val_loss=val_loss,
         seed=seed,
     )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count harness.each_seed sees: 1 runs seeds inline, more starts workers."""
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus

@@ -308,7 +308,8 @@ def test_calibrate_stores_thresholds(tmp_path, capsys):
 
 
 def test_a_calibration_that_cannot_succeed_is_refused_before_any_run(tmp_path, capsys,
-                                                                     monkeypatch):
+                                                                     monkeypatch, cpus):
+    cpus(1)  # so that a run would train in this process, where it is counted
     trained = []
     train_run = harness.train_run
     monkeypatch.setattr(harness, "train_run",
@@ -421,3 +422,24 @@ def test_help_lists_all_subcommands(capsys):
     stdout = capsys.readouterr().out
     for name in ("calibrate", "train", "sweep", "cascade", "live", "report", "run-all"):
         assert name in stdout
+
+
+def output_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, seeds", [("run-all", "42,43"), ("run-all", "42,43,44"),
+                                            ("live", "42,43")])
+def test_seeds_in_workers_write_and_print_what_the_inline_loop_does(command, seeds, tmp_path,
+                                                                    capsys, cpus):
+    # no taus are given, so calibration goes through the worker pool too
+    out = tmp_path / "out"
+    argv = [command, "--task", "quad-bowl", "--seeds", seeds, "--steps", "300",
+            "--delta", "50", "--out", str(out)]
+    written = []
+    for n in (len(seeds.split(",")), 1):
+        cpus(n)
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(argv) == 0
+        written.append((output_files(out), capsys.readouterr().out))
+    assert written[0] == written[1]

@@ -30,7 +30,9 @@ its L_hat column pins that path, and so does each cascade's stage 1, which
 reads its loss from the sweep; later cascade stages and live events pin the
 exact forward.
 Events name the formula that ran, so the descent events read
-"momentum_descent".
+"momentum_descent". The same replay and live runs over seeds 42 and 43 must
+leave seed 42 the same files: given two CPUs, harness.each_seed runs the two
+seeds in forked workers, and given one (`taskset -c 0`), in this process.
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
 (Python 3.11). Another numpy or BLAS build may round a matrix product
@@ -172,6 +174,27 @@ def test_golden_live_events(predictor, variants, tmp_path):
     momentum_variant, quad_variant = VARIANTS[variants]
     config = tmp_path / "live.cfg"
     save_config(replace(REPLAY, live_predictor=predictor, live_k=25,
+                        momentum_variant=momentum_variant, quad_variant=quad_variant), config)
+    assert main(["live", "--config", str(config), "--out", str(tmp_path)]) == 0
+    events = tmp_path / "live" / "mlp-reg" / str(SEED) / "events.jsonl"
+    assert sha256_file(events) == GOLDEN_LIVE_EVENTS[(predictor, variants)]
+
+
+@pytest.mark.parametrize("variants", sorted(VARIANTS))
+def test_golden_replay_of_one_seed_among_two(variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    run_experiment(replace(REPLAY, seeds=(SEED, SEED + 1), momentum_variant=momentum_variant,
+                           quad_variant=quad_variant, out=str(tmp_path)))
+    run_dir = tmp_path / "runs" / "mlp-reg" / str(SEED)
+    for name in ("sweep.csv", "cascades.jsonl"):
+        assert sha256_file(run_dir / name) == GOLDEN_REPLAY[variants][name]
+
+
+@pytest.mark.parametrize("predictor, variants", sorted(GOLDEN_LIVE_EVENTS))
+def test_golden_live_events_of_one_seed_among_two(predictor, variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    config = tmp_path / "live.cfg"
+    save_config(replace(REPLAY, seeds=(SEED, SEED + 1), live_predictor=predictor, live_k=25,
                         momentum_variant=momentum_variant, quad_variant=quad_variant), config)
     assert main(["live", "--config", str(config), "--out", str(tmp_path)]) == 0
     events = tmp_path / "live" / "mlp-reg" / str(SEED) / "events.jsonl"

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import re
 import shutil
+import time
 import weakref
 from dataclasses import replace
 
@@ -21,6 +24,7 @@ from leapverify.harness import (
     build_hyper,
     build_task,
     calibrate_thresholds,
+    each_seed,
     make_report,
     pass1_train,
     pass2_ksweep,
@@ -323,8 +327,9 @@ def test_pass2_quad_variant_changes_the_formula(experiment):
             assert a.l_hat == b.l_hat
 
 
-def test_make_report_reads_no_checkpoint(experiment, tmp_path, monkeypatch):
+def test_make_report_reads_no_checkpoint(experiment, tmp_path, monkeypatch, cpus):
     cfg, _, out = experiment
+    cpus(1)  # so that every load happens in this process, where it is counted
     copy = shutil.copytree(out, tmp_path / "out")
     loads = []
     load = trajectory.load_checkpoint
@@ -725,3 +730,57 @@ def test_run_experiment_runs_pass_by_pass(tmp_path, monkeypatch):
 def test_pass_error_is_a_runtime_error():
     assert issubclass(PassError, RuntimeError)
 
+
+
+# ------------------------------------------------- each_seed's worker pool
+
+def test_each_seed_yields_in_seed_order_when_the_first_seed_finishes_last(cpus):
+    cpus(2)
+
+    def finish(seed):
+        time.sleep(0.5 if seed == 1 else 0.0)
+        return os.getpid(), time.monotonic()
+
+    (first, (pid1, done1)), (second, (pid2, done2)) = each_seed("test", (1, 2), finish)
+    assert (first, second) == (1, 2)
+    assert os.getpid() not in (pid1, pid2) and pid1 != pid2
+    assert done2 < done1
+
+
+def test_a_seed_failing_in_a_worker_raises_what_it_raises_inline(cpus):
+    def fail_at_two(seed):
+        if seed == 2:
+            raise ValueError(f"nothing to train at seed {seed}")
+        return seed
+
+    errors = []
+    for n in (3, 1):
+        cpus(n)
+        with pytest.raises(PassError) as info:
+            list(each_seed("pass1 (train)", (1, 2, 3), fail_at_two))
+        errors.append(info.value)
+        assert multiprocessing.active_children() == []
+    for error in errors:
+        assert str(error) == "pass1 (train) failed for seed 2: nothing to train at seed 2"
+        assert type(error.__cause__) is ValueError
+        assert str(error.__cause__) == "nothing to train at seed 2"
+
+
+def test_closing_each_seed_early_leaves_no_worker(cpus):
+    cpus(2)
+    seeds = each_seed("test", (1, 2, 3, 4), lambda seed: time.sleep(0.1 * seed) or seed)
+    assert next(seeds) == (1, 1)
+    seeds.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_one_seed_and_the_seeds_of_a_worker_run_inline(cpus):
+    cpus(4)
+    parent = os.getpid()
+    assert list(each_seed("test", (7,), lambda seed: os.getpid())) == [(7, parent)]
+
+    def inner_pids(seed):
+        return os.getpid(), [pid for _, pid in each_seed("inner", (1, 2), lambda s: os.getpid())]
+
+    for _, (worker, pids) in each_seed("outer", (1, 2), inner_pids):
+        assert worker != parent and pids == [worker, worker]
