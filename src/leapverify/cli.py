@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import OUT_ENV_VAR, PARSERS, RunConfig, format_config, load_config, resolve_out_root
-from .engine import FF_POLICIES, RunResult, SpeculationSettings, train_run
+from .engine import FF_POLICIES, SpeculationSettings, train_run
 from .harness import (
     THRESHOLDS_FILE,  # noqa: F401  (the benchmark reads cli.THRESHOLDS_FILE)
     build_hyper,
@@ -93,19 +93,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     for seed in cfg.seeds:
         fresh_run_dir(run_dir_for(out_root, task.name, seed), args.force)
     thresholds = resolve_thresholds(cfg, out_root)
-    for seed, result in train_seeds(cfg, task, thresholds, out_root):
-        print(f"seed {seed}: {len(result.steps)} checkpoints, "
-              f"final val loss {result.loss_log[-1]:.6f}")
+    for seed, (checkpoints, final_loss) in train_seeds(cfg, task, thresholds, out_root):
+        print(f"seed {seed}: {checkpoints} checkpoints, final val loss {final_loss:.6f}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
-    for seed, cells in sweep_seeds(cfg, build_task(cfg), out_root):
-        eligible = sum(c.eligible for c in cells)
+    for seed, (cells, eligible) in sweep_seeds(cfg, build_task(cfg), out_root):
         path = run_dir_for(out_root, cfg.task, seed) / "sweep.csv"
-        print(f"seed {seed}: {len(cells)} cells ({eligible} eligible) -> {path}")
+        print(f"seed {seed}: {cells} cells ({eligible} eligible) -> {path}")
     return 0
 
 
@@ -115,7 +113,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     for seed, rows in cascade_seeds(cfg, build_task(cfg), out_root):
         path = run_dir_for(out_root, cfg.task, seed) / "cascades.jsonl"
         if rows:
-            print(f"seed {seed}: {len(rows)} cascade evaluations -> {path}")
+            print(f"seed {seed}: {rows} cascade evaluations -> {path}")
         else:
             print(f"seed {seed}: no stable checkpoints; cascade table empty (0 starts)")
     return 0
@@ -137,7 +135,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         k=cfg.live_k, criterion=cfg.criterion, apply=True,
         regime_gating=cfg.regime_gating)
 
-    def live(seed: int) -> RunResult:
+    def live(seed: int) -> tuple[int, int, int, float]:
         result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
                            hyper=hyper, thresholds=thresholds, epsilon=cfg.epsilon,
                            adaptive_window=cfg.adaptive_window,
@@ -145,12 +143,12 @@ def cmd_live(args: argparse.Namespace) -> int:
                            store_dir=live_dirs[seed])
         write_atomic(live_dirs[seed] / "config.txt", config_text)
         write_loss_log(result, live_dirs[seed])
-        return result
-
-    for seed, result in each_seed("live", cfg.seeds, live):
         applied = sum(ev.applied for ev in result.events)
-        print(f"seed {seed}: {len(result.events)} speculations, {applied} leaps, "
-              f"{result.skipped_steps} steps skipped, final val loss {result.loss_log[-1]:.6f}")
+        return len(result.events), applied, result.skipped_steps, result.loss_log[-1]
+
+    for seed, (events, applied, skipped, final_loss) in each_seed("live", cfg.seeds, live):
+        print(f"seed {seed}: {events} speculations, {applied} leaps, "
+              f"{skipped} steps skipped, final val loss {final_loss:.6f}")
     return 0
 
 

@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Collection, Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import chain, product
 from pathlib import Path
@@ -814,51 +815,32 @@ def write_report(report: ExperimentReport, out_root: str | Path) -> None:
 
 # ------------------------------------------------------------ experiment
 
-def _seed_results(fn: Callable[[int], T], seeds: tuple[int, ...]):
-    """(pool, fn(seed) for each seed in seed order): workers.fork_pool's, or (None, inline).
-
-    Inline: one seed or one CPU, a caller that is itself a pool worker, or
-    another platform than Linux, where fork may not be safe with the
-    system's libraries.
-    """
-    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-    n_workers = min(len(seeds), cpus)
-    if n_workers > 1:
-        from . import workers
-
-        pool = workers.fork_pool(fn, n_workers)
-        if pool is not None:
-            return pool, pool.imap(workers.run, seeds)
-    return None, map(fn, seeds)
-
-
 def each_seed(stage: str, seeds: tuple[int, ...],
               fn: Callable[[int], T]) -> Iterator[tuple[int, T]]:
     """Yield (seed, fn(seed)) in seed order; a failure raises a PassError naming both.
 
-    The seeds run at the same time, one per CPU, in forked worker processes
-    (see _seed_results); fn must depend only on its seed and write only that
-    seed's outputs. No worker outlives the generator: the pool is closed when
-    every seed is done, and terminated when a seed fails or the caller stops
-    early.
+    The seeds run at the same time, one per CPU, in worker processes forked
+    by workers.results; fn must depend only on its seed and write only that
+    seed's outputs. They run inline, one after another, when there is one
+    seed or one CPU, when the caller is itself a worker, or on another
+    platform than Linux, where fork may not be safe with the system's
+    libraries. No worker outlives the generator, however it ends.
     """
-    pool, results = _seed_results(fn, seeds)
-    finished = False
-    try:
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    n_workers = min(len(seeds), cpus)
+    results = (fn(seed) for seed in seeds)
+    if n_workers > 1:
+        from . import workers  # here, so a command with one seed never loads multiprocessing
+
+        if not workers.in_worker():
+            results = workers.results(fn, seeds, n_workers)
+    with closing(results):
         for seed in seeds:
             try:
                 result = next(results)
             except Exception as exc:
                 raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
             yield seed, result
-        finished = True
-    finally:
-        if pool is not None:
-            if finished:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
 
 
 def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
@@ -870,40 +852,49 @@ def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
 
 
 def train_seeds(cfg: RunConfig, task: Task, thresholds: Thresholds,
-                out_root: str | Path) -> Iterator[tuple[int, RunResult]]:
-    """Pass 1 for every seed of cfg."""
-    return each_seed("pass1 (train)", cfg.seeds,
-                     lambda seed: pass1_train(task, seed, cfg, thresholds, out_root))
+                out_root: str | Path) -> Iterator[tuple[int, tuple[int, float]]]:
+    """Pass 1 for every seed of cfg; yields (seed, (checkpoints, final val loss)).
+
+    Like sweep_seeds and cascade_seeds, it yields only counts, so a worker
+    sends back no more than the caller prints.
+    """
+    def train(seed: int) -> tuple[int, float]:
+        result = pass1_train(task, seed, cfg, thresholds, out_root)
+        return len(result.steps), result.loss_log[-1]
+
+    return each_seed("pass1 (train)", cfg.seeds, train)
 
 
 def sweep_seeds(cfg: RunConfig, task: Task,
-                out_root: str | Path) -> Iterator[tuple[int, list[SweepCell]]]:
-    """Pass 2 for every seed of cfg, each seed's cells written to its sweep.csv."""
+                out_root: str | Path) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Pass 2 for every seed of cfg, each seed's cells written to its sweep.csv;
+    yields (seed, (cells, eligible cells))."""
     hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
 
-    def sweep(seed: int) -> list[SweepCell]:
+    def sweep(seed: int) -> tuple[int, int]:
         run_dir = run_dir_for(out_root, task.name, seed)
         cells = pass2_ksweep(run_dir, task, hyper, k_set=cfg.k_set, epsilon=cfg.epsilon,
                              adaptive_window=cfg.adaptive_window, formulas=formulas)
         write_sweep_csv(cells, run_dir / SWEEP_CSV)
-        return cells
+        return len(cells), sum(c.eligible for c in cells)
 
     return each_seed("pass2 (sweep)", cfg.seeds, sweep)
 
 
 def cascade_seeds(cfg: RunConfig, task: Task,
-                  out_root: str | Path) -> Iterator[tuple[int, list[CascadeRow]]]:
-    """Pass 3 for every seed of cfg, each seed's rows written to its cascades.jsonl."""
+                  out_root: str | Path) -> Iterator[tuple[int, int]]:
+    """Pass 3 for every seed of cfg, each seed's rows written to its cascades.jsonl;
+    yields (seed, rows)."""
     check_cascade_ks(cfg)  # before any seed
     hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
 
-    def cascade(seed: int) -> list[CascadeRow]:
+    def cascade(seed: int) -> int:
         run_dir = run_dir_for(out_root, task.name, seed)
         rows = pass3_cascades(run_dir, task, hyper, configs=cfg.cascades,
                               criterion=cfg.criterion, epsilon=cfg.epsilon,
                               adaptive_window=cfg.adaptive_window, formulas=formulas)
         write_cascade_rows(rows, run_dir / "cascades.jsonl")
-        return rows
+        return len(rows)
 
     return each_seed("pass3 (cascade)", cfg.seeds, cascade)
 

@@ -432,7 +432,7 @@ def output_files(root: Path) -> dict[str, bytes]:
                                             ("live", "42,43")])
 def test_seeds_in_workers_write_and_print_what_the_inline_loop_does(command, seeds, tmp_path,
                                                                     capsys, cpus):
-    # no taus are given, so calibration goes through the worker pool too
+    # no taus are given, so calibration runs in workers too
     out = tmp_path / "out"
     argv = [command, "--task", "quad-bowl", "--seeds", seeds, "--steps", "300",
             "--delta", "50", "--out", str(out)]

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import time
 import weakref
 from dataclasses import replace
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leapverify import harness, trajectory
+from leapverify import harness, trajectory, workers
 from leapverify.config import RunConfig
 from leapverify.engine import speculate, speculate_grid
 from leapverify.harness import (
@@ -732,7 +733,7 @@ def test_pass_error_is_a_runtime_error():
 
 
 
-# ------------------------------------------------- each_seed's worker pool
+# ------------------------------------------------------ each_seed's workers
 
 def test_each_seed_yields_in_seed_order_when_the_first_seed_finishes_last(cpus):
     cpus(2)
@@ -784,3 +785,28 @@ def test_one_seed_and_the_seeds_of_a_worker_run_inline(cpus):
 
     for _, (worker, pids) in each_seed("outer", (1, 2), inner_pids):
         assert worker != parent and pids == [worker, worker]
+
+
+def test_a_worker_killed_mid_seed_fails_that_seed(cpus):
+    cpus(2)
+
+    def killed_at_one(seed):
+        if seed == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return seed
+
+    began = time.monotonic()
+    with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 1: "
+                                        r"worker exited with code -9$"):
+        list(each_seed("pass1 (train)", (1, 2, 3), killed_at_one))
+    assert time.monotonic() - began < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_runs_numpy_s_openblas_on_one_thread(cpus):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built with {blas}, not OpenBLAS")
+    cpus(2)
+    assert list(each_seed("test", (1, 2), lambda seed: workers.one_blas_thread())) == [
+        (1, True), (2, True)]
