@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .engine import FF_POLICIES
+from .optim import AdamHyper
 from .predict import LINEAR, SWEEP_PREDICTORS, resolve_predictor
 from .tasks import TASK_NAMES
 from .verify import CRITERIA
@@ -81,10 +82,10 @@ class RunConfig:
             raise ValueError("steps and delta must be >= 1")
         if self.delta > self.steps:
             raise ValueError("delta exceeds steps; no checkpoint would be taken")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0 <= self.warmup_steps <= self.steps):
-            raise ValueError("need 0 <= warmup_steps <= steps")
+        # raises on a bad optimizer setting before any command deletes or trains anything
+        AdamHyper(**({} if self.lr is None else {"lr": self.lr}), beta1=self.beta1,
+                  beta2=self.beta2, weight_decay=self.weight_decay, eps=self.eps,
+                  warmup_steps=self.warmup_steps, total_steps=self.steps)
         if (self.tau_low is None) != (self.tau_high is None):
             raise ValueError("set both tau_low and tau_high or neither")
         if self.tau_low is not None and not (-1.0 <= self.tau_low < self.tau_high <= 1.0):

@@ -274,9 +274,7 @@ def pass1_train(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
     run_dir = fresh_run_dir(run_dir_for(out_root, task.name, seed))
     hyper = build_hyper(cfg, task)
     result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
-                       hyper=hyper, thresholds=thresholds, epsilon=cfg.epsilon,
-                       adaptive_window=cfg.adaptive_window,
-                       ff_policy=cfg.ff_policy, store_dir=run_dir)
+                       hyper=hyper, thresholds=thresholds, store_dir=run_dir)
     write_loss_log(result, run_dir)
     return result
 
@@ -409,7 +407,7 @@ def pass3_cascades(run_dir: str | Path, task: Task, hyper: AdamHyper, *,
     if not sweep_file.exists():
         raise FileNotFoundError(f"{sweep_file} missing; run the sweep pass first")
     swept = {(c.checkpoint_step, c.predictor, c.k): c
-             for c in read_sweep_csv(sweep_file, regime=RegimeLabel.STABLE)}
+             for c in read_sweep_csv(sweep_file, epsilon, regime=RegimeLabel.STABLE)}
     ks = tuple(dict.fromkeys(k for _, k in configs))
 
     def cascade(start: Checkpoint, pred: Prediction, d: int, l_hat: float,
@@ -470,12 +468,14 @@ def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
     write_atomic(path, buf.getvalue())
 
 
-def read_sweep_csv(path: str | Path, epsilon: float = 0.05,
+def read_sweep_csv(path: str | Path, epsilon: float,
                    regime: RegimeLabel | None = None) -> list[SweepCell]:
     """Rebuild sweep cells from CSV (criterion verdicts are authoritative).
 
-    With `regime`, only the eligible cells of checkpoints labelled `regime`
-    are built, and the other rows are skipped.
+    A sweep whose stored proximity verdict disagrees with `epsilon`, recomputed
+    from the exact L_hat and L_t, was scored under another epsilon and is
+    refused. With `regime`, only the eligible cells of checkpoints labelled
+    `regime` are built, and the other rows are skipped.
     """
     cells: list[SweepCell] = []
     regimes = {label.value: label for label in RegimeLabel}
@@ -492,6 +492,10 @@ def read_sweep_csv(path: str | Path, epsilon: float = 0.05,
             l_t = float(l_t)
             if eligible == "1":
                 l_hat, disp = float(l_hat), float(disp)
+                if (proximity == "1") != (abs(l_hat - l_t) < epsilon * l_t):
+                    raise ValueError(f"{path} was swept under another epsilon than {epsilon} "
+                                     f"(step {step}, predictor {predictor}, K={k}); "
+                                     f"run the sweep pass again")
                 decision = Decision(strict == "1", None if adaptive == "" else adaptive == "1",
                                     proximity == "1", l_hat, l_t, None, epsilon)
             else:
@@ -519,13 +523,20 @@ def write_cascade_rows(rows: list[CascadeRow], path: str | Path) -> None:
     write_atomic(path, text)
 
 
-def read_cascade_rows(path: str | Path) -> list[CascadeRow]:
-    """Reload cascade rows; per-stage events are not reconstructed."""
+def read_cascade_rows(path: str | Path, epsilon: float) -> list[CascadeRow]:
+    """Reload cascade rows; per-stage events are not reconstructed.
+
+    A row whose events record another epsilon than `epsilon` is refused.
+    """
     rows: list[CascadeRow] = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         obj = json.loads(line)
+        for scored in (event["decision"]["epsilon"] for event in obj["events"]):
+            if scored != epsilon:
+                raise ValueError(f"{path} was scored under epsilon {scored}, not the "
+                                 f"configured {epsilon}; run the cascade pass again")
         rows.append(CascadeRow(
             seed=obj["seed"], start_step=obj["start_step"], depth=obj["depth"],
             k=obj["k"], predictor=obj["predictor"], criterion=obj["criterion"],
@@ -820,11 +831,12 @@ def each_seed(stage: str, seeds: tuple[int, ...],
     """Yield (seed, fn(seed)) in seed order; a failure raises a PassError naming both.
 
     The seeds run at the same time, one per CPU, in worker processes forked
-    by workers.results; fn must depend only on its seed and write only that
-    seed's outputs. They run inline, one after another, when there is one
-    seed or one CPU, when the caller is itself a worker, or on another
-    platform than Linux, where fork may not be safe with the system's
-    libraries. No worker outlives the generator, however it ends.
+    by workers.results, each of which runs a fixed share of them; fn must
+    depend only on its seed and write only that seed's outputs. They run
+    inline, one after another, when there is one seed or one CPU, when the
+    caller is itself a worker, or on another platform than Linux, where fork
+    may not be safe with the system's libraries. No worker outlives the
+    generator, however it ends.
     """
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     n_workers = min(len(seeds), cpus)
@@ -921,7 +933,7 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
             if not path.exists():
                 raise FileNotFoundError(f"{path} missing; run the {stage} pass first")
         cells = read_sweep_csv(sweep_file, cfg.epsilon)
-        rows = read_cascade_rows(cascade_file)
+        rows = read_cascade_rows(cascade_file, cfg.epsilon)
         for row in rows:
             if row.criterion != cfg.criterion:
                 raise ValueError(f"{cascade_file} was scored under criterion {row.criterion}, "

@@ -50,7 +50,6 @@ class Task:
 
     name: str
     param_dim: int
-    fingerprint_dim: int
     recommended_lr: float
     data_seed: int
     batch_size: int  # rows of one batch drawn from one generator
@@ -140,7 +139,7 @@ class QuadBowl(Task):
     batch_size = 1  # a batch is one noise row
 
     def __init__(self, dim: int = 20, noise: float = 0.01, data_seed: int = 7):
-        self.param_dim = self.fingerprint_dim = dim
+        self.param_dim = dim
         self.noise = float(noise)
         self.data_seed = int(data_seed)
         self.curvature = freeze(np.geomspace(0.1, 2.0, dim))
@@ -200,12 +199,11 @@ class TanhNetwork(Task):
     _y_val: np.ndarray
     _x_probe: np.ndarray
 
-    def __init__(self, batch_size: int, probe_count: int, data_seed: int):
+    def __init__(self, batch_size: int, data_seed: int):
         self.batch_size = batch_size
         self.data_seed = int(data_seed)
         i, h, o = self.in_dim, self.hidden_dim, self.out_dim
         self.param_dim = i * h + h + h * o + o
-        self.fingerprint_dim = probe_count * o
 
     def batch(self, seed: int, step: int):
         (x, y), i = self._batch_block(seed, step)
@@ -338,7 +336,7 @@ class MlpRegression(TanhNetwork):
 
     def __init__(self, batch_size: int = 32, noise: float = 0.05, probe_count: int = 100,
                  data_seed: int = 7):
-        super().__init__(batch_size, probe_count, data_seed)
+        super().__init__(batch_size, data_seed)
         self.noise = float(noise)
         self._teacher = self._random_weights(self._rng(_TAG_TEACHER))
         self._x_val = freeze(self._rng(_TAG_VAL).standard_normal((self.n_val, self.in_dim)))
@@ -395,7 +393,7 @@ class CharSequence(TanhNetwork):
     in_dim, out_dim = alphabet * ctx, alphabet
 
     def __init__(self, batch_size: int = 32, probe_count: int = 100, data_seed: int = 7):
-        super().__init__(batch_size, probe_count, data_seed)
+        super().__init__(batch_size, data_seed)
         # fixed Markov chain; sharpened rows so sequences carry structure
         trans = self._rng(_TAG_TEACHER).random((self.alphabet, self.alphabet)) ** 3
         self._transition = freeze(trans / trans.sum(axis=1, keepdims=True))

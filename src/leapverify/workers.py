@@ -1,11 +1,13 @@
 """Worker processes that run harness.each_seed's seeds side by side.
 
-The workers are forked from the command, so the callable reaches them by
-inheritance, closures included; only seeds and replies are pickled. Each
-worker has its own pipe, on which the command hands it its next seed, and
-the command watches the pipe and the process sentinel of every busy worker,
-so a worker that dies mid-seed (a signal, the OOM killer, SystemExit) fails
-that seed instead of leaving the command waiting.
+The workers are forked from the command, so the callable and each worker's
+share of the seeds reach them by inheritance, closures included; only
+replies are pickled. Of n workers, worker j runs seeds j, j+n, j+2n, ... in
+turn and sends each reply down a one-way pipe of which it is the only
+writer. The command reads seed i's reply as the next message on the pipe of
+worker i mod n, in seed order. A worker that dies (a signal, the OOM killer,
+SystemExit) closes its pipe without replying, so the seed it owed fails
+instead of leaving the command waiting.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import signal
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -36,46 +38,35 @@ def in_worker() -> bool:
 def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -> Iterator[object]:
     """fn(seed) for each seed in seed order, run by n_workers processes forked from this one.
 
-    A seed whose fn raised, or whose worker died, raises when its turn comes,
-    as it would inline. However the generator ends, every worker is killed
-    and reaped: after the last seed they are idle, so this only stops
-    unfinished seeds when one fails or the caller stops early.
+    Worker j runs seeds j, j + n_workers, j + 2 * n_workers, ... in turn. A
+    seed whose fn raised, or that a dead worker owed, raises when its turn
+    comes, as it would inline. However the generator ends, every worker is
+    killed and reaped: after the last seed they are done, so this only
+    stops unfinished seeds when one fails or the caller stops early.
     """
     sys.stdout.flush()  # else a worker's exit flushes this process's buffered output again
     sys.stderr.flush()
     context = multiprocessing.get_context("fork")
-    jobs = iter(enumerate(seeds))
     crew: list[tuple[multiprocessing.Process, Connection]] = []
-    busy: dict[Connection, tuple[multiprocessing.Process, int]] = {}  # pipe -> worker, seed index
-    replies: dict[int, tuple[bool, object]] = {}
-
-    def hand_next(process: multiprocessing.Process, pipe: Connection) -> None:
-        for index, seed in jobs:  # at most one
-            pipe.send(seed)
-            busy[pipe] = process, index
-            break
-
     try:
-        for _ in range(n_workers):
-            pipe, theirs = context.Pipe()
-            process = context.Process(target=_serve, args=(fn, theirs), daemon=True)
+        for j in range(n_workers):
+            pipe, theirs = context.Pipe(duplex=False)
+            process = context.Process(target=_serve, args=(fn, seeds[j::n_workers], theirs),
+                                      daemon=True)
             process.start()
             crew.append((process, pipe))
-            theirs.close()
-            hand_next(process, pipe)
+            theirs.close()  # before the next fork, so that the pipe ends when this worker does
         for index in range(len(seeds)):
-            while index not in replies:
-                pipes = {process.sentinel: pipe for pipe, (process, _) in busy.items()}
-                for ready in wait([*busy, *pipes]):
-                    pipe = pipes.get(ready, ready)
-                    if pipe in busy:  # not already read through its other handle
-                        process, done = busy.pop(pipe)
-                        replies[done] = _reply(process, pipe)
-                        if process.exitcode is None:
-                            hand_next(process, pipe)
-            ok, value = replies.pop(index)
+            process, pipe = crew[index % n_workers]
+            try:
+                ok, value = pipe.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"worker exited with code {process.exitcode}") from None
             if not ok:
-                raise value
+                exc, text = value
+                exc.__cause__ = WorkerTraceback(text)
+                raise exc
             yield value
     finally:
         for process, pipe in crew:
@@ -85,31 +76,14 @@ def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -
             pipe.close()
 
 
-def _reply(process: multiprocessing.Process, pipe: Connection) -> tuple[bool, object]:
-    """What the worker sent for its seed, or a failure if it died before sending it."""
-    try:
-        if pipe.poll():
-            ok, value = pipe.recv()
-            if ok:
-                return True, value
-            exc, text = value
-            exc.__cause__ = WorkerTraceback(text)
-            return False, exc
-    except EOFError:
-        pass
-    process.join()
-    return False, RuntimeError(f"worker exited with code {process.exitcode}")
-
-
-def _serve(fn: Callable[[int], object], pipe: Connection) -> None:
-    """A worker: run fn on each seed the command sends and send back the result or exception."""
+def _serve(fn: Callable[[int], object], seeds: Sequence[int], pipe: Connection) -> None:
+    """A worker: run fn on each of its seeds in turn and send back the result or exception."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the command, which ends us
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # and a command killed by a signal too
     one_blas_thread()
-    while True:
-        seed = pipe.recv()
+    for seed in seeds:
         try:
             reply = True, fn(seed)
         except Exception as exc:

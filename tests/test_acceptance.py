@@ -44,7 +44,7 @@ def _labels_per_seed(cfg, out):
 
 
 def _cells_per_seed(cfg, out):
-    return {seed: read_sweep_csv(run_dir_for(out, cfg.task, seed) / "sweep.csv")
+    return {seed: read_sweep_csv(run_dir_for(out, cfg.task, seed) / "sweep.csv", cfg.epsilon)
             for seed in cfg.seeds}
 
 

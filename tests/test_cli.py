@@ -193,6 +193,45 @@ def test_report_refuses_cascades_of_another_criterion(tmp_path, capsys):
         f"not the configured strict; run the cascade pass again\n")
 
 
+def test_report_refuses_outputs_of_another_epsilon(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["run-all", "--task", "quad-bowl", "--seeds", "42", "--steps", "300",
+                 "--delta", "50", "--out", str(out)]) == 0
+    report = (out / "report.txt").read_bytes()
+    run_dir = out / "runs" / "quad-bowl" / "42"
+    capsys.readouterr()
+    # some proximity verdicts of the epsilon-0.05 sweep change under 0.5
+    assert main(["report", "--out", str(out), "--epsilon", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: report failed for seed 42: {run_dir / 'sweep.csv'} was swept under another "
+        f"epsilon than 0.5 ")
+    assert (out / "report.txt").read_bytes() == report
+    assert main(["report", "--out", str(out), "--epsilon", "0.05"]) == 0
+    assert (out / "report.txt").read_bytes() == report
+    # a sweep again under 0.5 leaves the cascades of 0.05
+    assert main(["sweep", "--config", str(out / "config.txt"), "--out", str(out),
+                 "--epsilon", "0.5"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out), "--epsilon", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: report failed for seed 42: {run_dir / 'cascades.jsonl'} was scored under "
+        f"epsilon 0.05, not the configured 0.5; run the cascade pass again\n")
+
+
+def test_an_invalid_optimizer_setting_is_refused_before_force_deletes_anything(tmp_path,
+                                                                              capsys):
+    out = tmp_path / "exp"
+    assert main(run_all_args(out)) == 0
+    before = files_under(out)
+    config = tmp_path / "run.cfg"
+    config.write_text("beta1 = 1.5\n")
+    capsys.readouterr()
+    for command in ("train", "run-all"):
+        assert main([command, "--config", str(config), *BASE, "--out", str(out), "--force"]) == 1
+        assert "betas must lie in (0, 1)" in capsys.readouterr().err
+        assert files_under(out) == before
+
+
 def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["train", *BASE, "--out", str(out)]) == 0

@@ -130,6 +130,16 @@ def test_validation_rejects(kwargs):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize("line, error", [
+    ("beta1 = 1.5", "betas must lie in"),
+    ("eps = 0", "eps must be positive"),
+    ("weight_decay = -0.1", "weight_decay must be >= 0"),
+])
+def test_parse_rejects_invalid_optimizer_settings(line, error):
+    with pytest.raises(ValueError, match=error):
+        parse_config(line)
+
+
 def test_config_dict_is_json_friendly():
     d = config_dict(custom_config())
     assert d["seeds"] == [1, 2, 3]

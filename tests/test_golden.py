@@ -159,7 +159,7 @@ def test_cascade_stage_one_is_the_sweep_cell(variants, tmp_path):
                            quad_variant=quad_variant, out=str(tmp_path)))
     run_dir = tmp_path / "runs" / "mlp-reg" / str(SEED)
     cells = {(c.checkpoint_step, c.predictor, c.k): c
-             for c in read_sweep_csv(run_dir / "sweep.csv")}
+             for c in read_sweep_csv(run_dir / "sweep.csv", REPLAY.epsilon)}
     rows = [json.loads(line) for line in (run_dir / "cascades.jsonl").read_text().splitlines()]
     assert rows
     for row in rows:

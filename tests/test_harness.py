@@ -117,7 +117,7 @@ def test_pass1_clears_stale_checkpoints(experiment, tmp_path):
 
 def test_pass2_grid_is_rectangular(experiment):
     cfg, _, out = experiment
-    cells = read_sweep_csv(run_dir_for(out, "quad-bowl", 42) / "sweep.csv")
+    cells = read_sweep_csv(run_dir_for(out, "quad-bowl", 42) / "sweep.csv", cfg.epsilon)
     # 6 non-chaotic checkpoints x 3 predictors x 3 horizons
     assert len(cells) == 6 * 3 * 3
     grid = {(c.checkpoint_step, c.predictor, c.k) for c in cells}
@@ -129,8 +129,8 @@ def test_pass2_grid_is_rectangular(experiment):
 
 
 def test_pass2_eligibility_ramps_with_history(experiment):
-    _, _, out = experiment
-    cells = read_sweep_csv(run_dir_for(out, "quad-bowl", 42) / "sweep.csv")
+    cfg, _, out = experiment
+    cells = read_sweep_csv(run_dir_for(out, "quad-bowl", 42) / "sweep.csv", cfg.epsilon)
     by_step = {}
     for c in cells:
         by_step.setdefault(c.checkpoint_step, {})[c.predictor, c.k] = c
@@ -367,7 +367,7 @@ def test_unfinished_runs_are_refused(experiment, tmp_path, stage):
 
 def test_pass3_rows_start_from_stable_checkpoints(experiment):
     cfg, _, out = experiment
-    rows = read_cascade_rows(run_dir_for(out, "quad-bowl", 42) / "cascades.jsonl")
+    rows = read_cascade_rows(run_dir_for(out, "quad-bowl", 42) / "cascades.jsonl", cfg.epsilon)
     assert rows
     stable_steps = set(range(100, 301, 50))  # first checkpoint is unknown
     for row in rows:
@@ -420,7 +420,7 @@ def test_pass3_reads_stage_one_from_the_sweep(experiment, tmp_path):
     cfg, _, _ = experiment
     rows = cascade_over_a_sweep(experiment, tmp_path, sweep_formulas(cfg), cfg.k_set)
     cells = {(c.checkpoint_step, c.predictor, c.k): c
-             for c in read_sweep_csv(tmp_path / "42" / "sweep.csv")}
+             for c in read_sweep_csv(tmp_path / "42" / "sweep.csv", cfg.epsilon)}
     assert rows
     for row in rows:
         cell, first = cells[row.start_step, row.predictor, row.k], row.events[0]
@@ -502,10 +502,10 @@ def test_sweep_csv_header_and_round_trip(experiment):
     cfg, _, out = experiment
     path = run_dir_for(out, "quad-bowl", 42) / "sweep.csv"
     assert path.read_text().splitlines()[0] == SWEEP_CSV_HEADER
-    cells = read_sweep_csv(path)
+    cells = read_sweep_csv(path, cfg.epsilon)
     rewritten = out / "rewritten.csv"
     write_sweep_csv(cells, rewritten)
-    again = read_sweep_csv(rewritten)
+    again = read_sweep_csv(rewritten, cfg.epsilon)
     assert len(again) == len(cells)
     for a, b in zip(cells, again):
         assert (a.seed, a.checkpoint_step, a.regime, a.predictor, a.k) == \
@@ -523,31 +523,34 @@ def test_sweep_csv_header_and_round_trip(experiment):
 
 
 def test_sweep_csv_reads_only_the_eligible_cells_of_one_regime(experiment):
-    _, _, out = experiment
+    cfg, _, out = experiment
     path = run_dir_for(out, "quad-bowl", 42) / "sweep.csv"
-    cells = read_sweep_csv(path)
+    cells = read_sweep_csv(path, cfg.epsilon)
     stable = [c for c in cells if c.eligible and c.regime is RegimeLabel.STABLE]
     # the run holds cells of another regime and ineligible stable cells
     assert len(stable) < sum(c.regime is RegimeLabel.STABLE for c in cells) < len(cells)
-    assert read_sweep_csv(path, regime=RegimeLabel.STABLE) == stable
+    assert read_sweep_csv(path, cfg.epsilon, regime=RegimeLabel.STABLE) == stable
 
 
 def test_sweep_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("seed,step,regime\n1,50,stable\n")
     with pytest.raises(ValueError):
-        read_sweep_csv(path)
+        read_sweep_csv(path, 0.05)
 
 
 def test_cascade_rows_round_trip(experiment):
-    _, _, out = experiment
+    cfg, _, out = experiment
     path = run_dir_for(out, "quad-bowl", 42) / "cascades.jsonl"
-    rows = read_cascade_rows(path)
+    rows = read_cascade_rows(path, cfg.epsilon)
     rewritten = out / "cascades_rewritten.jsonl"
     write_cascade_rows(rows, rewritten)
-    again = read_cascade_rows(rewritten)
+    again = read_cascade_rows(rewritten, cfg.epsilon)
     assert again == rows
     assert all(r.events == () for r in again)
+    with pytest.raises(ValueError, match=rf"scored under epsilon {cfg.epsilon}, not the "
+                                         r"configured 0.5; run the cascade pass again"):
+        read_cascade_rows(path, 0.5)
 
 
 def _cell(seed, step, k, l_hat, *, predictor="momentum", l_t=1.0, sigma=0.5,
@@ -799,6 +802,28 @@ def test_a_worker_killed_mid_seed_fails_that_seed(cpus):
     with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 1: "
                                         r"worker exited with code -9$"):
         list(each_seed("pass1 (train)", (1, 2, 3), killed_at_one))
+    assert time.monotonic() - began < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_j_runs_seeds_j_and_j_plus_the_worker_count(cpus):
+    cpus(2)
+    pids = dict(each_seed("test", (1, 2, 3), lambda seed: os.getpid()))
+    assert pids[1] == pids[3] != pids[2]
+
+
+def test_a_worker_killed_at_its_second_seed_fails_that_seed(cpus):
+    cpus(2)
+
+    def killed_at_three(seed):
+        if seed == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return seed
+
+    began = time.monotonic()
+    with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 3: "
+                                        r"worker exited with code -9$"):
+        list(each_seed("pass1 (train)", (1, 2, 3), killed_at_three))
     assert time.monotonic() - began < 10
     assert multiprocessing.active_children() == []
 

@@ -28,13 +28,13 @@ def test_task_names_and_dimensions():
     assert set(TASK_NAMES) == {"quad-bowl", "mlp-reg", "char-seq"}
     quad = make_task("quad-bowl")
     assert quad.param_dim == 20
-    assert quad.fingerprint_dim == 20
+    assert len(quad.fingerprint(quad.init_params(0))) == 20
     mlp = make_task("mlp-reg")
     assert mlp.param_dim == 64 * 128 + 128 + 128 * 8 + 8 == 9352
-    assert mlp.fingerprint_dim == 100 * 8 == 800
+    assert len(mlp.fingerprint(mlp.init_params(0))) == 100 * 8 == 800
     seq = make_task("char-seq")
     assert seq.param_dim == 48 * 32 + 32 + 32 * 12 + 12 == 1964
-    assert seq.fingerprint_dim == 100 * 12 == 1200
+    assert len(seq.fingerprint(seq.init_params(0))) == 100 * 12 == 1200
 
 
 def test_make_task_unknown_name():
@@ -44,8 +44,9 @@ def test_make_task_unknown_name():
 
 def test_make_task_overrides():
     assert make_task("quad-bowl", dim=10).param_dim == 10
-    assert make_task("mlp-reg", probe_count=10).fingerprint_dim == 80
-    assert make_task("char-seq", probe_count=5).fingerprint_dim == 60
+    for name, probe_count, width in (("mlp-reg", 10, 80), ("char-seq", 5, 60)):
+        task = make_task(name, probe_count=probe_count)
+        assert len(task.fingerprint(task.init_params(0))) == width
     assert make_task("mlp-reg", batch_size=8).batch_size == 8
     assert make_task("mlp-reg", noise=0.5).noise == 0.5
     assert make_task("char-seq", data_seed=3).data_seed == 3
