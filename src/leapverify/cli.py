@@ -170,6 +170,8 @@ def cmd_run_all(args: argparse.Namespace) -> int:
         raise RuntimeError(f"{out_root / 'report.json'} already exists; pass --force to overwrite")
     for seed in cfg.seeds:
         fresh_run_dir(run_dir_for(out_root, cfg.task, seed), args.force)
+    for name in ("report.json", "report.txt", "config.txt"):  # they describe the old runs
+        (out_root / name).unlink(missing_ok=True)
     report = run_experiment(cfg)
     print(f"report over seeds {list(report.seeds)} -> {out_root / 'report.json'}")
     if len(report.seeds) == 1:

@@ -19,14 +19,22 @@ holds, and its stage n scores theta_t plus n times stage 1's displacement
 against stage n-1's loss. A live attempt is a depth-1 walk from
 speculate()'s exact prediction, and leap_or_continue only marks its event
 applied; an offline cascade walks deeper and applies nothing.
+
+A training run that has a CPU to spare has its batch blocks drawn ahead of
+it by a producer process pinned to that CPU (batches_drawn_ahead); since
+batches are pure in (seed, step), the run trains on the same stream bit for
+bit, and nothing it writes changes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,7 +44,7 @@ from .core import NonFiniteError, freeze, is_finite
 from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
 from .predict import FORMULAS, LINEAR, Prediction, predict, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
-from .tasks import Task
+from .tasks import BATCH_BLOCK, Task
 from .trajectory import WINDOW_CAPACITY, Checkpoint, recent_loss_std, save_checkpoint
 from .verify import Decision, decide
 
@@ -195,6 +203,43 @@ def leap_or_continue(
     return replace(events[0], applied=accepted and settings.apply), pred
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 off Linux, where fork may not be
+    safe with the system's libraries, so nothing runs beside the process."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+@contextmanager
+def batches_drawn_ahead(task: Task, seed: int, total_steps: int) -> Iterator[None]:
+    """Within the block, a producer process draws the task's batch blocks of
+    seed's first total_steps steps ahead of the run (workers.BlockProducer).
+
+    There is one only on Linux, for runs of more than two blocks, when this
+    process may run on two CPUs or more and is not itself a seed worker,
+    since the workers already fill the CPUs. Else, and once the producer is
+    gone, the task draws every block itself, the same stream bit for bit.
+    The run's first block is drawn here, in the process that wants it first,
+    and sizes the ring. The producer is stopped when the block ends, however
+    it ends.
+    """
+    producer = None
+    if total_steps > 2 * BATCH_BLOCK and usable_cpus() > 1:
+        from . import workers  # here, so that a run on one CPU never loads multiprocessing
+
+        if not workers.in_worker():
+            first_block, _ = task._batch_block(seed, 0)
+            producer = workers.BlockProducer(task.draw_block, seed,
+                                             range(BATCH_BLOCK, total_steps, BATCH_BLOCK),
+                                             first_block)
+    task.producer = producer
+    try:
+        yield
+    finally:
+        task.producer = None
+        if producer is not None:
+            producer.close()
+
+
 # A diverging run stops with RunDivergedError naming its step; numpy's
 # overflow and invalid-value warnings on the way there would only add noise.
 @np.errstate(over="ignore", invalid="ignore")
@@ -227,7 +272,9 @@ def train_run(
     moment buffers, and every step updates them in place. Nothing outside
     the run sees them while it trains: a checkpoint stores frozen copies of
     the parameters and moments, and a landing leap copies the predicted
-    parameters into the buffer.
+    parameters into the buffer. Its batches may be drawn ahead of it by a
+    producer process (batches_drawn_ahead), which is stopped before the run
+    returns or raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -253,59 +300,62 @@ def train_run(
     prev_fingerprint: np.ndarray | None = None
     skipped = 0
 
-    step = 0
-    next_ckpt = delta
-    while step < total_steps:
-        try:
-            tg = task.loss_and_grad(theta, task.batch(seed, step))
-            apply_update(state, theta, tg.grad, out=theta)
-        except NonFiniteError as exc:
-            raise RunDivergedError(f"{exc} at step {step + 1} (seed {seed})") from exc
-        step += 1
-        if step != next_ckpt:
-            continue
+    with batches_drawn_ahead(task, seed, total_steps):
+        step = 0
+        next_ckpt = delta
+        while step < total_steps:
+            try:
+                tg = task.loss_and_grad(theta, task.batch(seed, step))
+                apply_update(state, theta, tg.grad, out=theta)
+            except NonFiniteError as exc:
+                raise RunDivergedError(f"{exc} at step {step + 1} (seed {seed})") from exc
+            step += 1
+            if step != next_ckpt:
+                continue
 
-        if not is_finite(theta):
-            raise RunDivergedError(f"non-finite parameters at step {step} (seed {seed})")
-        val_loss = task.validation_loss(theta)
-        if not math.isfinite(val_loss):
-            raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
-        fingerprint = task.fingerprint(theta)
-        if prev_fingerprint is not None:
-            sim = similarity_at(fingerprint, prev_fingerprint)
-            label = classify(sim, thresholds) if thresholds is not None else RegimeLabel.UNKNOWN
-        else:
-            sim, label = None, RegimeLabel.UNKNOWN
-        prev_fingerprint = fingerprint
-        m, v = snapshot_moments(state)
-        ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
-                          seed=seed)
-        if store_path is not None:
-            save_checkpoint(ckpt, store_path / f"ckpt_{step}.lpv")
-        window.append(ckpt)
-        ckpt_steps.append(step)
-        loss_log.append(val_loss)
-        sims.append(sim)
-        labels.append(label)
+            if not is_finite(theta):
+                raise RunDivergedError(f"non-finite parameters at step {step} (seed {seed})")
+            val_loss = task.validation_loss(theta)
+            if not math.isfinite(val_loss):
+                raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
+            fingerprint = task.fingerprint(theta)
+            if prev_fingerprint is not None:
+                sim = similarity_at(fingerprint, prev_fingerprint)
+                label = (classify(sim, thresholds) if thresholds is not None
+                         else RegimeLabel.UNKNOWN)
+            else:
+                sim, label = None, RegimeLabel.UNKNOWN
+            prev_fingerprint = fingerprint
+            m, v = snapshot_moments(state)
+            ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
+                              seed=seed)
+            if store_path is not None:
+                save_checkpoint(ckpt, store_path / f"ckpt_{step}.lpv")
+            window.append(ckpt)
+            ckpt_steps.append(step)
+            loss_log.append(val_loss)
+            sims.append(sim)
+            labels.append(label)
 
-        if speculation is not None and step + speculation.k <= total_steps:
-            event, pred = leap_or_continue(
-                window, delta, task, hyper, speculation,
-                regime=label, sigma=recent_loss_std(loss_log, adaptive_window), epsilon=epsilon,
-            )
-            if event is not None:
-                events.append(event)
-                if events_file is not None:
-                    with events_file.open("a") as fh:
-                        fh.write(json.dumps(event.to_json()) + "\n")
-                if event.applied:
-                    assert pred is not None
-                    np.copyto(theta, pred.theta_hat)
-                    fast_forward(state, speculation.k, ff_policy)
-                    step += speculation.k
-                    skipped += speculation.k
-                    window.clear()
-        next_ckpt = (step // delta + 1) * delta
+            if speculation is not None and step + speculation.k <= total_steps:
+                event, pred = leap_or_continue(
+                    window, delta, task, hyper, speculation,
+                    regime=label, sigma=recent_loss_std(loss_log, adaptive_window),
+                    epsilon=epsilon,
+                )
+                if event is not None:
+                    events.append(event)
+                    if events_file is not None:
+                        with events_file.open("a") as fh:
+                            fh.write(json.dumps(event.to_json()) + "\n")
+                    if event.applied:
+                        assert pred is not None
+                        np.copyto(theta, pred.theta_hat)
+                        fast_forward(state, speculation.k, ff_policy)
+                        step += speculation.k
+                        skipped += speculation.k
+                        window.clear()
+            next_ckpt = (step // delta + 1) * delta
 
     return RunResult(
         seed=seed,

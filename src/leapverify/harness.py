@@ -30,7 +30,6 @@ import io
 import json
 import math
 import os
-import sys
 from collections.abc import Callable, Collection, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -48,6 +47,7 @@ from .engine import (
     run_cascade,
     speculate_grid,
     train_run,
+    usable_cpus,
 )
 from .optim import AdamHyper
 from .predict import FORMULAS, SWEEP_PREDICTORS, Prediction, predict_grid, resolve_predictor
@@ -826,20 +826,20 @@ def write_report(report: ExperimentReport, out_root: str | Path) -> None:
 
 # ------------------------------------------------------------ experiment
 
-def each_seed(stage: str, seeds: tuple[int, ...],
-              fn: Callable[[int], T]) -> Iterator[tuple[int, T]]:
+def each_seed(stage: str, seeds: tuple[int, ...], fn: Callable[[int], T], *,
+              inline: bool = False) -> Iterator[tuple[int, T]]:
     """Yield (seed, fn(seed)) in seed order; a failure raises a PassError naming both.
 
     The seeds run at the same time, one per CPU, in worker processes forked
     by workers.results, each of which runs a fixed share of them; fn must
     depend only on its seed and write only that seed's outputs. They run
     inline, one after another, when there is one seed or one CPU, when the
-    caller is itself a worker, or on another platform than Linux, where fork
-    may not be safe with the system's libraries. No worker outlives the
-    generator, however it ends.
+    caller is itself a worker, on another platform than Linux, where fork
+    may not be safe with the system's libraries, or with `inline`, for
+    results that cost as much to send back as to compute. No worker
+    outlives the generator, however it ends.
     """
-    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-    n_workers = min(len(seeds), cpus)
+    n_workers = 1 if inline else min(len(seeds), usable_cpus())
     results = (fn(seed) for seed in seeds)
     if n_workers > 1:
         from . import workers  # here, so a command with one seed never loads multiprocessing
@@ -941,7 +941,8 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
         return labels, cells, rows
 
     cells, cascade_rows, labels_by_seed = [], [], {}
-    for seed, (labels, seed_cells, rows) in each_seed("report", cfg.seeds, load):
+    # inline: pickling the parsed rows back would cost as much as parsing them
+    for seed, (labels, seed_cells, rows) in each_seed("report", cfg.seeds, load, inline=True):
         labels_by_seed[seed] = labels
         cells.extend(seed_cells)
         cascade_rows.extend(rows)

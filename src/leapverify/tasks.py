@@ -14,10 +14,14 @@ Everything is deterministic: minibatches are a pure function of
 streams and a fast-forwarded run sees exactly the batches it would have seen
 anyway. Step s's batch is drawn from its own generator, seeded by (data_seed,
 batch tag, seed, s). A task draws the batches of BATCH_BLOCK consecutive
-steps at once, one generator per step, and keeps the last block it drew; each
-block is a set of fresh read-only arrays, so a batch handed out earlier never
-changes. The held-out validation set and the probe set used for activation
-fingerprints are fixed at construction.
+steps at once, one generator per step (`draw_block`), and keeps the last
+block it drew; each block is a tuple of fresh read-only arrays, so a batch
+handed out earlier never changes. While a training run has a producer
+process drawing its blocks ahead (engine.batches_drawn_ahead), the task
+takes each block from it instead when it has one; the producer draws through
+the same `draw_block`, so the stream is the same bit for bit. The held-out
+validation set and the probe set used for activation fingerprints are fixed
+at construction.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ from collections.abc import Sequence
 from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import NonFiniteError, affine_combination, freeze, is_finite
+
+if TYPE_CHECKING:
+    from .workers import BlockProducer
 
 # rng stream tags so batches / val / probe / teacher draws never collide
 _TAG_BATCH, _TAG_VAL, _TAG_PROBE, _TAG_TEACHER, _TAG_INIT = 1, 2, 3, 4, 5
@@ -53,6 +61,7 @@ class Task:
     recommended_lr: float
     data_seed: int
     batch_size: int  # rows of one batch drawn from one generator
+    producer: BlockProducer | None = None  # drawing this task's blocks ahead of a run
 
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
@@ -86,7 +95,7 @@ class Task:
                           for row in coeffs])
                 for directions, coeffs in grids]
 
-    def _draw(self, rngs: Sequence[np.random.Generator], n: int):
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int) -> tuple[np.ndarray, ...]:
         """A batch's arrays, frozen, with n rows from each generator in turn.
 
         Rows i*n to (i+1)*n - 1 are what rngs[i] alone would give, bit for
@@ -94,16 +103,21 @@ class Task:
         """
         raise NotImplementedError
 
+    def draw_block(self, seed: int, first: int) -> tuple[np.ndarray, ...]:
+        """The batches of seed's BATCH_BLOCK steps from `first`, as one block."""
+        rngs = [self._rng(_TAG_BATCH, seed, s) for s in range(first, first + BATCH_BLOCK)]
+        return self._draw(rngs, self.batch_size)
+
     def _batch_block(self, seed: int, step: int):
         """The drawn block of BATCH_BLOCK steps that holds step, and step's index in it.
 
         Only the last block drawn is kept, so a run that walks its steps in
-        order draws each block once.
+        order draws each block once: the producer's, when it has drawn it.
         """
         first = step - step % BATCH_BLOCK
         if self.__dict__.get("_block_at") != (seed, first):
-            rngs = [self._rng(_TAG_BATCH, seed, s) for s in range(first, first + BATCH_BLOCK)]
-            self._block = self._draw(rngs, self.batch_size)
+            block = self.producer.take(seed, first) if self.producer is not None else None
+            self._block = self.draw_block(seed, first) if block is None else block
             self._block_at = (seed, first)
         return self._block, step - first
 
@@ -149,12 +163,12 @@ class QuadBowl(Task):
         return freeze(self.target + self._rng(_TAG_INIT, seed).standard_normal(self.param_dim))
 
     def batch(self, seed: int, step: int) -> np.ndarray:
-        block, i = self._batch_block(seed, step)
-        return block[i]
+        (noise,), i = self._batch_block(seed, step)
+        return noise[i]
 
-    def _draw(self, rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    def _draw(self, rngs: Sequence[np.random.Generator], n: int) -> tuple[np.ndarray]:
         z = np.concatenate([rng.standard_normal((n, self.param_dim)) for rng in rngs])
-        return freeze(np.multiply(self.noise, z, out=z))
+        return (freeze(np.multiply(self.noise, z, out=z)),)
 
     def loss_and_grad(self, theta: np.ndarray, batch: np.ndarray) -> TaskGradient:
         self._require_finite(theta)

@@ -1,19 +1,29 @@
-"""Worker processes that run harness.each_seed's seeds side by side.
+"""Processes forked from a command: seed workers and a run's batch producer.
 
-The workers are forked from the command, so the callable and each worker's
-share of the seeds reach them by inheritance, closures included; only
-replies are pickled. Of n workers, worker j runs seeds j, j+n, j+2n, ... in
-turn and sends each reply down a one-way pipe of which it is the only
-writer. The command reads seed i's reply as the next message on the pipe of
-worker i mod n, in seed order. A worker that dies (a signal, the OOM killer,
+Seed workers run harness.each_seed's seeds side by side. The workers are
+forked from the command, so the callable and each worker's share of the
+seeds reach them by inheritance, closures included; only replies are
+pickled. Of n workers, worker j runs seeds j, j+n, j+2n, ... in turn and
+sends each reply down a one-way pipe of which it is the only writer. The
+command reads seed i's reply as the next message on the pipe of worker
+i mod n, in seed order. A worker that dies (a signal, the OOM killer,
 SystemExit) closes its pipe without replying, so the seed it owed fails
 instead of leaving the command waiting.
+
+A batch producer (BlockProducer) draws the batch blocks of one training
+run ahead of it, on another CPU, and hands them over through a shared ring.
+
+Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
+stops the command, dies with the command, and runs OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import mmap
 import multiprocessing
+import os
+import select
 import signal
 import sys
 import traceback
@@ -23,7 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import freeze
+
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
+RING_SLOTS = 4  # blocks a producer may hold drawn ahead of its run
 
 
 class WorkerTraceback(Exception):
@@ -31,8 +44,27 @@ class WorkerTraceback(Exception):
 
 
 def in_worker() -> bool:
-    """Whether this process is a worker, which runs any seeds of its own inline."""
+    """Whether this process is a child of `fork`, which runs any seeds of its own inline."""
     return multiprocessing.current_process().daemon
+
+
+def fork(target: Callable, *args) -> multiprocessing.Process:
+    """A daemon process forked from this one that runs target(*args) once set up."""
+    sys.stdout.flush()  # else a child's exit flushes this process's buffered output again
+    sys.stderr.flush()
+    process = multiprocessing.get_context("fork").Process(target=_child, args=(target, *args),
+                                                          daemon=True)
+    process.start()
+    return process
+
+
+def _child(target: Callable, *args) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the command, which ends us
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # and a command killed by a signal too
+    one_blas_thread()
+    target(*args)
 
 
 def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -> Iterator[object]:
@@ -44,17 +76,12 @@ def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -
     killed and reaped: after the last seed they are done, so this only
     stops unfinished seeds when one fails or the caller stops early.
     """
-    sys.stdout.flush()  # else a worker's exit flushes this process's buffered output again
-    sys.stderr.flush()
     context = multiprocessing.get_context("fork")
     crew: list[tuple[multiprocessing.Process, Connection]] = []
     try:
         for j in range(n_workers):
             pipe, theirs = context.Pipe(duplex=False)
-            process = context.Process(target=_serve, args=(fn, seeds[j::n_workers], theirs),
-                                      daemon=True)
-            process.start()
-            crew.append((process, pipe))
+            crew.append((fork(_serve, fn, seeds[j::n_workers], theirs), pipe))
             theirs.close()  # before the next fork, so that the pipe ends when this worker does
         for index in range(len(seeds)):
             process, pipe = crew[index % n_workers]
@@ -70,25 +97,140 @@ def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -
             yield value
     finally:
         for process, pipe in crew:
-            process.kill()
-            process.join()
-            process.close()
+            _stop(process)
             pipe.close()
+
+
+def _stop(process: multiprocessing.Process) -> None:
+    """Kill and reap a child of `fork`, and release its sentinel."""
+    process.kill()
+    process.join()
+    process.close()
 
 
 def _serve(fn: Callable[[int], object], seeds: Sequence[int], pipe: Connection) -> None:
     """A worker: run fn on each of its seeds in turn and send back the result or exception."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the command, which ends us
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # and a command killed by a signal too
-    one_blas_thread()
     for seed in seeds:
         try:
             reply = True, fn(seed)
         except Exception as exc:
             reply = False, (exc, "".join(traceback.format_exception(exc)))
         pipe.send(reply)
+
+
+class BlockProducer:
+    """A process that draws one run's batch blocks ahead of it, pinned to another CPU.
+
+    Block i is draw(seed, firsts[i]), a tuple of arrays shaped like those of
+    `like`. The producer draws block i into slot i mod RING_SLOTS of a shared
+    ring and then sends i down the ready pipe. The run sends down the want
+    pipe the index of the block it wants next, which frees every slot before
+    it: the producer draws at most RING_SLOTS blocks from there, and after a
+    leap skips the blocks the run passed over. `take` copies a block out of
+    the ring into fresh frozen arrays, so a batch the run holds never
+    changes. It serves blocks in order only; for any other request, and
+    once the producer is gone, it returns None and the run draws the block
+    itself. The producer pins itself to the lowest CPU this process may use
+    other than the one it runs on, and exits at once where it cannot: woken
+    on the run's CPU, it would wait for the run and slow it down.
+    """
+
+    def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int,
+                 firsts: range, like: tuple[np.ndarray, ...]):
+        self.seed, self.firsts = seed, firsts
+        self._wanted = 0
+        sizes = [array.nbytes for array in like]
+        self._ring = mmap.mmap(-1, RING_SLOTS * sum(sizes))
+        offsets = np.cumsum([0, *sizes * RING_SLOTS])
+        self._slots = [[np.ndarray(a.shape, a.dtype, self._ring, offsets[s * len(like) + j])
+                        for j, a in enumerate(like)] for s in range(RING_SLOTS)]
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+        sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
+        cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
+        wants, self._wants = os.pipe()
+        self._ready, ready = os.pipe()
+        self._process = None
+        try:
+            self._process = fork(_produce, draw, seed, firsts, self._slots, cpu, wants, ready,
+                                 (self._wants, self._ready))
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(wants)  # so that each pipe ends when the other side closes it
+            os.close(ready)
+
+    def take(self, seed: int, first: int) -> tuple[np.ndarray, ...] | None:
+        """The block of seed's steps from `first`, or None where the producer does not serve it."""
+        if self._ring.closed or seed != self.seed or first not in self.firsts:
+            return None
+        index = self.firsts.index(first)
+        if index < self._wanted:
+            return None
+        if index > self._wanted:
+            self._want(index)
+        while (message := os.read(self._ready, 8)) != index.to_bytes(8, "little"):
+            if not message:  # the producer is gone
+                self.close()
+                return None
+        block = tuple(freeze(view.copy()) for view in self._slots[index % RING_SLOTS])
+        self._want(index + 1)
+        return block
+
+    def _want(self, index: int) -> None:
+        try:
+            os.write(self._wants, index.to_bytes(8, "little"))
+        except BrokenPipeError:
+            pass  # the producer is gone; reading the ready pipe finds it ended
+        self._wanted = index
+
+    def close(self) -> None:
+        """Stop the producer and release the ring and both pipes; idempotent."""
+        if self._ring.closed:
+            return
+        if self._process is not None:
+            _stop(self._process)
+        os.close(self._wants)
+        os.close(self._ready)
+        self._slots = []  # its views hold the ring's buffer
+        self._ring.close()
+
+
+def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firsts: range,
+             slots: list[list[np.ndarray]], cpu: int, wants: int, ready: int,
+             theirs: tuple[int, int]) -> None:
+    """The producer: draw the blocks the run will want into the ring until it stops us."""
+    for fd in theirs:
+        os.close(fd)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        return
+    index = wanted = 0
+    try:
+        while True:
+            wanted = _newest(wants, wanted, wait=index >= min(wanted + len(slots), len(firsts)))
+            index = max(index, wanted)
+            if index < min(wanted + len(slots), len(firsts)):
+                for view, array in zip(slots[index % len(slots)], draw(seed, firsts[index])):
+                    np.copyto(view, array)
+                os.write(ready, index.to_bytes(8, "little"))
+                index += 1
+    except (EOFError, BrokenPipeError):
+        return  # the run is over
+
+
+def _newest(fd: int, wanted: int, *, wait: bool) -> int:
+    """The last index the run sent down fd, else `wanted`; with wait, wait for one.
+
+    Raises EOFError once the run has closed the pipe.
+    """
+    if not select.select([fd], [], [], None if wait else 0)[0]:
+        return wanted
+    data = os.read(fd, 4096)  # whole messages, since each 8-byte pipe write is atomic
+    if not data:
+        raise EOFError
+    return int.from_bytes(data[-8:], "little")
 
 
 def one_blas_thread() -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -29,3 +30,11 @@ def cpus(monkeypatch):
     def set_cpus(n: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return set_cpus
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process running: seed workers and
+    batch producers must be stopped however their command or run ends."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -232,6 +232,20 @@ def test_an_invalid_optimizer_setting_is_refused_before_force_deletes_anything(t
         assert files_under(out) == before
 
 
+def test_a_failed_forced_run_all_leaves_no_stale_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run-all", "--task", "quad-bowl", "--seeds", "42,43", "--steps", "300",
+            "--delta", "50", "--out", str(out)]
+    assert main(args) == 0
+    assert main([*args, "--force", "--lr", "1000000"]) == 1
+    assert "pass1 (train) failed for seed 42" in capsys.readouterr().err
+    # the report and config of the earlier run went with its run dirs
+    assert not any((out / name).exists() for name in ("report.json", "report.txt",
+                                                      "config.txt"))
+    assert main(["report", *args[1:]]) == 1
+    assert "report failed for seed 42: " in capsys.readouterr().err
+
+
 def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["train", *BASE, "--out", str(out)]) == 0

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import pickle
+import signal
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from leapverify import engine
+from leapverify import engine, workers
 from leapverify.engine import (
     FF_POLICIES,
     RunDivergedError,
@@ -27,7 +31,7 @@ from leapverify.predict import (
     predict,
 )
 from leapverify.regime import RegimeLabel, Thresholds
-from leapverify.tasks import QuadBowl, make_task
+from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, make_task
 from leapverify.trajectory import (
     WINDOW_CAPACITY,
     load_checkpoint,
@@ -569,3 +573,125 @@ def test_cascade_stages_continue_along_the_first_leap(curved_window, formula, mo
     reference = chain_rule_losses(window, 50, formula, k, depth, task, hyper)
     assert [e.decision.l_hat for e in events[1:]] == pytest.approx(reference[1:], rel=1e-12, abs=0)
     assert [e.displacement_norm for e in events] == [first.displacement_norm] * depth
+
+
+# ------------------------------------------------------ batches drawn ahead
+
+@pytest.fixture
+def producers(monkeypatch):
+    """The batch producers train_run starts, each with the count of blocks it handed over."""
+    made = []
+
+    class Counted(workers.BlockProducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.served = 0
+            made.append(self)
+
+        def take(self, seed, first):
+            block = super().take(seed, first)
+            self.served += block is not None
+            return block
+
+    monkeypatch.setattr(workers, "BlockProducer", Counted)
+    return made
+
+
+@pytest.fixture
+def two_cpus():
+    if engine.usable_cpus() < 2:
+        pytest.skip("a batch producer needs a second CPU")
+
+
+# with every checkpoint stable, these criteria make runs of each task leap
+# K = 100 steps, past more blocks than the ring holds
+FAR_LEAP_CRITERIA = {"quad-bowl": "adaptive", "mlp-reg": "proximity", "char-seq": "proximity"}
+RUN_STEPS = 1000
+
+
+def far_leaps(name: str) -> SpeculationSettings:
+    return SpeculationSettings(predictor="linear", k=100, criterion=FAR_LEAP_CRITERIA[name])
+
+
+def stored_run(task, store_dir, speculation=None):
+    result = train_run(task, 42, total_steps=RUN_STEPS, delta=20,
+                       hyper=AdamHyper(lr=task.recommended_lr, total_steps=RUN_STEPS),
+                       thresholds=PERMISSIVE, epsilon=0.9, speculation=speculation,
+                       store_dir=store_dir)
+    files = {path.name: path.read_bytes() for path in sorted(store_dir.iterdir())}
+    return pickle.dumps(result), files
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_producer_leaves_every_output_unchanged(name, live, tmp_path, cpus, producers,
+                                                  two_cpus):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    inline = stored_run(make_task(name), tmp_path / "inline", speculation)
+    assert producers == []
+    cpus(2)
+    assert stored_run(make_task(name), tmp_path / "ahead", speculation) == inline
+    (producer,) = producers
+    assert producer.served > 0
+    if live:
+        assert pickle.loads(inline[0]).skipped_steps >= 100 > workers.RING_SLOTS * BATCH_BLOCK
+
+
+def test_a_killed_producer_leaves_the_run_unchanged(tmp_path, cpus, producers, two_cpus):
+    cpus(1)
+    inline = stored_run(make_task("char-seq"), tmp_path / "inline", far_leaps("char-seq"))
+    cpus(2)
+    task = make_task("char-seq")
+    batch = task.batch
+
+    def kill_the_producer_at_step_100(seed, step):
+        if step >= 100 and not killed:
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            killed.append(step)
+        return batch(seed, step)
+
+    killed = []
+    task.batch = kill_the_producer_at_step_100
+    assert stored_run(task, tmp_path / "killed", far_leaps("char-seq")) == inline
+    # it may have handed over a block or two it drew before it was killed
+    assert 0 < producers[0].served <= killed[0] // BATCH_BLOCK + workers.RING_SLOTS
+
+
+def test_a_producer_that_cannot_be_pinned_leaves_the_run_unchanged(tmp_path, cpus, producers,
+                                                                   monkeypatch):
+    cpus(1)
+    inline = stored_run(make_task("mlp-reg"), tmp_path / "inline")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4094, 4095})  # no such CPUs
+    assert stored_run(make_task("mlp-reg"), tmp_path / "unpinned") == inline
+    assert producers[0].served == 0
+
+
+def test_a_run_that_stops_early_leaves_no_producer(cpus, producers, two_cpus):
+    cpus(2)
+    task = make_task("quad-bowl")
+    with pytest.raises(RunDivergedError, match="at step"):
+        train_run(task, 0, total_steps=400, delta=50, hyper=AdamHyper(lr=1e6))
+    batch = task.batch
+
+    def interrupt_at_step_50(seed, step):
+        if step == 50:
+            raise KeyboardInterrupt
+        return batch(seed, step)
+
+    task.batch = interrupt_at_step_50
+    with pytest.raises(KeyboardInterrupt):
+        train_run(task, 0, total_steps=400, delta=50, hyper=AdamHyper(lr=0.05))
+    assert len(producers) == 2
+    assert multiprocessing.active_children() == []
+    assert task.producer is None
+
+
+def test_short_runs_and_seed_workers_start_no_producer(cpus, producers, monkeypatch):
+    cpus(2)
+    task, hyper = smooth_bowl()
+    train_run(task, 0, total_steps=2 * BATCH_BLOCK, delta=8, hyper=hyper)
+    monkeypatch.setattr(workers, "in_worker", lambda: True)
+    train_run(task, 0, total_steps=400, delta=50, hyper=hyper)
+    assert producers == []

@@ -33,6 +33,9 @@ Events name the formula that ran, so the descent events read
 "momentum_descent". The same replay and live runs over seeds 42 and 43 must
 leave seed 42 the same files: given two CPUs, harness.each_seed runs the two
 seeds in forked workers, and given one (`taskset -c 0`), in this process.
+Likewise a run trained in this process has its batches drawn ahead by a
+producer process given two CPUs (engine.batches_drawn_ahead), and draws them
+itself given one, so the same digests pin both ways of drawing them.
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64
 (Python 3.11). Another numpy or BLAS build may round a matrix product

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leapverify.core import NonFiniteError
+from leapverify.engine import batches_drawn_ahead
 from leapverify.tasks import _TAG_BATCH, BATCH_BLOCK, TASK_NAMES, make_task
 
 
@@ -226,6 +227,34 @@ def test_a_batch_held_across_a_block_refill_stays_unchanged(name):
     task.batch(42, BATCH_BLOCK + 3)
     task.batch(43, 3)
     assert batch_bytes(held) == before == batch_bytes(PER_STEP[name](task, 42, 3))
+    assert not any(part.flags.writeable for part in parts)
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_batches_drawn_ahead_equal_the_per_step_draw_in_any_call_order(name, cpus):
+    cpus(2)
+    task = make_task(name)
+    with batches_drawn_ahead(task, 42, 40 * BATCH_BLOCK):
+        # in order, a leap past more blocks than the ring holds, then requests
+        # the producer does not serve: an earlier block and another seed
+        for seed, step in ((42, 0), (42, 17), (42, 40), (42, 33), (42, 8), (42, 9 * BATCH_BLOCK),
+                           (43, 9 * BATCH_BLOCK), (42, 10 * BATCH_BLOCK + 5), (42, 2000)):
+            assert_per_step_batch(task, seed, step)
+    assert task.producer is None
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_batch_held_across_block_hand_offs_stays_unchanged(name, cpus):
+    cpus(2)
+    task = make_task(name)
+    with batches_drawn_ahead(task, 42, 20 * BATCH_BLOCK):
+        assert task.producer is not None
+        held = task.batch(42, BATCH_BLOCK + 3)
+        before = batch_bytes(held)
+        for step in range(BATCH_BLOCK + 4, 20 * BATCH_BLOCK):  # every ring slot is reused
+            task.batch(42, step)
+    parts = (held,) if isinstance(held, np.ndarray) else held
+    assert batch_bytes(held) == before == batch_bytes(PER_STEP[name](task, 42, BATCH_BLOCK + 3))
     assert not any(part.flags.writeable for part in parts)
 
 
