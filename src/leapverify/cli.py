@@ -24,7 +24,7 @@ from .harness import (
     build_hyper,
     build_task,
     calibrate_thresholds,
-    cascade_seeds,
+    cascade_pass,
     check_cascade_ks,
     each_seed,
     effective_config,
@@ -33,8 +33,8 @@ from .harness import (
     resolve_thresholds,
     run_dir_for,
     run_experiment,
-    sweep_seeds,
-    train_seeds,
+    sweep_pass,
+    train_pass,
     write_atomic,
     write_loss_log,
     write_thresholds,
@@ -73,6 +73,22 @@ def build_config(args: argparse.Namespace, base_file: Path | None = None) -> Run
                            if name in PARSERS and value is not None})
 
 
+def resolve_then_clear(cfg: RunConfig, out_root: Path, run_dirs: list[Path],
+                       force: bool) -> Thresholds:
+    """cfg's thresholds, resolved before --force clears run_dirs of an earlier run.
+
+    Without force a run dir that holds outputs is refused first. Resolving
+    may calibrate, so a calibration that fails leaves every file as it was.
+    """
+    if not force:
+        for run_dir in run_dirs:
+            fresh_run_dir(run_dir, force=False)
+    thresholds = resolve_thresholds(cfg, out_root)
+    for run_dir in run_dirs:
+        fresh_run_dir(run_dir)
+    return thresholds
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     build_task(cfg)  # refuses an override the task does not take, taus given or not
@@ -90,10 +106,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     task = build_task(cfg)
     out_root = resolve_out_root(cfg)
-    for seed in cfg.seeds:
-        fresh_run_dir(run_dir_for(out_root, task.name, seed), args.force)
-    thresholds = resolve_thresholds(cfg, out_root)
-    for seed, (checkpoints, final_loss) in train_seeds(cfg, task, thresholds, out_root):
+    run_dirs = [run_dir_for(out_root, task.name, seed) for seed in cfg.seeds]
+    thresholds = resolve_then_clear(cfg, out_root, run_dirs, args.force)
+    for _, seed, (checkpoints, final_loss) in each_seed(
+            [train_pass(cfg, task, thresholds, out_root)], cfg.seeds):
         print(f"seed {seed}: {checkpoints} checkpoints, final val loss {final_loss:.6f}")
     return 0
 
@@ -101,7 +117,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
-    for seed, (cells, eligible) in sweep_seeds(cfg, build_task(cfg), out_root):
+    for _, seed, (cells, eligible) in each_seed([sweep_pass(cfg, build_task(cfg), out_root)],
+                                                cfg.seeds):
         path = run_dir_for(out_root, cfg.task, seed) / "sweep.csv"
         print(f"seed {seed}: {cells} cells ({eligible} eligible) -> {path}")
     return 0
@@ -110,7 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
-    for seed, rows in cascade_seeds(cfg, build_task(cfg), out_root):
+    for _, seed, rows in each_seed([cascade_pass(cfg, build_task(cfg), out_root)], cfg.seeds):
         path = run_dir_for(out_root, cfg.task, seed) / "cascades.jsonl"
         if rows:
             print(f"seed {seed}: {rows} cascade evaluations -> {path}")
@@ -125,9 +142,7 @@ def cmd_live(args: argparse.Namespace) -> int:
     hyper = build_hyper(cfg, task)
     out_root = resolve_out_root(cfg)
     live_dirs = {seed: out_root / "live" / task.name / str(seed) for seed in cfg.seeds}
-    for live_dir in live_dirs.values():
-        fresh_run_dir(live_dir, args.force)
-    thresholds = resolve_thresholds(cfg, out_root)
+    thresholds = resolve_then_clear(cfg, out_root, list(live_dirs.values()), args.force)
     # stored next to each run, so its events stay tied to the settings that made them
     config_text = format_config(effective_config(cfg, task, thresholds, out_root))
     speculation = SpeculationSettings(
@@ -146,7 +161,8 @@ def cmd_live(args: argparse.Namespace) -> int:
         applied = sum(ev.applied for ev in result.events)
         return len(result.events), applied, result.skipped_steps, result.loss_log[-1]
 
-    for seed, (events, applied, skipped, final_loss) in each_seed("live", cfg.seeds, live):
+    for _, seed, (events, applied, skipped, final_loss) in each_seed([("live", live)],
+                                                                     cfg.seeds):
         print(f"seed {seed}: {events} speculations, {applied} leaps, "
               f"{skipped} steps skipped, final val loss {final_loss:.6f}")
     return 0
@@ -165,14 +181,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run_all(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     check_cascade_ks(cfg)  # before --force deletes anything
+    build_task(cfg)  # and a task override it refuses too
     out_root = resolve_out_root(cfg)
     if (out_root / "report.json").exists() and not args.force:
         raise RuntimeError(f"{out_root / 'report.json'} already exists; pass --force to overwrite")
-    for seed in cfg.seeds:
-        fresh_run_dir(run_dir_for(out_root, cfg.task, seed), args.force)
+    run_dirs = [run_dir_for(out_root, cfg.task, seed) for seed in cfg.seeds]
+    resolve_then_clear(cfg, out_root, run_dirs, args.force)
     for name in ("report.json", "report.txt", "config.txt"):  # they describe the old runs
         (out_root / name).unlink(missing_ok=True)
-    report = run_experiment(cfg)
+    report = run_experiment(cfg)  # reads the thresholds resolved here
     print(f"report over seeds {list(report.seeds)} -> {out_root / 'report.json'}")
     if len(report.seeds) == 1:
         print("note: single seed; cross-seed spreads are 0 by convention")

@@ -13,14 +13,16 @@ per-seed-first convention: rates are computed within each seed, then
 summarized as mean/std/CoV across seeds, with denominators carried
 alongside every rate so each percentage is auditable.
 
-Every command that runs many seeds goes through `each_seed`, which runs
-them at the same time in forked workers, one per CPU, hands their results
-back in seed order, and names the pass and seed of a failure. No pass holds
-a seed's whole run: training returns a RunResult without checkpoints, and
-replay_points streams stored checkpoints through the history window.
-`run_experiment` (`run-all`) is the composition of the per-pass functions
-`train_seeds`, `sweep_seeds`, `cascade_seeds` and `make_report` that the
-single-pass commands call.
+Every command that runs many seeds goes through `each_seed`, which takes
+one or more passes and runs their jobs, one pass of one seed each, at the
+same time in forked workers, one per CPU; a seed's pass starts once its
+previous pass is done, not once every seed's is. It hands the results back
+in (pass, seed) order and names the pass and seed of a failure. No pass
+holds a seed's whole run: training returns a RunResult without checkpoints,
+and replay_points streams stored checkpoints through the history window.
+`run_experiment` (`run-all`) runs the passes `train_pass`, `sweep_pass` and
+`cascade_pass`, which the single-pass commands run one at a time, in one
+call of each_seed, then `make_report`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import os
 from collections.abc import Callable, Collection, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
 
@@ -62,8 +63,6 @@ from .trajectory import (
     recent_loss_std,
 )
 from .verify import CRITERIA, Decision, decide
-
-T = TypeVar("T")
 
 THRESHOLDS_FILE = "thresholds.txt"
 LOSS_LOG = "loss_log.csv"
@@ -224,10 +223,10 @@ def calibrate_thresholds(cfg: RunConfig) -> Thresholds:
                          f"delta={cfg.delta}")
     task = build_task(cfg)
     hyper = build_hyper(cfg, task)
-    runs = each_seed("calibrate", cfg.calibration_seeds,
-                     lambda seed: train_run(task, seed, total_steps=cfg.steps,
-                                            delta=cfg.delta, hyper=hyper).similarities)
-    traces = [[s for s in similarities if s is not None] for _, similarities in runs]
+    runs = each_seed([("calibrate", lambda seed: train_run(
+        task, seed, total_steps=cfg.steps, delta=cfg.delta, hyper=hyper).similarities)],
+        cfg.calibration_seeds)
+    traces = [[s for s in similarities if s is not None] for _, _, similarities in runs]
     return calibrate(traces, cfg.q_low, cfg.q_high)
 
 
@@ -826,33 +825,40 @@ def write_report(report: ExperimentReport, out_root: str | Path) -> None:
 
 # ------------------------------------------------------------ experiment
 
-def each_seed(stage: str, seeds: tuple[int, ...], fn: Callable[[int], T], *,
-              inline: bool = False) -> Iterator[tuple[int, T]]:
-    """Yield (seed, fn(seed)) in seed order; a failure raises a PassError naming both.
+Pass = tuple[str, Callable[[int], object]]  # a stage name and its job for one seed
 
-    The seeds run at the same time, one per CPU, in worker processes forked
-    by workers.results, each of which runs a fixed share of them; fn must
-    depend only on its seed and write only that seed's outputs. They run
-    inline, one after another, when there is one seed or one CPU, when the
-    caller is itself a worker, on another platform than Linux, where fork
-    may not be safe with the system's libraries, or with `inline`, for
-    results that cost as much to send back as to compute. No worker
-    outlives the generator, however it ends.
+
+def each_seed(passes: Sequence[Pass], seeds: tuple[int, ...], *,
+              inline: bool = False) -> Iterator[tuple[str, int, object]]:
+    """Yield (stage, seed, fn(seed)) for each pass (stage, fn) and seed, pass-major.
+
+    A job is one pass of one seed, and it runs once the seed's previous pass
+    has succeeded. The jobs run at the same time, one per CPU, in worker
+    processes forked by workers.results, which hands each idle worker the
+    next ready job; fn must depend only on its seed and on that seed's
+    earlier passes, and write only that seed's outputs. They run inline,
+    pass by pass, when there is one seed or one CPU, when the caller is
+    itself a worker, on another platform than Linux, where fork may not be
+    safe with the system's libraries, or with `inline`, for results that
+    cost as much to send back as to compute. Either way the first failure
+    in (pass, seed) order raises a PassError naming both, no later pass of
+    that seed starts, and no worker outlives the generator, however it ends.
     """
     n_workers = 1 if inline else min(len(seeds), usable_cpus())
-    results = (fn(seed) for seed in seeds)
+    results = (fn(seed) for _, fn in passes for seed in seeds)
     if n_workers > 1:
         from . import workers  # here, so a command with one seed never loads multiprocessing
 
         if not workers.in_worker():
-            results = workers.results(fn, seeds, n_workers)
+            results = workers.results([fn for _, fn in passes], seeds, n_workers)
     with closing(results):
-        for seed in seeds:
-            try:
-                result = next(results)
-            except Exception as exc:
-                raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
-            yield seed, result
+        for stage, _ in passes:
+            for seed in seeds:
+                try:
+                    result = next(results)
+                except Exception as exc:
+                    raise PassError(f"{stage} failed for seed {seed}: {exc}") from exc
+                yield stage, seed, result
 
 
 def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
@@ -863,24 +869,22 @@ def effective_config(cfg: RunConfig, task: Task, thresholds: Thresholds | None,
     return replace(cfg, lr=build_hyper(cfg, task).lr, out=str(out_root))
 
 
-def train_seeds(cfg: RunConfig, task: Task, thresholds: Thresholds,
-                out_root: str | Path) -> Iterator[tuple[int, tuple[int, float]]]:
-    """Pass 1 for every seed of cfg; yields (seed, (checkpoints, final val loss)).
+def train_pass(cfg: RunConfig, task: Task, thresholds: Thresholds, out_root: str | Path) -> Pass:
+    """Pass 1 of cfg's seeds; a seed's job returns (checkpoints, final val loss).
 
-    Like sweep_seeds and cascade_seeds, it yields only counts, so a worker
-    sends back no more than the caller prints.
+    Like those of sweep_pass and cascade_pass, it returns only counts, so a
+    worker sends back no more than the caller prints.
     """
     def train(seed: int) -> tuple[int, float]:
         result = pass1_train(task, seed, cfg, thresholds, out_root)
         return len(result.steps), result.loss_log[-1]
 
-    return each_seed("pass1 (train)", cfg.seeds, train)
+    return "pass1 (train)", train
 
 
-def sweep_seeds(cfg: RunConfig, task: Task,
-                out_root: str | Path) -> Iterator[tuple[int, tuple[int, int]]]:
-    """Pass 2 for every seed of cfg, each seed's cells written to its sweep.csv;
-    yields (seed, (cells, eligible cells))."""
+def sweep_pass(cfg: RunConfig, task: Task, out_root: str | Path) -> Pass:
+    """Pass 2 of cfg's seeds, each seed's cells written to its sweep.csv;
+    a seed's job returns (cells, eligible cells)."""
     hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
 
     def sweep(seed: int) -> tuple[int, int]:
@@ -890,13 +894,12 @@ def sweep_seeds(cfg: RunConfig, task: Task,
         write_sweep_csv(cells, run_dir / SWEEP_CSV)
         return len(cells), sum(c.eligible for c in cells)
 
-    return each_seed("pass2 (sweep)", cfg.seeds, sweep)
+    return "pass2 (sweep)", sweep
 
 
-def cascade_seeds(cfg: RunConfig, task: Task,
-                  out_root: str | Path) -> Iterator[tuple[int, int]]:
-    """Pass 3 for every seed of cfg, each seed's rows written to its cascades.jsonl;
-    yields (seed, rows)."""
+def cascade_pass(cfg: RunConfig, task: Task, out_root: str | Path) -> Pass:
+    """Pass 3 of cfg's seeds, each seed's rows written to its cascades.jsonl;
+    a seed's job returns its row count."""
     check_cascade_ks(cfg)  # before any seed
     hyper, formulas = build_hyper(cfg, task), sweep_formulas(cfg)
 
@@ -908,7 +911,7 @@ def cascade_seeds(cfg: RunConfig, task: Task,
         write_cascade_rows(rows, run_dir / "cascades.jsonl")
         return len(rows)
 
-    return each_seed("pass3 (cascade)", cfg.seeds, cascade)
+    return "pass3 (cascade)", cascade
 
 
 def make_report(cfg: RunConfig) -> ExperimentReport:
@@ -942,7 +945,8 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
 
     cells, cascade_rows, labels_by_seed = [], [], {}
     # inline: pickling the parsed rows back would cost as much as parsing them
-    for seed, (labels, seed_cells, rows) in each_seed("report", cfg.seeds, load, inline=True):
+    for _, seed, (labels, seed_cells, rows) in each_seed([("report", load)], cfg.seeds,
+                                                         inline=True):
         labels_by_seed[seed] = labels
         cells.extend(seed_cells)
         cascade_rows.extend(rows)
@@ -952,17 +956,22 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
-    """Pass 1 for every seed, then pass 2, then pass 3, then the report.
+    """Calibrate if need be, run passes 1, 2 and 3 of every seed, then write the report.
 
-    The effective config is written to config.txt before the report is
-    aggregated from disk, as `leapverify report` aggregates it.
+    The stored or calibrated thresholds label pass 1's checkpoints. The
+    three passes are one call of each_seed, so a worker that has no seed
+    left to train sweeps and cascades the seeds already trained while
+    another worker still trains. The effective config is written to
+    config.txt before the report is aggregated from disk, as `leapverify
+    report` aggregates it.
     """
     check_cascade_ks(cfg)  # before thresholds are resolved or calibrated
     task = build_task(cfg)
     out_root = resolve_out_root(cfg)
     thresholds = resolve_thresholds(cfg, out_root)
-    for _ in chain(train_seeds(cfg, task, thresholds, out_root),
-                   sweep_seeds(cfg, task, out_root), cascade_seeds(cfg, task, out_root)):
+    passes = [train_pass(cfg, task, thresholds, out_root), sweep_pass(cfg, task, out_root),
+              cascade_pass(cfg, task, out_root)]
+    for _ in each_seed(passes, cfg.seeds):
         pass
     effective = effective_config(cfg, task, thresholds, out_root)
     write_atomic(out_root / "config.txt", format_config(effective))

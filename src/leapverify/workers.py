@@ -1,14 +1,16 @@
 """Processes forked from a command: seed workers and a run's batch producer.
 
-Seed workers run harness.each_seed's seeds side by side. The workers are
-forked from the command, so the callable and each worker's share of the
-seeds reach them by inheritance, closures included; only replies are
-pickled. Of n workers, worker j runs seeds j, j+n, j+2n, ... in turn and
-sends each reply down a one-way pipe of which it is the only writer. The
-command reads seed i's reply as the next message on the pipe of worker
-i mod n, in seed order. A worker that dies (a signal, the OOM killer,
-SystemExit) closes its pipe without replying, so the seed it owed fails
-instead of leaving the command waiting.
+Seed workers run the jobs of harness.each_seed side by side, a job being
+one pass of one seed. The workers are forked from the command once, so the
+passes and seeds reach them by inheritance, closures included; only job
+numbers and replies are pickled. The command hands each idle worker the
+first ready job in pass-major order down that worker's own duplex pipe, a
+seed's pass being ready once its previous pass has succeeded, and yields
+the replies in pass-major order. So a worker that finishes early moves on
+to the next seed, or to a later pass of a seed that is done, instead of
+waiting for the slowest seed of the pass. A worker that dies (a signal, the
+OOM killer, SystemExit) closes its pipe without replying, so the job it held
+fails instead of leaving the command waiting.
 
 A batch producer (BlockProducer) draws the batch blocks of one training
 run ahead of it, on another CPU, and hands them over through a shared ring.
@@ -20,6 +22,7 @@ stops the command, dies with the command, and runs OpenBLAS on one thread.
 from __future__ import annotations
 
 import ctypes
+import heapq
 import mmap
 import multiprocessing
 import os
@@ -28,7 +31,7 @@ import signal
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 import numpy as np
@@ -67,36 +70,64 @@ def _child(target: Callable, *args) -> None:
     target(*args)
 
 
-def results(fn: Callable[[int], object], seeds: Sequence[int], n_workers: int) -> Iterator[object]:
-    """fn(seed) for each seed in seed order, run by n_workers processes forked from this one.
+def results(fns: Sequence[Callable[[int], object]], seeds: Sequence[int],
+            n_workers: int) -> Iterator[object]:
+    """fn(seed) for each fn of fns and each seed, pass-major, run by n_workers forked processes.
 
-    Worker j runs seeds j, j + n_workers, j + 2 * n_workers, ... in turn. A
-    seed whose fn raised, or that a dead worker owed, raises when its turn
-    comes, as it would inline. However the generator ends, every worker is
-    killed and reaped: after the last seed they are done, so this only
-    stops unfinished seeds when one fails or the caller stops early.
+    A job is one (pass, seed): job (p, i) runs fns[p](seeds[i]), and it is
+    ready once job (p - 1, i) has succeeded. Each idle worker is sent the
+    first ready job in pass-major order down its own pipe, so no worker waits
+    for the other seeds of a pass. Results come back in pass-major order. A
+    job whose fn raised, or that a dead worker held, raises when its turn
+    comes, as it would inline; no job after it is started. However the
+    generator ends, every worker is killed and reaped: after the last job
+    they are idle, so this only stops unfinished jobs when one fails or the
+    caller stops early.
     """
     context = multiprocessing.get_context("fork")
-    crew: list[tuple[multiprocessing.Process, Connection]] = []
+    crew: dict[Connection, multiprocessing.Process] = {}
+    jobs = len(fns) * len(seeds)
+    replies: dict[int, tuple[bool, object]] = {}
+    ready, idle, busy = list(range(len(seeds))), [], {}
+    failed = jobs  # the first job that failed; no job after it starts
     try:
-        for j in range(n_workers):
-            pipe, theirs = context.Pipe(duplex=False)
-            crew.append((fork(_serve, fn, seeds[j::n_workers], theirs), pipe))
+        for _ in range(n_workers):
+            pipe, theirs = context.Pipe()
+            crew[pipe] = fork(_work, fns, seeds, theirs)
             theirs.close()  # before the next fork, so that the pipe ends when this worker does
-        for index in range(len(seeds)):
-            process, pipe = crew[index % n_workers]
-            try:
-                ok, value = pipe.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"worker exited with code {process.exitcode}") from None
+            idle.append(pipe)
+        for job in range(jobs):
+            while True:
+                while ready and ready[0] < failed and idle:
+                    pipe = idle.pop()
+                    busy[pipe] = heapq.heappop(ready)
+                    pipe.send(busy[pipe])
+                if job in replies:
+                    break
+                for pipe in wait(list(busy)):
+                    held = busy.pop(pipe)
+                    try:
+                        ok, value = pipe.recv()
+                    except EOFError:
+                        crew[pipe].join()
+                        ok, value = False, RuntimeError(
+                            f"worker exited with code {crew[pipe].exitcode}")
+                    else:
+                        idle.append(pipe)
+                        if not ok:
+                            value, text = value
+                            value.__cause__ = WorkerTraceback(text)
+                    replies[held] = ok, value
+                    if not ok:
+                        failed = min(failed, held)
+                    elif held + len(seeds) < jobs:
+                        heapq.heappush(ready, held + len(seeds))
+            ok, value = replies.pop(job)
             if not ok:
-                exc, text = value
-                exc.__cause__ = WorkerTraceback(text)
-                raise exc
+                raise value
             yield value
     finally:
-        for process, pipe in crew:
+        for pipe, process in crew.items():
             _stop(process)
             pipe.close()
 
@@ -108,9 +139,11 @@ def _stop(process: multiprocessing.Process) -> None:
     process.close()
 
 
-def _serve(fn: Callable[[int], object], seeds: Sequence[int], pipe: Connection) -> None:
-    """A worker: run fn on each of its seeds in turn and send back the result or exception."""
-    for seed in seeds:
+def _work(fns: Sequence[Callable[[int], object]], seeds: Sequence[int], pipe: Connection) -> None:
+    """A worker: run each job the command sends and send back its result or exception."""
+    while True:
+        job = pipe.recv()
+        fn, seed = fns[job // len(seeds)], seeds[job % len(seeds)]
         try:
             reply = True, fn(seed)
         except Exception as exc:

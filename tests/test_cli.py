@@ -224,12 +224,15 @@ def test_an_invalid_optimizer_setting_is_refused_before_force_deletes_anything(t
     assert main(run_all_args(out)) == 0
     before = files_under(out)
     config = tmp_path / "run.cfg"
-    config.write_text("beta1 = 1.5\n")
     capsys.readouterr()
-    for command in ("train", "run-all"):
-        assert main([command, "--config", str(config), *BASE, "--out", str(out), "--force"]) == 1
-        assert "betas must lie in (0, 1)" in capsys.readouterr().err
-        assert files_under(out) == before
+    for setting, refusal in (("beta1 = 1.5", "betas must lie in (0, 1)"),
+                             ("batch_size = 8", "task 'quad-bowl' does not take 'batch_size'")):
+        config.write_text(setting + "\n")
+        for command in ("train", "run-all"):
+            assert main([command, "--config", str(config), *BASE, "--out", str(out),
+                         "--force"]) == 1
+            assert refusal in capsys.readouterr().err
+            assert files_under(out) == before
 
 
 def test_a_failed_forced_run_all_leaves_no_stale_report(tmp_path, capsys):
@@ -244,6 +247,21 @@ def test_a_failed_forced_run_all_leaves_no_stale_report(tmp_path, capsys):
                                                       "config.txt"))
     assert main(["report", *args[1:]]) == 1
     assert "report failed for seed 42: " in capsys.readouterr().err
+
+
+def test_a_failed_calibration_leaves_a_forced_rerun_s_files_intact(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--task", "quad-bowl", "--seeds", "42,43", "--steps", "300", "--delta", "50",
+            "--out", str(out)]
+    assert main(["run-all", *args]) == 0
+    (out / "thresholds.txt").unlink()
+    before = files_under(out)
+    capsys.readouterr()
+    # the thresholds are resolved, here by calibrating, before --force empties a run dir
+    for command in ("train", "live", "run-all"):
+        assert main([command, *args, "--force", "--lr", "1000000"]) == 1
+        assert "calibrate failed for seed 1" in capsys.readouterr().err
+        assert files_under(out) == before
 
 
 def test_sweep_refuses_a_run_without_its_loss_log(tmp_path, capsys):

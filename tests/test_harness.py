@@ -10,6 +10,7 @@ import signal
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,8 +349,10 @@ def test_unfinished_runs_are_refused(experiment, tmp_path, stage):
     copy = shutil.copytree(out, tmp_path / "out")
     cfg, task = replace(cfg, out=str(copy)), build_task(cfg)
     run_dir = run_dir_for(copy, "quad-bowl", 43)
-    passes = {"pass2 (sweep)": lambda: list(harness.sweep_seeds(cfg, task, copy)),
-              "pass3 (cascade)": lambda: list(harness.cascade_seeds(cfg, task, copy)),
+    passes = {"pass2 (sweep)": lambda: list(each_seed([harness.sweep_pass(cfg, task, copy)],
+                                                      cfg.seeds)),
+              "pass3 (cascade)": lambda: list(each_seed([harness.cascade_pass(cfg, task, copy)],
+                                                        cfg.seeds)),
               "report": lambda: make_report(cfg)}
     # a crashed pass 1 stored checkpoints but no loss_log.csv
     log = (run_dir / "loss_log.csv").read_bytes()
@@ -386,7 +389,7 @@ def test_pass3_without_stable_checkpoints(tmp_path):
     task = build_task(cfg)
     # tau_high = 1.0 is unreachable for a cosine, so nothing is ever stable
     pass1_train(task, 42, cfg, Thresholds(0.5, 1.0), tmp_path)
-    list(harness.sweep_seeds(replace(cfg, seeds=(42,)), task, tmp_path))
+    list(each_seed([harness.sweep_pass(cfg, task, tmp_path)], (42,)))
     rows = pass3_cascades(run_dir_for(tmp_path, "quad-bowl", 42), task,
                           build_hyper(cfg, task), configs=cfg.cascades,
                           criterion="strict", epsilon=cfg.epsilon)
@@ -494,7 +497,7 @@ def test_a_cascade_k_outside_the_k_set_is_refused_before_any_work(tmp_path):
     with pytest.raises(ValueError, match=refusal):
         run_experiment(cfg)
     with pytest.raises(ValueError, match=refusal):
-        harness.cascade_seeds(cfg, build_task(cfg), tmp_path)
+        harness.cascade_pass(cfg, build_task(cfg), tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -719,16 +722,31 @@ def test_report_regime_counts(experiment):
     assert report.regime_summary["unknown"]["std"] == 0.0
 
 
-def test_run_experiment_runs_pass_by_pass(tmp_path, monkeypatch):
+def test_run_experiment_raises_a_failure_once_the_jobs_before_it_are_done(tmp_path,
+                                                                          monkeypatch):
     def failing_sweep(*args, **kwargs):
         raise ValueError("injected")
 
     monkeypatch.setattr(harness, "pass2_ksweep", failing_sweep)
     with pytest.raises(PassError, match=r"pass2 \(sweep\) failed for seed 42: injected"):
         run_experiment(small_config(tmp_path))
-    # pass 1 ran for every seed before pass 2 started
+    # every seed's pass 1 comes before seed 42's pass 2 in (pass, seed) order, so it finished
     for seed in (42, 43):
         assert (run_dir_for(tmp_path, "quad-bowl", seed) / "loss_log.csv").exists()
+
+
+def test_the_pipeline_writes_what_the_passes_write_inline(tmp_path, cpus):
+    # on two CPUs a worker sweeps and cascades seeds the other worker trained
+    out = tmp_path / "out"
+    written = []
+    for n in (2, 1):
+        cpus(n)
+        shutil.rmtree(out, ignore_errors=True)
+        run_experiment(replace(small_config(out), seeds=(42, 43, 44, 45, 46)))
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert Path("report.txt") in written[0]
+    assert written[0] == written[1]
 
 
 def test_pass_error_is_a_runtime_error():
@@ -745,7 +763,7 @@ def test_each_seed_yields_in_seed_order_when_the_first_seed_finishes_last(cpus):
         time.sleep(0.5 if seed == 1 else 0.0)
         return os.getpid(), time.monotonic()
 
-    (first, (pid1, done1)), (second, (pid2, done2)) = each_seed("test", (1, 2), finish)
+    (_, first, (pid1, done1)), (_, second, (pid2, done2)) = each_seed([("test", finish)], (1, 2))
     assert (first, second) == (1, 2)
     assert os.getpid() not in (pid1, pid2) and pid1 != pid2
     assert done2 < done1
@@ -761,7 +779,7 @@ def test_a_seed_failing_in_a_worker_raises_what_it_raises_inline(cpus):
     for n in (3, 1):
         cpus(n)
         with pytest.raises(PassError) as info:
-            list(each_seed("pass1 (train)", (1, 2, 3), fail_at_two))
+            list(each_seed([("pass1 (train)", fail_at_two)], (1, 2, 3)))
         errors.append(info.value)
         assert multiprocessing.active_children() == []
     for error in errors:
@@ -772,8 +790,8 @@ def test_a_seed_failing_in_a_worker_raises_what_it_raises_inline(cpus):
 
 def test_closing_each_seed_early_leaves_no_worker(cpus):
     cpus(2)
-    seeds = each_seed("test", (1, 2, 3, 4), lambda seed: time.sleep(0.1 * seed) or seed)
-    assert next(seeds) == (1, 1)
+    seeds = each_seed([("test", lambda seed: time.sleep(0.1 * seed) or seed)], (1, 2, 3, 4))
+    assert next(seeds) == ("test", 1, 1)
     seeds.close()
     assert multiprocessing.active_children() == []
 
@@ -781,12 +799,13 @@ def test_closing_each_seed_early_leaves_no_worker(cpus):
 def test_one_seed_and_the_seeds_of_a_worker_run_inline(cpus):
     cpus(4)
     parent = os.getpid()
-    assert list(each_seed("test", (7,), lambda seed: os.getpid())) == [(7, parent)]
+    assert list(each_seed([("test", lambda seed: os.getpid())], (7,))) == [("test", 7, parent)]
 
     def inner_pids(seed):
-        return os.getpid(), [pid for _, pid in each_seed("inner", (1, 2), lambda s: os.getpid())]
+        return os.getpid(), [pid for _, _, pid in each_seed([("inner", lambda s: os.getpid())],
+                                                            (1, 2))]
 
-    for _, (worker, pids) in each_seed("outer", (1, 2), inner_pids):
+    for _, _, (worker, pids) in each_seed([("outer", inner_pids)], (1, 2)):
         assert worker != parent and pids == [worker, worker]
 
 
@@ -801,15 +820,80 @@ def test_a_worker_killed_mid_seed_fails_that_seed(cpus):
     began = time.monotonic()
     with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 1: "
                                         r"worker exited with code -9$"):
-        list(each_seed("pass1 (train)", (1, 2, 3), killed_at_one))
+        list(each_seed([("pass1 (train)", killed_at_one)], (1, 2, 3)))
     assert time.monotonic() - began < 10
     assert multiprocessing.active_children() == []
 
 
-def test_worker_j_runs_seeds_j_and_j_plus_the_worker_count(cpus):
+def test_an_idle_worker_takes_the_next_seed(cpus):
     cpus(2)
-    pids = dict(each_seed("test", (1, 2, 3), lambda seed: os.getpid()))
-    assert pids[1] == pids[3] != pids[2]
+
+    def pid(seed):
+        time.sleep(0.5 if seed == 1 else 0.0)
+        return os.getpid()
+
+    pids = {seed: worker for _, seed, worker in each_seed([("test", pid)], (1, 2, 3))}
+    assert pids[3] == pids[2] != pids[1]
+
+
+def test_a_later_pass_does_not_wait_for_the_slowest_seed_of_a_pass(cpus):
+    cpus(2)
+
+    def train(seed):
+        time.sleep(1.0 if seed == 3 else 0.0)
+        return time.monotonic()
+
+    ended = {(stage, seed): at for stage, seed, at in
+             each_seed([("train", train), ("sweep", lambda seed: time.monotonic())], (1, 2, 3))}
+    assert max(ended["sweep", 1], ended["sweep", 2]) < ended["train", 3]
+
+
+def test_a_failed_job_s_later_passes_never_start(cpus, tmp_path):
+    def train(seed):
+        if seed == 2:
+            time.sleep(0.3)  # while the other worker may sweep seeds 1 and 3
+            raise ValueError("diverged")
+
+    def sweep(seed):
+        (tmp_path / str(seed)).touch()
+
+    for n in (2, 1):
+        cpus(n)
+        with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 2: diverged$"):
+            list(each_seed([("pass1 (train)", train), ("pass2 (sweep)", sweep)], (1, 2, 3)))
+        assert not (tmp_path / "2").exists()
+        assert multiprocessing.active_children() == []
+
+
+def test_a_worker_killed_holding_a_later_pass_fails_that_job(cpus):
+    cpus(2)
+
+    def killed_at_two(seed):
+        if seed == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return seed
+
+    began = time.monotonic()
+    with pytest.raises(PassError, match=r"^pass2 \(sweep\) failed for seed 2: "
+                                        r"worker exited with code -9$"):
+        list(each_seed([("pass1 (train)", lambda seed: seed), ("pass2 (sweep)", killed_at_two)],
+                       (1, 2, 3)))
+    assert time.monotonic() - began < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_results_arrive_in_pass_and_seed_order(cpus):
+    cpus(2)
+
+    def slow_first(seed):
+        time.sleep(0.3 if seed == 1 else 0.0)
+        return seed
+
+    passes = [("pass1 (train)", slow_first), ("pass2 (sweep)", lambda seed: -seed),
+              ("pass3 (cascade)", slow_first)]
+    assert list(each_seed(passes, (1, 2, 3))) == [
+        (stage, seed, seed if stage != "pass2 (sweep)" else -seed)
+        for stage, _ in passes for seed in (1, 2, 3)]
 
 
 def test_a_worker_killed_at_its_second_seed_fails_that_seed(cpus):
@@ -823,7 +907,7 @@ def test_a_worker_killed_at_its_second_seed_fails_that_seed(cpus):
     began = time.monotonic()
     with pytest.raises(PassError, match=r"^pass1 \(train\) failed for seed 3: "
                                         r"worker exited with code -9$"):
-        list(each_seed("pass1 (train)", (1, 2, 3), killed_at_three))
+        list(each_seed([("pass1 (train)", killed_at_three)], (1, 2, 3)))
     assert time.monotonic() - began < 10
     assert multiprocessing.active_children() == []
 
@@ -833,5 +917,5 @@ def test_a_worker_runs_numpy_s_openblas_on_one_thread(cpus):
     if "openblas" not in blas:
         pytest.skip(f"numpy is built with {blas}, not OpenBLAS")
     cpus(2)
-    assert list(each_seed("test", (1, 2), lambda seed: workers.one_blas_thread())) == [
-        (1, True), (2, True)]
+    assert list(each_seed([("test", lambda seed: workers.one_blas_thread())], (1, 2))) == [
+        ("test", 1, True), ("test", 2, True)]
