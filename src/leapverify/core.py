@@ -73,6 +73,7 @@ def is_finite(x: np.ndarray) -> bool:
     numpy reports that overflow, or an inf - inf in the sum, as a
     floating-point error under its error state (a RuntimeWarning by
     default); only arrays that already hold huge or non-finite values
-    can cause one.
+    can cause one. np.add.reduce is the sum that ndarray.sum wraps, called
+    without the wrapper, since training checks two vectors every step.
     """
-    return math.isfinite(x.sum()) or bool(np.all(np.isfinite(x)))
+    return math.isfinite(np.add.reduce(x, axis=None)) or bool(np.all(np.isfinite(x)))

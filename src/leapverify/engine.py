@@ -268,13 +268,16 @@ def train_run(
     given, and leap events are streamed to events.jsonl alongside them; in
     memory the run keeps only its history window.
 
-    The run owns one writable parameter buffer and its optimizer state's
-    moment buffers, and every step updates them in place. Nothing outside
-    the run sees them while it trains: a checkpoint stores frozen copies of
-    the parameters and moments, and a landing leap copies the predicted
-    parameters into the buffer. Its batches may be drawn ahead of it by a
-    producer process (batches_drawn_ahead), which is stopped before the run
-    returns or raises.
+    The run owns one writable parameter buffer, one gradient buffer and its
+    optimizer state's moment buffers, and every step updates them in place:
+    the task writes the step's gradient into the run's buffer
+    (Task.loss_and_grad's `out`), and the update applies whatever gradient
+    the task returns. Nothing outside the run sees them while it trains: a
+    checkpoint stores frozen copies of the parameters and moments, and a
+    landing leap copies the predicted parameters into the buffer. Its
+    batches may be drawn ahead of it by a producer process
+    (batches_drawn_ahead), which is stopped before the run returns or
+    raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -290,6 +293,7 @@ def train_run(
     events_file = store_path / "events.jsonl" if store_path is not None else None
 
     theta = task.init_params(seed).copy()
+    grad = np.empty(task.param_dim)
     state = init_state(task.param_dim, hyper)
     window: deque[Checkpoint] = deque(maxlen=WINDOW_CAPACITY)  # emptied by a leap
     ckpt_steps: list[int] = []
@@ -305,7 +309,7 @@ def train_run(
         next_ckpt = delta
         while step < total_steps:
             try:
-                tg = task.loss_and_grad(theta, task.batch(seed, step))
+                tg = task.loss_and_grad(theta, task.batch(seed, step), out=grad)
                 apply_update(state, theta, tg.grad, out=theta)
             except NonFiniteError as exc:
                 raise RunDivergedError(f"{exc} at step {step + 1} (seed {seed})") from exc

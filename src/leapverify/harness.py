@@ -195,11 +195,14 @@ def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
 
     Checkpoints, events, the loss log and a live run's config are replaced
     by the new run, and the sweep and cascade files derived from the old
-    checkpoints go with them, so no later pass mixes the two runs. With
-    force=False a run dir that holds any of them is refused instead.
+    checkpoints go with them, so no later pass mixes the two runs. So do
+    the `.tmp` files that an interrupted save_checkpoint or write_atomic
+    leaves beside them. With force=False a run dir that holds any of them
+    is refused instead.
     """
     run_dir = Path(run_dir)
-    stale = sorted(p for pattern in RUN_OUTPUTS for p in run_dir.glob(pattern))
+    stale = sorted(p for pattern in RUN_OUTPUTS for name in (pattern, pattern + ".tmp")
+                   for p in run_dir.glob(name))
     if stale and not force:
         raise RuntimeError(f"{stale[0]} already exists; pass --force to overwrite")
     for path in stale:

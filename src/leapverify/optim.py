@@ -1,10 +1,14 @@
 """AdamW with linear warmup + cosine decay, updated in place.
 
-An AdamState owns its run's moment buffers: apply_update and fast_forward
-write into them rather than building new arrays, so one training step
-allocates nothing. Anything that must outlive the step -- a checkpoint's
-moments -- is copied out with snapshot_moments. Raw (not bias-corrected)
-moment EMAs are exposed for the momentum weight predictor.
+A training step's buffers have three owners. The run (engine.train_run)
+owns the parameters and the gradient; the task owns the workspaces of its
+forward pass, loss and backprop (Task.loss_and_grad writes the gradient into
+the run's buffer); an AdamState owns the run's moment buffers and the two
+scratch buffers of the update. apply_update and fast_forward write into
+these rather than building new arrays, so one training step, gradient and
+update, allocates no array. Anything that must outlive the step -- a
+checkpoint's moments -- is copied out with snapshot_moments. Raw (not
+bias-corrected) moment EMAs are exposed for the momentum weight predictor.
 """
 
 from __future__ import annotations

@@ -70,7 +70,16 @@ class Task:
         """Deterministic minibatch for (seed, step)."""
         raise NotImplementedError
 
-    def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
+    def loss_and_grad(self, theta: np.ndarray, batch,
+                      out: np.ndarray | None = None) -> TaskGradient:
+        """Mean loss over the batch and its gradient at theta.
+
+        The gradient is written to `out` and returned as its `grad`; without
+        `out` it goes to a new array, which later calls leave alone. `out`
+        must be a writable array of param_dim values, and is checked, with
+        theta, before anything is written to it. The task's own workspaces
+        hold every intermediate, so a call with `out` allocates no array.
+        """
         raise NotImplementedError
 
     def validation_loss(self, theta: np.ndarray) -> float:
@@ -138,6 +147,24 @@ class Task:
         if not is_finite(theta):
             raise NonFiniteError("non-finite parameter state")
 
+    def _gradient_out(self, out: np.ndarray | None) -> np.ndarray:
+        """`out`, checked to take a gradient, or a new gradient array without it."""
+        if out is None:
+            return np.empty(self.param_dim)
+        if out.shape != (self.param_dim,) or not out.flags.writeable:
+            raise ValueError(f"gradient out must be a writable array of {self.param_dim} values")
+        return out
+
+    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A float buffer of `shape` kept on the task, grown along its first axis only.
+
+        Fresh arrays this size on every call can cost page faults.
+        """
+        buf = self.__dict__.get(name)
+        if buf is None or len(buf) < shape[0]:
+            buf = self.__dict__[name] = np.empty(shape)
+        return buf[:shape[0]]
+
 
 class QuadBowl(Task):
     """0.5 * sum(c_i (theta_i - target_i)^2) with additive gradient noise.
@@ -170,11 +197,14 @@ class QuadBowl(Task):
         z = np.concatenate([rng.standard_normal((n, self.param_dim)) for rng in rngs])
         return (freeze(np.multiply(self.noise, z, out=z)),)
 
-    def loss_and_grad(self, theta: np.ndarray, batch: np.ndarray) -> TaskGradient:
+    def loss_and_grad(self, theta: np.ndarray, batch: np.ndarray,
+                      out: np.ndarray | None = None) -> TaskGradient:
         self._require_finite(theta)
-        d = theta - self.target
-        loss = 0.5 * float(np.dot(self.curvature * d, d)) + float(np.dot(batch, d))
-        grad = self.curvature * d + batch
+        grad = self._gradient_out(out)
+        d = np.subtract(theta, self.target, out=self._scratch("_train_d", (self.param_dim,)))
+        np.multiply(self.curvature, d, out=grad)
+        loss = 0.5 * float(np.dot(grad, d)) + float(np.dot(batch, d))
+        np.add(grad, batch, out=grad)
         return TaskGradient(loss=loss, grad=grad)
 
     def validation_loss(self, theta: np.ndarray) -> float:
@@ -197,10 +227,16 @@ class TanhNetwork(Task):
     its data (`_x_val`, `_y_val` and `_x_probe`, and `_draw`, which returns
     a pair (inputs, targets) of n rows per generator, frozen), `init_params`,
     and its loss twice: `_training_loss` with the gradient at the output,
-    `_output_losses` over stacked held-out blocks. A batch is batch_size rows
-    of a block that `_draw` gives for BATCH_BLOCK steps at once, so work that
-    is the same row for row at any height, such as char-seq's one-hot fill
-    and Markov walk, runs once per block. It must not override batch,
+    `_output_losses` over stacked held-out blocks. A training step runs its
+    forward pass, loss and backprop in workspaces the task keeps
+    (`_train_workspace`), apart from those of the held-out, probe and grid
+    passes, and writes d_W1, d_b1, d_W2 and d_b2 straight into their views
+    of the gradient. The float operations and their order are those of the
+    same formulas written with temporaries (`hidden.T @ d_out`, ...), so the
+    gradient is the same bit for bit. A batch is batch_size rows of a block
+    that `_draw` gives for BATCH_BLOCK steps at once, so work that is the
+    same row for row at any height, such as char-seq's one-hot fill and
+    Markov walk, runs once per block. It must not override batch,
     loss_and_grad, validation_loss or fingerprint: the benchmark tracer
     times only the methods that Task's direct subclasses define.
     """
@@ -224,28 +260,37 @@ class TanhNetwork(Task):
         rows = slice(i * self.batch_size, (i + 1) * self.batch_size)
         return x[rows], y[rows]
 
-    def loss_and_grad(self, theta: np.ndarray, batch) -> TaskGradient:
+    def loss_and_grad(self, theta: np.ndarray, batch,
+                      out: np.ndarray | None = None) -> TaskGradient:
         self._require_finite(theta)
+        grad = self._gradient_out(out)
         x, y = batch
-        hidden, out = self._forward(theta, x)
-        loss, d_out = self._training_loss(out, y)
-        return TaskGradient(loss=loss, grad=self._backprop(theta, x, hidden, d_out))
+        hidden, output, d_hidden, work, col = self._train_workspace(len(x))
+        self._forward(theta, x, hidden, output)
+        loss = self._training_loss(output, y, work, col)
+        self._backprop(theta, x, hidden, output, d_hidden, grad)
+        return TaskGradient(loss=loss, grad=grad)
 
     def validation_loss(self, theta: np.ndarray) -> float:
         if not is_finite(theta):
             return float("nan")
         hidden = self._scratch("_val_hidden", (self.n_val, self.hidden_dim))
-        _, out = self._forward(theta, self._x_val, out=hidden)
+        out = self._forward(theta, self._x_val, hidden)
         return float(self._output_losses(out[None])[0])
 
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         self._require_finite(theta)
         hidden = self._scratch("_probe_hidden", (len(self._x_probe), self.hidden_dim))
-        _, out = self._forward(theta, self._x_probe, out=hidden)
-        return freeze(out.ravel())
+        return freeze(self._forward(theta, self._x_probe, hidden).ravel())
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean loss of a batch's outputs against y, and its gradient at the outputs."""
+    def _training_loss(self, out: np.ndarray, y: np.ndarray, work: np.ndarray,
+                       col: np.ndarray) -> float:
+        """Mean loss of a batch's outputs against y; overwrites `out` with the
+        loss's gradient at the outputs.
+
+        work (out's shape) and col (a column of out's height) are scratch for
+        its intermediates, so it allocates no array.
+        """
         raise NotImplementedError
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
@@ -253,21 +298,36 @@ class TanhNetwork(Task):
         raise NotImplementedError
 
     def _unpack(self, theta: np.ndarray):
+        """Views of W1, b1, W2 and b2 in a flat vector (parameters or gradient).
+
+        The views of the last two vectors unpacked are kept with them, so a
+        run, which unpacks its own parameter and gradient buffers at every
+        step, builds them once.
+        """
+        kept = self.__dict__.get("_unpacked", ())
+        for vec, views in kept:
+            if vec is theta:
+                return views
         i, h, o = self.in_dim, self.hidden_dim, self.out_dim
         k0 = i * h
         k1 = k0 + h
         k2 = k1 + h * o
-        return (
+        views = (
             theta[:k0].reshape(i, h),
             theta[k0:k1],
             theta[k1:k2].reshape(h, o),
             theta[k2:],
         )
+        self._unpacked = ((theta, views), *kept[:1])
+        return views
 
-    def _forward(self, theta: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+    def _forward(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """The network's outputs on x, in `out` or a new array; its hidden layer in `hidden`."""
         w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(np.add(np.matmul(x, w1, out=out), b1, out=out), out=out)
-        return hidden, hidden @ w2 + b2
+        np.tanh(np.add(np.matmul(x, w1, out=hidden), b1, out=hidden), out=hidden)
+        out = np.matmul(hidden, w2, out=out)
+        return np.add(out, b2, out=out)
 
     def affine_losses(self, theta: np.ndarray,
                       grids: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
@@ -312,26 +372,36 @@ class TanhNetwork(Task):
         """The held-out inputs with a column of ones, so one product adds b1 too."""
         return freeze(np.hstack([self._x_val, np.ones((len(self._x_val), 1))]))
 
-    def _scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A float buffer of `shape` kept on the task, grown along its first axis only.
+    def _train_workspace(self, n: int) -> tuple[np.ndarray, ...]:
+        """The buffers of a training step on n rows: the hidden layer, the
+        output, the hidden layer's gradient, and the loss's work block (n x
+        out_dim) and column (n x 1).
 
-        Fresh arrays this size on every call can cost page faults.
+        They are `_scratch` buffers named `_train_*`, and their views for the
+        last batch height are kept, so a run fetches them in one lookup.
         """
-        buf = self.__dict__.get(name)
-        if buf is None or len(buf) < shape[0]:
-            buf = self.__dict__[name] = np.empty(shape)
-        return buf[:shape[0]]
+        ws = self.__dict__.get("_train_ws")
+        if ws is None or len(ws[0]) != n:
+            h, o = self.hidden_dim, self.out_dim
+            ws = self._train_ws = tuple(
+                self._scratch(f"_train_{name}", (n, width))
+                for name, width in (("hidden", h), ("out", o), ("d_hidden", h), ("work", o),
+                                    ("col", 1)))
+        return ws
 
     def _backprop(self, theta: np.ndarray, x: np.ndarray, hidden: np.ndarray,
-                  d_out: np.ndarray) -> np.ndarray:
-        """Flat gradient of the loss from its gradient d_out at the network output."""
+                  d_out: np.ndarray, d_hidden: np.ndarray, grad: np.ndarray) -> None:
+        """Write to grad the flat gradient of the loss from its gradient d_out at
+        the network output; overwrites hidden, and d_hidden is scratch."""
         w2 = self._unpack(theta)[2]
-        d_w2 = hidden.T @ d_out
-        d_b2 = d_out.sum(axis=0)
-        d_hidden = (d_out @ w2.T) * (1.0 - hidden * hidden)
-        d_w1 = x.T @ d_hidden
-        d_b1 = d_hidden.sum(axis=0)
-        return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+        d_w1, d_b1, d_w2, d_b2 = self._unpack(grad)
+        np.matmul(hidden.T, d_out, out=d_w2)
+        np.add.reduce(d_out, axis=0, out=d_b2)
+        np.matmul(d_out, w2.T, out=d_hidden)
+        one_minus_h2 = np.subtract(1.0, np.multiply(hidden, hidden, out=hidden), out=hidden)
+        np.multiply(d_hidden, one_minus_h2, out=d_hidden)
+        np.matmul(x.T, d_hidden, out=d_w1)
+        np.add.reduce(d_hidden, axis=0, out=d_b1)
 
 
 class MlpRegression(TanhNetwork):
@@ -383,10 +453,13 @@ class MlpRegression(TanhNetwork):
             y[rows] = self._teacher_forward(x[rows]) + self.noise * noise
         return freeze(x), freeze(y)
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        err = out - y
-        n = err.size
-        return 0.5 * float(np.sum(err * err)) / n, err / n
+    def _training_loss(self, out: np.ndarray, y: np.ndarray, work: np.ndarray,
+                       col: np.ndarray) -> float:
+        err = np.subtract(out, y, out=out)
+        square = np.multiply(err, err, out=work)
+        loss = 0.5 * float(np.add.reduce(square, axis=None)) / err.size
+        np.divide(err, err.size, out=err)
+        return loss
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
         err = np.subtract(outputs, self._y_val, out=outputs)
@@ -438,20 +511,41 @@ class CharSequence(TanhNetwork):
         return freeze(np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(o)]))
 
     @staticmethod
-    def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    def _log_softmax(logits: np.ndarray, col: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Overwrite logits with their log-softmax along the last axis, and return them.
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        rows = np.arange(len(y))
-        logp = self._log_softmax(out)
-        probs = np.exp(logp)
+        col (logits' shape with a last axis of 1) and work (logits' shape)
+        are scratch. np.maximum.reduce and np.add.reduce are the reductions
+        that .max() and .sum() wrap.
+        """
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
+        shifted = np.subtract(logits, col, out=logits)
+        np.add.reduce(np.exp(shifted, out=work), axis=-1, keepdims=True, out=col)
+        return np.subtract(shifted, np.log(col, out=col), out=logits)
+
+    def _row_index(self, n: int) -> np.ndarray:
+        """0, 1, ..., n - 1, kept on the task."""
+        rows = self.__dict__.get("_rows")
+        if rows is None or len(rows) < n:
+            rows = self._rows = np.arange(n)
+        return rows[:n]
+
+    def _training_loss(self, out: np.ndarray, y: np.ndarray, probs: np.ndarray,
+                       col: np.ndarray) -> float:
+        n = len(y)
+        rows = self._row_index(n)
+        logp = self._log_softmax(out, col, probs)
+        np.exp(logp, out=probs)
         probs[rows, y] -= 1.0
-        return -float(logp[rows, y].mean()), probs / len(y)
+        # the sum and division that .mean() makes
+        loss = -float(np.add.reduce(logp[rows, y], axis=None) / n)
+        np.divide(probs, n, out=out)
+        return loss
 
     def _output_losses(self, outputs: np.ndarray) -> np.ndarray:
-        logp = self._log_softmax(outputs)
-        return -logp[:, np.arange(len(self._y_val)), self._y_val].mean(axis=1)
+        col = self._scratch("_val_col", outputs.shape[:-1] + (1,))
+        logp = self._log_softmax(outputs, col, self._scratch("_val_work", outputs.shape))
+        return -logp[:, self._row_index(len(self._y_val)), self._y_val].mean(axis=1)
 
 
 TASKS: dict[str, type[Task]] = {cls.name: cls for cls in (QuadBowl, MlpRegression, CharSequence)}

@@ -360,6 +360,23 @@ def test_forced_retrain_drops_the_stale_sweep(tmp_path, capsys):
     assert "run the sweep pass first" in capsys.readouterr().err
 
 
+def test_a_forced_rerun_clears_the_tmp_files_of_interrupted_writes(tmp_path, capsys):
+    out = tmp_path / "exp"
+    run_dir = out / "runs" / "quad-bowl" / "42"
+    run_dir.mkdir(parents=True)
+    # the run rewrites the first two itself; a delta-25 run's ckpt_75 and a
+    # sweep are left to fresh_run_dir alone
+    leftovers = [run_dir / name for name in ("ckpt_50.lpv.tmp", "loss_log.csv.tmp",
+                                             "ckpt_75.lpv.tmp", "sweep.csv.tmp")]
+    for path in leftovers:
+        path.write_bytes(b"cut short")
+    assert main(["train", *BASE, "--out", str(out)]) == 1
+    assert "ckpt_50.lpv.tmp already exists" in capsys.readouterr().err
+    assert main(["train", *BASE, "--force", "--out", str(out)]) == 0
+    assert not any(path.exists() for path in leftovers)
+    assert (run_dir / "ckpt_50.lpv").exists()
+
+
 def test_calibrate_stores_thresholds(tmp_path, capsys):
     out = tmp_path / "exp"
     cmd = ["calibrate", "--task", "quad-bowl", "--steps", "300", "--delta", "50",

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from leapverify.core import NonFiniteError
+from leapverify.core import NonFiniteError, freeze
 from leapverify.engine import batches_drawn_ahead
+from leapverify.optim import AdamHyper, apply_update, init_state
 from leapverify.tasks import _TAG_BATCH, BATCH_BLOCK, TASK_NAMES, make_task
 
 
@@ -307,6 +310,81 @@ def test_non_finite_theta_handling():
         task.fingerprint(bad)
     with pytest.raises(ValueError):
         task.loss_and_grad(np.ones(task.param_dim + 1), task.batch(0, 0))
+
+
+def batches_of_32_and_7_rows(task):
+    """Three batches; a network's second one has 7 rows, so its workspaces resize twice."""
+    first, last = task.batch(0, 3), task.batch(0, 4)
+    if task.name == "quad-bowl":
+        return [first, last]
+    x, y = first
+    return [first, (x[:7], y[:7]), last]
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_loss_and_grad_writes_its_gradient_into_out(name):
+    task = make_task(name)
+    theta = task.init_params(0)
+    buf = np.full(task.param_dim, np.nan)
+    for batch in batches_of_32_and_7_rows(task):
+        fresh = make_task(name).loss_and_grad(theta, batch)
+        tg = task.loss_and_grad(theta, batch, out=buf)
+        assert tg.grad is buf
+        assert tg.loss == fresh.loss
+        assert buf.tobytes() == fresh.grad.tobytes()
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_gradient_returned_without_out_is_its_own(name):
+    task = make_task(name)
+    theta = task.init_params(0)
+    first, *rest = batches_of_32_and_7_rows(task)
+    grad = task.loss_and_grad(theta, first).grad
+    kept = grad.copy()
+    for batch in rest:
+        assert task.loss_and_grad(theta, batch).grad is not grad
+        task.loss_and_grad(theta, batch, out=np.empty(task.param_dim))
+    assert grad.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_bad_out_is_refused_before_anything_is_written(name):
+    task = make_task(name)
+    theta, batch = task.init_params(0), task.batch(0, 0)
+    for bad in (np.full(task.param_dim + 1, np.nan), np.full(task.param_dim - 1, np.nan),
+                np.full((1, task.param_dim), np.nan), freeze(np.full(task.param_dim, np.nan))):
+        with pytest.raises(ValueError, match="gradient out"):
+            task.loss_and_grad(theta, batch, out=bad)
+        assert np.isnan(bad).all()
+    out = np.full(task.param_dim, np.nan)
+    with pytest.raises(NonFiniteError):
+        task.loss_and_grad(np.full(task.param_dim, np.inf), batch, out=out)
+    assert np.isnan(out).all()
+
+
+@pytest.mark.parametrize("name", ["mlp-reg", "char-seq"])
+def test_a_training_step_allocates_no_array(name):
+    task = make_task(name)
+    theta = task.init_params(0).copy()
+    grad = np.empty(task.param_dim)
+    state = init_state(task.param_dim, AdamHyper(lr=task.recommended_lr, total_steps=100))
+    batches = [task.batch(0, step) for step in range(BATCH_BLOCK)]
+
+    def step(batch):
+        tg = task.loss_and_grad(theta, batch, out=grad)
+        apply_update(state, theta, tg.grad, out=theta)
+
+    step(batches[0])  # sizes the task's workspaces
+    tracemalloc.start()
+    try:
+        for i in range(32):
+            step(batches[i % BATCH_BLOCK])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's iterator may take a buffer for the bias added over the batch's
+    # rows; any new gradient, or an intermediate the size of one, reaches this
+    assert peak < theta.nbytes
 
 
 def test_recommended_lr_present():
