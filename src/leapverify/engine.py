@@ -20,10 +20,12 @@ against stage n-1's loss. A live attempt is a depth-1 walk from
 speculate()'s exact prediction, and leap_or_continue only marks its event
 applied; an offline cascade walks deeper and applies nothing.
 
-A training run that has a CPU to spare has its batch blocks drawn ahead of
-it by a producer process pinned to that CPU (batches_drawn_ahead); since
-batches are pure in (seed, step), the run trains on the same stream bit for
-bit, and nothing it writes changes.
+A training run that has a CPU to spare has a producer process pinned to
+that CPU (batches_drawn_ahead), which draws its batch blocks ahead of it and
+writes its checkpoint files behind it. Since batches are pure in (seed,
+step), the run trains on the same stream bit for bit; the run encodes each
+checkpoint's bytes itself, through the one encoder save_checkpoint uses, and
+returns only once every file is written, so nothing it writes changes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import os
 import sys
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,7 +47,13 @@ from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state,
 from .predict import FORMULAS, LINEAR, Prediction, predict, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import BATCH_BLOCK, Task
-from .trajectory import WINDOW_CAPACITY, Checkpoint, recent_loss_std, save_checkpoint
+from .trajectory import (
+    WINDOW_CAPACITY,
+    Checkpoint,
+    checkpoint_path,
+    recent_loss_std,
+    save_checkpoint,
+)
 from .verify import Decision, decide
 
 FF_POLICIES = ("carry", "decay")
@@ -210,17 +218,22 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def batches_drawn_ahead(task: Task, seed: int, total_steps: int) -> Iterator[None]:
+def batches_drawn_ahead(task: Task, seed: int, total_steps: int,
+                        store_dir: Path | None = None) -> Iterator[Callable[[Checkpoint], None]]:
     """Within the block, a producer process draws the task's batch blocks of
-    seed's first total_steps steps ahead of the run (workers.BlockProducer).
+    seed's first total_steps steps ahead of the run, and writes behind it the
+    checkpoints the run saves to store_dir (workers.BlockProducer).
 
-    There is one only on Linux, for runs of more than two blocks, when this
-    process may run on two CPUs or more and is not itself a seed worker,
-    since the workers already fill the CPUs. Else, and once the producer is
-    gone, the task draws every block itself, the same stream bit for bit.
-    The run's first block is drawn here, in the process that wants it first,
-    and sizes the ring. The producer is stopped when the block ends, however
-    it ends.
+    Yields the function that saves a checkpoint to store_dir: a hand-off to
+    the producer, else save_checkpoint. There is a producer only on Linux,
+    for runs of more than two blocks, when this process may run on two CPUs
+    or more and is not itself a seed worker, since the workers already fill
+    the CPUs. Else, and once the producer is gone, the task draws every
+    block itself and the run writes every checkpoint itself, the same
+    stream and the same files bit for bit. The run's first block is drawn
+    here, in the process that wants it first, and sizes the ring. When the
+    block ends, however it ends, every checkpoint handed over is written
+    before the producer is stopped.
     """
     producer = None
     if total_steps > 2 * BATCH_BLOCK and usable_cpus() > 1:
@@ -230,14 +243,20 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int) -> Iterator[Non
             first_block, _ = task._batch_block(seed, 0)
             producer = workers.BlockProducer(task.draw_block, seed,
                                              range(BATCH_BLOCK, total_steps, BATCH_BLOCK),
-                                             first_block)
+                                             first_block, store_dir, task.param_dim)
     task.producer = producer
     try:
-        yield
+        if producer is not None and store_dir is not None:
+            yield producer.save
+        else:
+            yield lambda ckpt: save_checkpoint(ckpt, checkpoint_path(store_dir, ckpt.step))
     finally:
         task.producer = None
         if producer is not None:
-            producer.close()
+            try:
+                producer.wait_saved()
+            finally:
+                producer.close()
 
 
 # A diverging run stops with RunDivergedError naming its step; numpy's
@@ -274,10 +293,10 @@ def train_run(
     (Task.loss_and_grad's `out`), and the update applies whatever gradient
     the task returns. Nothing outside the run sees them while it trains: a
     checkpoint stores frozen copies of the parameters and moments, and a
-    landing leap copies the predicted parameters into the buffer. Its
-    batches may be drawn ahead of it by a producer process
-    (batches_drawn_ahead), which is stopped before the run returns or
-    raises.
+    landing leap copies the predicted parameters into the buffer. A
+    producer process (batches_drawn_ahead) may draw its batches ahead of it
+    and write its checkpoint files behind it; every checkpoint is written,
+    and the producer stopped, before the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -304,7 +323,7 @@ def train_run(
     prev_fingerprint: np.ndarray | None = None
     skipped = 0
 
-    with batches_drawn_ahead(task, seed, total_steps):
+    with batches_drawn_ahead(task, seed, total_steps, store_path) as save:
         step = 0
         next_ckpt = delta
         while step < total_steps:
@@ -334,7 +353,7 @@ def train_run(
             ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
                               seed=seed)
             if store_path is not None:
-                save_checkpoint(ckpt, store_path / f"ckpt_{step}.lpv")
+                save(ckpt)
             window.append(ckpt)
             ckpt_steps.append(step)
             loss_log.append(val_loss)

@@ -56,6 +56,7 @@ from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (
     Checkpoint,
+    checkpoint_path,
     checkpoint_spacing,
     checkpoint_steps,
     history_at,
@@ -196,9 +197,9 @@ def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
     Checkpoints, events, the loss log and a live run's config are replaced
     by the new run, and the sweep and cascade files derived from the old
     checkpoints go with them, so no later pass mixes the two runs. So do
-    the `.tmp` files that an interrupted save_checkpoint or write_atomic
-    leaves beside them. With force=False a run dir that holds any of them
-    is refused instead.
+    the `.tmp` files that an interrupted checkpoint write, by the run or its
+    batch producer, or write_atomic leaves beside them. With force=False a
+    run dir that holds any of them is refused instead.
     """
     run_dir = Path(run_dir)
     stale = sorted(p for pattern in RUN_OUTPUTS for name in (pattern, pattern + ".tmp")
@@ -336,7 +337,7 @@ def replay_points(run_dir: str | Path, keep: Collection[RegimeLabel],
                 continue
             needed = history_at(steps, i)
             held = {c.step: c for c in window if c.step in needed}
-            window = [held.get(s) or load_checkpoint(Path(run_dir) / f"ckpt_{s}.lpv")
+            window = [held.get(s) or load_checkpoint(checkpoint_path(run_dir, s))
                       for s in needed]
             yield (window[-1], log[step][1], window, delta,
                    recent_loss_std(losses[: i + 1], adaptive_window))

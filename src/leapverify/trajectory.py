@@ -18,7 +18,11 @@ On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
     | f64 theta[param_count] | f64 m[param_count] | f64 v[param_count]
     | f64 val_loss | u64 seed
 
-Round-trips are bit-exact for every float payload.
+Round-trips are bit-exact for every float payload. encode_checkpoint is the
+one writer of these bytes: save_checkpoint writes what it encodes, and so
+does a training run's batch producer, which writes the run's checkpoints
+behind it (workers.BlockProducer); either way the file is written to its
+`.tmp` name and renamed, so a checkpoint file is never partial.
 """
 
 from __future__ import annotations
@@ -91,21 +95,44 @@ def recent_loss_std(losses: Sequence[float], window: int) -> float | None:
     return float(np.std(tail, ddof=1))
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    path = Path(path)
+def checkpoint_path(run_dir: str | Path, step: int) -> Path:
+    """The file of a run's checkpoint at `step`."""
+    return Path(run_dir) / f"ckpt_{step}.lpv"
+
+
+def checkpoint_bytes(param_count: int) -> int:
+    """The size of a checkpoint file of param_count parameters."""
+    return 24 + 24 * param_count + 16
+
+
+def encode_checkpoint(ckpt: Checkpoint, out) -> None:
+    """Write ckpt's file bytes into `out`, a writable buffer of checkpoint_bytes(param_count)."""
     if not math.isfinite(ckpt.val_loss):
         # persisted checkpoints come from real training states only
         raise ValueError("refusing to persist a checkpoint with non-finite val_loss")
     n = ckpt.theta.shape[0]
     if ckpt.m.shape[0] != n or ckpt.v.shape[0] != n:
         raise ValueError("moment length mismatch")
+    struct.pack_into("<4sIQQ", out, 0, MAGIC, FORMAT_VERSION, ckpt.step, n)
+    payload = np.ndarray((3, n), "<f8", out, 24)
+    for row, arr in zip(payload, (ckpt.theta, ckpt.m, ckpt.v)):
+        row[:] = arr
+    struct.pack_into("<dQ", out, 24 + 24 * n, ckpt.val_loss, ckpt.seed)
+
+
+def write_checkpoint_file(path: str | Path, data) -> None:
+    """Write a checkpoint's bytes to path through path.tmp, so that path is never partial."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQQ", FORMAT_VERSION, ckpt.step, n))
-        for arr in (ckpt.theta, ckpt.m, ckpt.v):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
-        fh.write(struct.pack("<dQ", ckpt.val_loss, ckpt.seed))
+        fh.write(data)
     os.replace(tmp, path)
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    data = bytearray(checkpoint_bytes(ckpt.theta.shape[0]))
+    encode_checkpoint(ckpt, data)
+    write_checkpoint_file(path, data)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -119,7 +146,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if version != FORMAT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported version {version}")
 
-        if os.fstat(fh.fileno()).st_size != 24 + 24 * n + 16:
+        if os.fstat(fh.fileno()).st_size != checkpoint_bytes(n):
             raise CheckpointCorruptionError(f"{path}: payload size does not match param_count={n}")
         theta, m, v = (np.empty(n, dtype="<f8") for _ in range(3))
         for arr in (theta, m, v):
@@ -141,4 +168,4 @@ def load_run_checkpoints(run_dir: str | Path) -> list[Checkpoint]:
     steps = checkpoint_steps(run_dir)
     if not steps:
         raise FileNotFoundError(f"no checkpoint files under {run_dir}")
-    return [load_checkpoint(run_dir / f"ckpt_{step}.lpv") for step in steps]
+    return [load_checkpoint(checkpoint_path(run_dir, step)) for step in steps]

@@ -12,8 +12,9 @@ waiting for the slowest seed of the pass. A worker that dies (a signal, the
 OOM killer, SystemExit) closes its pipe without replying, so the job it held
 fails instead of leaving the command waiting.
 
-A batch producer (BlockProducer) draws the batch blocks of one training
-run ahead of it, on another CPU, and hands them over through a shared ring.
+A batch producer (BlockProducer) works beside one training run on another
+CPU: it draws the run's batch blocks ahead of it, and writes behind it the
+checkpoint files whose bytes the run encodes, through a shared ring.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -28,6 +29,7 @@ import multiprocessing
 import os
 import select
 import signal
+import struct
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
@@ -37,9 +39,18 @@ from pathlib import Path
 import numpy as np
 
 from .core import freeze
+from .trajectory import (
+    Checkpoint,
+    checkpoint_bytes,
+    checkpoint_path,
+    encode_checkpoint,
+    save_checkpoint,
+    write_checkpoint_file,
+)
 
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
 RING_SLOTS = 4  # blocks a producer may hold drawn ahead of its run
+SAVE_SLOTS = 2  # checkpoints a run may have handed to its producer unwritten
 
 
 class WorkerTraceback(Exception):
@@ -152,7 +163,8 @@ def _work(fns: Sequence[Callable[[int], object]], seeds: Sequence[int], pipe: Co
 
 
 class BlockProducer:
-    """A process that draws one run's batch blocks ahead of it, pinned to another CPU.
+    """A process pinned to another CPU that draws one run's batch blocks ahead
+    of it and writes its checkpoint files behind it.
 
     Block i is draw(seed, firsts[i]), a tuple of arrays shaped like those of
     `like`. The producer draws block i into slot i mod RING_SLOTS of a shared
@@ -163,39 +175,60 @@ class BlockProducer:
     the ring into fresh frozen arrays, so a batch the run holds never
     changes. It serves blocks in order only; for any other request, and
     once the producer is gone, it returns None and the run draws the block
-    itself. The producer pins itself to the lowest CPU this process may use
-    other than the one it runs on, and exits at once where it cannot: woken
-    on the run's CPU, it would wait for the run and slow it down.
+    itself.
+
+    With a store_dir, `save` encodes a checkpoint of param_count parameters
+    into a free one of SAVE_SLOTS more slots and sends the slot and step
+    down the save pipe; the producer writes the file (trajectory's
+    ckpt_<step>.lpv, through its .tmp) and sends the slot back down the
+    saved pipe, and only then is the slot reused. `wait_saved` waits for
+    every checkpoint handed over. A checkpoint the producer does not confirm,
+    because it died, could not be pinned or met an OSError, the run writes
+    itself through save_checkpoint, which raises the error naming the file.
+
+    The producer pins itself to the lowest CPU this process may use other
+    than the one it runs on, and exits at once where it cannot: woken on the
+    run's CPU, it would wait for the run and slow it down.
     """
 
     def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int,
-                 firsts: range, like: tuple[np.ndarray, ...]):
-        self.seed, self.firsts = seed, firsts
+                 firsts: range, like: tuple[np.ndarray, ...], store_dir: Path | None = None,
+                 param_count: int = 0):
+        self.seed, self.firsts, self.store_dir = seed, firsts, store_dir
         self._wanted = 0
+        self._gone = False  # the ready pipe ended: no block will come
+        self._unsaved: dict[int, Checkpoint] = {}  # by slot, handed over and not confirmed
         sizes = [array.nbytes for array in like]
-        self._ring = mmap.mmap(-1, RING_SLOTS * sum(sizes))
+        ckpt_size = checkpoint_bytes(param_count) if store_dir is not None else 0
+        blocks_size = RING_SLOTS * sum(sizes)
+        self._ring = mmap.mmap(-1, blocks_size + SAVE_SLOTS * ckpt_size)
         offsets = np.cumsum([0, *sizes * RING_SLOTS])
         self._slots = [[np.ndarray(a.shape, a.dtype, self._ring, offsets[s * len(like) + j])
                         for j, a in enumerate(like)] for s in range(RING_SLOTS)]
+        self._ckpt_slots = [np.ndarray(ckpt_size, np.uint8, self._ring, blocks_size + s * ckpt_size)
+                            for s in range(SAVE_SLOTS)]
         sched_getcpu = ctypes.CDLL(None).sched_getcpu
         sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
         cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
         wants, self._wants = os.pipe()
         self._ready, ready = os.pipe()
+        saves, self._saves = os.pipe()
+        self._saved, saved = os.pipe()
         self._process = None
         try:
-            self._process = fork(_produce, draw, seed, firsts, self._slots, cpu, wants, ready,
-                                 (self._wants, self._ready))
+            self._process = fork(_produce, draw, seed, firsts, self._slots, store_dir,
+                                 self._ckpt_slots, cpu, (wants, ready, saves, saved),
+                                 (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
             self.close()
             raise
         finally:
-            os.close(wants)  # so that each pipe ends when the other side closes it
-            os.close(ready)
+            for fd in (wants, ready, saves, saved):
+                os.close(fd)  # so that each pipe ends when the other side closes it
 
     def take(self, seed: int, first: int) -> tuple[np.ndarray, ...] | None:
         """The block of seed's steps from `first`, or None where the producer does not serve it."""
-        if self._ring.closed or seed != self.seed or first not in self.firsts:
+        if self._gone or seed != self.seed or first not in self.firsts:
             return None
         index = self.firsts.index(first)
         if index < self._wanted:
@@ -203,8 +236,8 @@ class BlockProducer:
         if index > self._wanted:
             self._want(index)
         while (message := os.read(self._ready, 8)) != index.to_bytes(8, "little"):
-            if not message:  # the producer is gone
-                self.close()
+            if not message:
+                self._gone = True
                 return None
         block = tuple(freeze(view.copy()) for view in self._slots[index % RING_SLOTS])
         self._want(index + 1)
@@ -217,22 +250,51 @@ class BlockProducer:
             pass  # the producer is gone; reading the ready pipe finds it ended
         self._wanted = index
 
+    def save(self, ckpt: Checkpoint) -> None:
+        """Have ckpt written to the store dir: by the producer, or here once it is gone."""
+        if len(self._unsaved) == SAVE_SLOTS:
+            self.wait_saved()
+        slot = len(self._unsaved)  # wait_saved frees every slot at once
+        encode_checkpoint(ckpt, self._ckpt_slots[slot])
+        self._unsaved[slot] = ckpt
+        try:
+            os.write(self._saves, struct.pack("<QQ", slot, ckpt.step))
+        except BrokenPipeError:
+            self.wait_saved()  # the producer is gone, so this writes ckpt here
+
+    def wait_saved(self) -> None:
+        """Return once every checkpoint handed over is written, writing here,
+        in step order, those the producer did not confirm before it ended."""
+        while self._unsaved:
+            confirmed = os.read(self._saved, 8 * SAVE_SLOTS)
+            for (slot,) in struct.iter_unpack("<Q", confirmed):
+                del self._unsaved[slot]
+            if not confirmed:  # the producer is gone
+                unsaved, self._unsaved = list(self._unsaved.values()), {}
+                for ckpt in unsaved:
+                    save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
+
     def close(self) -> None:
-        """Stop the producer and release the ring and both pipes; idempotent."""
+        """Stop the producer and release the ring and the pipes; idempotent.
+
+        Checkpoints handed over and not yet confirmed are abandoned: call
+        wait_saved first to have them written."""
         if self._ring.closed:
             return
         if self._process is not None:
             _stop(self._process)
-        os.close(self._wants)
-        os.close(self._ready)
-        self._slots = []  # its views hold the ring's buffer
+        for fd in (self._wants, self._ready, self._saves, self._saved):
+            os.close(fd)
+        self._slots = self._ckpt_slots = []  # their views hold the ring's buffer
         self._ring.close()
 
 
 def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firsts: range,
-             slots: list[list[np.ndarray]], cpu: int, wants: int, ready: int,
-             theirs: tuple[int, int]) -> None:
-    """The producer: draw the blocks the run will want into the ring until it stops us."""
+             slots: list[list[np.ndarray]], store_dir: Path | None, ckpt_slots: list[np.ndarray],
+             cpu: int, fds: tuple[int, int, int, int], theirs: tuple[int, ...]) -> None:
+    """The producer: draw the blocks the run will want into the ring, and write the
+    checkpoints it hands over, until it stops us."""
+    wants, ready, saves, saved = fds
     for fd in theirs:
         os.close(fd)
     try:
@@ -242,7 +304,17 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
     index = wanted = 0
     try:
         while True:
-            wanted = _newest(wants, wanted, wait=index >= min(wanted + len(slots), len(firsts)))
+            full = index >= min(wanted + len(slots), len(firsts))
+            readable = select.select([saves, wants], [], [], None if full else 0)[0]
+            if saves in readable:
+                for slot, step in struct.iter_unpack("<QQ", _read(saves)):
+                    try:
+                        write_checkpoint_file(checkpoint_path(store_dir, step), ckpt_slots[slot])
+                    except OSError:
+                        return  # unconfirmed, so the run writes it and meets the error itself
+                    os.write(saved, slot.to_bytes(8, "little"))
+            if wants in readable:
+                wanted = int.from_bytes(_read(wants)[-8:], "little")  # the run's last want
             index = max(index, wanted)
             if index < min(wanted + len(slots), len(firsts)):
                 for view, array in zip(slots[index % len(slots)], draw(seed, firsts[index])):
@@ -253,17 +325,15 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
         return  # the run is over
 
 
-def _newest(fd: int, wanted: int, *, wait: bool) -> int:
-    """The last index the run sent down fd, else `wanted`; with wait, wait for one.
+def _read(fd: int) -> bytes:
+    """Whole messages from fd, since each pipe write of at most PIPE_BUF bytes is atomic.
 
     Raises EOFError once the run has closed the pipe.
     """
-    if not select.select([fd], [], [], None if wait else 0)[0]:
-        return wanted
-    data = os.read(fd, 4096)  # whole messages, since each 8-byte pipe write is atomic
+    data = os.read(fd, 4096)
     if not data:
         raise EOFError
-    return int.from_bytes(data[-8:], "little")
+    return data
 
 
 def one_blas_thread() -> bool:

@@ -295,10 +295,12 @@ def test_accepted_leaps_bookkeeping(tmp_path):
     assert all(e.step_from + e.k <= 500 for e in res.events)
 
 
-def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path, monkeypatch):
+def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path, monkeypatch, cpus):
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
-    # the checkpoints the run holds in memory, as it hands them to the store
+    # the checkpoints the run holds in memory, as it hands them to the store:
+    # on one CPU no producer writes them, so the run calls save_checkpoint
+    cpus(1)
     held = []
     monkeypatch.setattr(engine, "save_checkpoint",
                         lambda ckpt, path: (held.append(ckpt), save_checkpoint(ckpt, path)))
@@ -625,12 +627,17 @@ def stored_run(task, store_dir, speculation=None):
 @pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
 @pytest.mark.parametrize("name", TASK_NAMES)
 def test_a_producer_leaves_every_output_unchanged(name, live, tmp_path, cpus, producers,
-                                                  two_cpus):
+                                                  two_cpus, monkeypatch):
     speculation = far_leaps(name) if live else None
     cpus(1)
     inline = stored_run(make_task(name), tmp_path / "inline", speculation)
     assert producers == []
     cpus(2)
+
+    def refuse(ckpt, path):
+        raise AssertionError(f"the run wrote {path} itself")
+
+    monkeypatch.setattr(workers, "save_checkpoint", refuse)  # the producer writes every file
     assert stored_run(make_task(name), tmp_path / "ahead", speculation) == inline
     (producer,) = producers
     assert producer.served > 0
@@ -657,6 +664,52 @@ def test_a_killed_producer_leaves_the_run_unchanged(tmp_path, cpus, producers, t
     assert stored_run(task, tmp_path / "killed", far_leaps("char-seq")) == inline
     # it may have handed over a block or two it drew before it was killed
     assert 0 < producers[0].served <= killed[0] // BATCH_BLOCK + workers.RING_SLOTS
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_producer_killed_after_the_first_hand_off_leaves_every_checkpoint(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    inline = stored_run(make_task(name), tmp_path / "inline", speculation)
+    cpus(2)
+    hand_off, handed, written_here = workers.BlockProducer.save, [], []
+
+    def hand_off_then_kill(producer, ckpt):
+        hand_off(producer, ckpt)
+        if not handed:
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join()
+        handed.append(ckpt.step)
+
+    monkeypatch.setattr(workers.BlockProducer, "save", hand_off_then_kill)
+    monkeypatch.setattr(workers, "save_checkpoint", lambda ckpt, path: (
+        written_here.append(ckpt.step), save_checkpoint(ckpt, path)))
+    assert stored_run(make_task(name), tmp_path / "killed", speculation) == inline
+    steps = pickle.loads(inline[0]).steps
+    assert handed == steps
+    # the first checkpoint the producer may have written before it was killed
+    assert written_here in (steps, steps[1:])
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_checkpoint_that_cannot_be_written_fails_the_run_alike_with_a_producer(
+        name, live, tmp_path, cpus, producers, two_cpus):
+    speculation = far_leaps(name) if live else None
+    errors = []
+    for n in (1, 2):
+        cpus(n)
+        store_dir = tmp_path / f"cpus-{n}"
+        (store_dir / "ckpt_40.lpv").mkdir(parents=True)  # the second checkpoint's path
+        with pytest.raises(OSError) as caught:
+            stored_run(make_task(name), store_dir, speculation)
+        errors.append((type(caught.value), str(caught.value).replace(str(store_dir), "")))
+    assert len(producers) == 1
+    assert errors[0] == errors[1]
+    assert "/ckpt_40.lpv'" in errors[0][1]
 
 
 def test_a_producer_that_cannot_be_pinned_leaves_the_run_unchanged(tmp_path, cpus, producers,
