@@ -22,10 +22,14 @@ applied; an offline cascade walks deeper and applies nothing.
 
 A training run that has a CPU to spare has a producer process pinned to
 that CPU (batches_drawn_ahead), which draws its batch blocks ahead of it and
-writes its checkpoint files behind it. Since batches are pure in (seed,
-step), the run trains on the same stream bit for bit; the run encodes each
-checkpoint's bytes itself, through the one encoder save_checkpoint uses, and
-returns only once every file is written, so nothing it writes changes.
+writes its checkpoint files behind it. In a plain run, which never leaps,
+the producer also measures each checkpoint (Measure: held-out loss and
+fingerprint similarity) while the run trains on, and the run records what
+it found before its next checkpoint. A run that may leap judges each
+checkpoint itself before its next step, since an accepted leap changes what
+it trains next. Since batches are pure in (seed, step) and a checkpoint's
+measurements are pure in it and the checkpoint before, every output is the
+same bit for bit as a run's that does everything itself.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ import math
 import os
 import sys
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +60,9 @@ from .trajectory import (
     save_checkpoint,
 )
 from .verify import Decision, decide
+
+if TYPE_CHECKING:
+    from .workers import BlockProducer
 
 FF_POLICIES = ("carry", "decay")
 
@@ -211,6 +219,58 @@ def leap_or_continue(
     return replace(events[0], applied=accepted and settings.apply), pred
 
 
+class Measure:
+    """The held-out loss of a run's checkpoints, in order, and the similarity
+    of each one's fingerprint to the last one's: what labels a checkpoint.
+
+    Called with a checkpoint's parameters, it returns (val_loss, similarity),
+    the similarity None for the first checkpoint and for one whose loss is
+    not finite, whose fingerprint is not taken. A run keeps one, and its
+    producer a forked copy when it measures the run's checkpoints behind it;
+    `passed` tells the run's own of a checkpoint the producer measured, whose
+    fingerprint it then takes only if it must measure the next one itself.
+    """
+
+    def __init__(self, task: Task):
+        self.task = task
+        self.last: np.ndarray | None = None  # the last checkpoint's parameters
+        self.fingerprint: np.ndarray | None = None  # their fingerprint, once taken here
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, float | None]:
+        task = self.task
+        val_loss = task.validation_loss(theta)
+        if not math.isfinite(val_loss):
+            return val_loss, None
+        fingerprint, sim = task.fingerprint(theta), None
+        if self.last is not None:
+            if self.fingerprint is None:
+                self.fingerprint = task.fingerprint(self.last)
+            sim = similarity_at(fingerprint, self.fingerprint)
+        self.last, self.fingerprint = theta, fingerprint
+        return val_loss, sim
+
+    def passed(self, theta: np.ndarray) -> None:
+        """Note a checkpoint with parameters theta measured elsewhere."""
+        self.last, self.fingerprint = theta, None
+
+
+class WrittenHere:
+    """A run's checkpoints written to store_dir, if any, in its own process,
+    each at once: BlockProducer's `save` and `settle` without a producer."""
+
+    measure = None
+
+    def __init__(self, store_dir: Path | None):
+        self.store_dir = store_dir
+
+    def save(self, ckpt: Checkpoint) -> None:
+        if self.store_dir is not None:
+            save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
+
+    def settle(self) -> None:
+        return None
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 off Linux, where fork may not be
     safe with the system's libraries, so nothing runs beside the process."""
@@ -218,22 +278,23 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def batches_drawn_ahead(task: Task, seed: int, total_steps: int,
-                        store_dir: Path | None = None) -> Iterator[Callable[[Checkpoint], None]]:
+def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path | None = None,
+                        measure: Measure | None = None) -> Iterator[BlockProducer | WrittenHere]:
     """Within the block, a producer process draws the task's batch blocks of
     seed's first total_steps steps ahead of the run, and writes behind it the
-    checkpoints the run saves to store_dir (workers.BlockProducer).
+    checkpoints the run hands over to store_dir, measuring each one first
+    with `measure`, if given (workers.BlockProducer).
 
-    Yields the function that saves a checkpoint to store_dir: a hand-off to
-    the producer, else save_checkpoint. There is a producer only on Linux,
-    for runs of more than two blocks, when this process may run on two CPUs
-    or more and is not itself a seed worker, since the workers already fill
-    the CPUs. Else, and once the producer is gone, the task draws every
-    block itself and the run writes every checkpoint itself, the same
-    stream and the same files bit for bit. The run's first block is drawn
-    here, in the process that wants it first, and sizes the ring. When the
-    block ends, however it ends, every checkpoint handed over is written
-    before the producer is stopped.
+    Yields what the run hands its checkpoints over to: the producer, else a
+    WrittenHere, which writes each at once and measures none. There is a
+    producer only on Linux, for runs of more than two blocks, when this
+    process may run on two CPUs or more and is not itself a seed worker,
+    since the workers already fill the CPUs. Else, and once the producer is
+    gone, the task draws every block itself and the run writes (and
+    measures) every checkpoint itself: the same stream, measurements and
+    files bit for bit. The run's first block is drawn here, in the process
+    that wants it first, and sizes the ring. When the block ends, however it
+    ends, a checkpoint handed over is written before the producer is stopped.
     """
     producer = None
     if total_steps > 2 * BATCH_BLOCK and usable_cpus() > 1:
@@ -243,18 +304,15 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int,
             first_block, _ = task._batch_block(seed, 0)
             producer = workers.BlockProducer(task.draw_block, seed,
                                              range(BATCH_BLOCK, total_steps, BATCH_BLOCK),
-                                             first_block, store_dir, task.param_dim)
+                                             first_block, store_dir, task.param_dim, measure)
     task.producer = producer
     try:
-        if producer is not None and store_dir is not None:
-            yield producer.save
-        else:
-            yield lambda ckpt: save_checkpoint(ckpt, checkpoint_path(store_dir, ckpt.step))
+        yield producer if producer is not None else WrittenHere(store_dir)
     finally:
         task.producer = None
         if producer is not None:
             try:
-                producer.wait_saved()
+                producer.settle()
             finally:
                 producer.close()
 
@@ -293,10 +351,18 @@ def train_run(
     (Task.loss_and_grad's `out`), and the update applies whatever gradient
     the task returns. Nothing outside the run sees them while it trains: a
     checkpoint stores frozen copies of the parameters and moments, and a
-    landing leap copies the predicted parameters into the buffer. A
-    producer process (batches_drawn_ahead) may draw its batches ahead of it
-    and write its checkpoint files behind it; every checkpoint is written,
-    and the producer stopped, before the run returns or raises.
+    landing leap copies the predicted parameters into the buffer.
+
+    A producer process (batches_drawn_ahead) may draw its batches ahead of
+    it and write its checkpoint files behind it. In a plain run it also
+    measures each checkpoint (Measure) while the run trains on; the run
+    settles that hand-over, recording the checkpoint's loss, similarity and
+    label, before its next checkpoint, before it returns, and before it
+    raises, so that a checkpoint's non-finite held-out loss still stops the
+    run at that checkpoint. A live run measures each checkpoint and makes
+    its attempt itself, since a leap must land before the next step. An
+    event is appended to events.jsonl once its checkpoint's file is written.
+    The producer is stopped before the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -320,10 +386,39 @@ def train_run(
     sims: list[float | None] = []
     labels: list[RegimeLabel] = []
     events: list[LeapEvent] = []
-    prev_fingerprint: np.ndarray | None = None
+    measure = Measure(task)
     skipped = 0
 
-    with batches_drawn_ahead(task, seed, total_steps, store_path) as save:
+    def record(step: int, val_loss: float, sim: float | None) -> RegimeLabel:
+        """Add checkpoint `step`'s measurements to the run's; its regime label."""
+        if not math.isfinite(val_loss):
+            raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
+        label = (classify(sim, thresholds) if sim is not None and thresholds is not None
+                 else RegimeLabel.UNKNOWN)
+        ckpt_steps.append(step)
+        loss_log.append(val_loss)
+        sims.append(sim)
+        labels.append(label)
+        return label
+
+    # a checkpoint is measured behind the run only where no leap can follow it
+    behind = measure if speculation is None else None
+    with batches_drawn_ahead(task, seed, total_steps, store_path, behind) as checkpoints:
+        handed: tuple[int, LeapEvent | None] | None = None  # the last hand-over: step, event
+
+        def settle() -> None:
+            """Wait for the last checkpoint handed over: record it where it was
+            measured behind (raising if it diverged), then log its event."""
+            nonlocal handed
+            if handed is not None:
+                (at, event), handed = handed, None
+                measured = checkpoints.settle()
+                if measured is not None:
+                    record(at, *measured)
+                if event is not None and events_file is not None:
+                    with events_file.open("a") as fh:
+                        fh.write(json.dumps(event.to_json()) + "\n")
+
         step = 0
         next_ckpt = delta
         while step < total_steps:
@@ -331,34 +426,30 @@ def train_run(
                 tg = task.loss_and_grad(theta, task.batch(seed, step), out=grad)
                 apply_update(state, theta, tg.grad, out=theta)
             except NonFiniteError as exc:
+                settle()  # an earlier checkpoint may have diverged first
                 raise RunDivergedError(f"{exc} at step {step + 1} (seed {seed})") from exc
             step += 1
             if step != next_ckpt:
                 continue
 
+            settle()
             if not is_finite(theta):
                 raise RunDivergedError(f"non-finite parameters at step {step} (seed {seed})")
-            val_loss = task.validation_loss(theta)
-            if not math.isfinite(val_loss):
-                raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
-            fingerprint = task.fingerprint(theta)
-            if prev_fingerprint is not None:
-                sim = similarity_at(fingerprint, prev_fingerprint)
-                label = (classify(sim, thresholds) if thresholds is not None
-                         else RegimeLabel.UNKNOWN)
-            else:
-                sim, label = None, RegimeLabel.UNKNOWN
-            prev_fingerprint = fingerprint
             m, v = snapshot_moments(state)
-            ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v, val_loss=val_loss,
-                              seed=seed)
+            snapshot = freeze(theta.copy())
+            if checkpoints.measure is not None:
+                checkpoints.save(Checkpoint(step=step, theta=snapshot, m=m, v=v,
+                                            val_loss=math.nan, seed=seed))
+                handed = step, None
+                next_ckpt += delta
+                continue
+            val_loss, sim = measure(snapshot)
+            label = record(step, val_loss, sim)
+            ckpt = Checkpoint(step=step, theta=snapshot, m=m, v=v, val_loss=val_loss, seed=seed)
             if store_path is not None:
-                save(ckpt)
+                checkpoints.save(ckpt)
+                handed = step, None
             window.append(ckpt)
-            ckpt_steps.append(step)
-            loss_log.append(val_loss)
-            sims.append(sim)
-            labels.append(label)
 
             if speculation is not None and step + speculation.k <= total_steps:
                 event, pred = leap_or_continue(
@@ -368,9 +459,8 @@ def train_run(
                 )
                 if event is not None:
                     events.append(event)
-                    if events_file is not None:
-                        with events_file.open("a") as fh:
-                            fh.write(json.dumps(event.to_json()) + "\n")
+                    if handed is not None:
+                        handed = step, event
                     if event.applied:
                         assert pred is not None
                         np.copyto(theta, pred.theta_hat)
@@ -379,6 +469,7 @@ def train_run(
                         skipped += speculation.k
                         window.clear()
             next_ckpt = (step // delta + 1) * delta
+        settle()
 
     return RunResult(
         seed=seed,

@@ -225,9 +225,10 @@ class TanhNetwork(Task):
     theta packs W1 (in_dim x hidden_dim), b1, W2 (hidden_dim x out_dim) and
     b2; the output is tanh(x W1 + b1) W2 + b2. A subclass states its sizes,
     its data (`_x_val`, `_y_val` and `_x_probe`, and `_draw`, which returns
-    a pair (inputs, targets) of n rows per generator, frozen), `init_params`,
-    and its loss twice: `_training_loss` with the gradient at the output,
-    `_output_losses` over stacked held-out blocks. A training step runs its
+    a tuple (inputs, targets, ...) of n rows per generator, frozen; a batch
+    is that tuple's rows of one step), `init_params`, and its loss twice:
+    `_training_loss` with the gradient at the output, `_output_losses` over
+    stacked held-out blocks. A training step runs its
     forward pass, loss and backprop in workspaces the task keeps
     (`_train_workspace`), apart from those of the held-out, probe and grid
     passes, and writes d_W1, d_b1, d_W2 and d_b2 straight into their views
@@ -256,18 +257,18 @@ class TanhNetwork(Task):
         self.param_dim = i * h + h + h * o + o
 
     def batch(self, seed: int, step: int):
-        (x, y), i = self._batch_block(seed, step)
+        block, i = self._batch_block(seed, step)
         rows = slice(i * self.batch_size, (i + 1) * self.batch_size)
-        return x[rows], y[rows]
+        return tuple([part[rows] for part in block])
 
     def loss_and_grad(self, theta: np.ndarray, batch,
                       out: np.ndarray | None = None) -> TaskGradient:
         self._require_finite(theta)
         grad = self._gradient_out(out)
-        x, y = batch
+        x = batch[0]
         hidden, output, d_hidden, work, col = self._train_workspace(len(x))
         self._forward(theta, x, hidden, output)
-        loss = self._training_loss(output, y, work, col)
+        loss = self._training_loss(output, batch, work, col)
         self._backprop(theta, x, hidden, output, d_hidden, grad)
         return TaskGradient(loss=loss, grad=grad)
 
@@ -283,10 +284,10 @@ class TanhNetwork(Task):
         hidden = self._scratch("_probe_hidden", (len(self._x_probe), self.hidden_dim))
         return freeze(self._forward(theta, self._x_probe, hidden).ravel())
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray, work: np.ndarray,
+    def _training_loss(self, out: np.ndarray, batch, work: np.ndarray,
                        col: np.ndarray) -> float:
-        """Mean loss of a batch's outputs against y; overwrites `out` with the
-        loss's gradient at the outputs.
+        """Mean loss of a batch's outputs against its targets; overwrites `out`
+        with the loss's gradient at the outputs.
 
         work (out's shape) and col (a column of out's height) are scratch for
         its intermediates, so it allocates no array.
@@ -453,9 +454,9 @@ class MlpRegression(TanhNetwork):
             y[rows] = self._teacher_forward(x[rows]) + self.noise * noise
         return freeze(x), freeze(y)
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray, work: np.ndarray,
+    def _training_loss(self, out: np.ndarray, batch, work: np.ndarray,
                        col: np.ndarray) -> float:
-        err = np.subtract(out, y, out=out)
+        err = np.subtract(out, batch[1], out=out)
         square = np.multiply(err, err, out=work)
         loss = 0.5 * float(np.add.reduce(square, axis=None)) / err.size
         np.divide(err, err.size, out=err)
@@ -486,11 +487,12 @@ class CharSequence(TanhNetwork):
         self._transition = freeze(trans / trans.sum(axis=1, keepdims=True))
         # row-wise running sums, so equal bit for bit to the cumsum of any row
         self._cdf = freeze(np.cumsum(self._transition, axis=1))
-        self._x_val, self._y_val = self._draw([self._rng(_TAG_VAL)], self.n_val)
+        self._x_val, self._y_val, _ = self._draw([self._rng(_TAG_VAL)], self.n_val)
         self._x_probe = self._draw([self._rng(_TAG_PROBE)], probe_count)[0]
 
     def _draw(self, rngs: Sequence[np.random.Generator], n: int):
-        """n context windows (one-hot, flattened) and their next symbols per generator."""
+        """n context windows (one-hot, flattened), their next symbols, and those
+        symbols one-hot (the rows the loss's gradient subtracts) per generator."""
         sym = np.empty(len(rngs) * n, dtype=np.int64)
         uniform = np.empty((len(rngs), self.ctx, n))
         for i, rng in enumerate(rngs):
@@ -501,7 +503,9 @@ class CharSequence(TanhNetwork):
         for pos in range(self.ctx):
             onehot[np.arange(len(sym)), pos * self.alphabet + sym] = 1.0
             sym = (uniform[pos][:, None] < self._cdf[sym]).argmax(axis=1)
-        return freeze(onehot), freeze(sym.astype(np.int64))
+        target = np.zeros((len(sym), self.alphabet))
+        target[np.arange(len(sym)), sym] = 1.0
+        return freeze(onehot), freeze(sym.astype(np.int64)), freeze(target)
 
     def init_params(self, seed: int) -> np.ndarray:
         rng = self._rng(_TAG_INIT, seed)
@@ -530,13 +534,14 @@ class CharSequence(TanhNetwork):
             rows = self._rows = np.arange(n)
         return rows[:n]
 
-    def _training_loss(self, out: np.ndarray, y: np.ndarray, probs: np.ndarray,
+    def _training_loss(self, out: np.ndarray, batch, probs: np.ndarray,
                        col: np.ndarray) -> float:
+        _, y, target = batch
         n = len(y)
         rows = self._row_index(n)
         logp = self._log_softmax(out, col, probs)
         np.exp(logp, out=probs)
-        probs[rows, y] -= 1.0
+        np.subtract(probs, target, out=probs)  # p - 0.0 is p: only the target entries move
         # the sum and division that .mean() makes
         loss = -float(np.add.reduce(logp[rows, y], axis=None) / n)
         np.divide(probs, n, out=out)

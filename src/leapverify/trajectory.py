@@ -21,8 +21,12 @@ On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
 Round-trips are bit-exact for every float payload. encode_checkpoint is the
 one writer of these bytes: save_checkpoint writes what it encodes, and so
 does a training run's batch producer, which writes the run's checkpoints
-behind it (workers.BlockProducer); either way the file is written to its
-`.tmp` name and renamed, so a checkpoint file is never partial.
+behind it (workers.BlockProducer). A plain run hands its checkpoints over
+before their held-out loss is known, encoded with a NaN loss; the producer
+measures the parameters in place (encoded_theta) and packs the loss in with
+encode_val_loss. Either way the file is written to its `.tmp` name and
+renamed, so a checkpoint file is never partial, and only a checkpoint with a
+finite loss is written.
 """
 
 from __future__ import annotations
@@ -107,9 +111,6 @@ def checkpoint_bytes(param_count: int) -> int:
 
 def encode_checkpoint(ckpt: Checkpoint, out) -> None:
     """Write ckpt's file bytes into `out`, a writable buffer of checkpoint_bytes(param_count)."""
-    if not math.isfinite(ckpt.val_loss):
-        # persisted checkpoints come from real training states only
-        raise ValueError("refusing to persist a checkpoint with non-finite val_loss")
     n = ckpt.theta.shape[0]
     if ckpt.m.shape[0] != n or ckpt.v.shape[0] != n:
         raise ValueError("moment length mismatch")
@@ -118,6 +119,16 @@ def encode_checkpoint(ckpt: Checkpoint, out) -> None:
     for row, arr in zip(payload, (ckpt.theta, ckpt.m, ckpt.v)):
         row[:] = arr
     struct.pack_into("<dQ", out, 24 + 24 * n, ckpt.val_loss, ckpt.seed)
+
+
+def encode_val_loss(out, val_loss: float) -> None:
+    """Set the held-out loss in the encoded checkpoint `out`."""
+    struct.pack_into("<d", out, len(out) - 16, val_loss)
+
+
+def encoded_theta(data, param_count: int) -> np.ndarray:
+    """A view of the parameters in `data`, an encoded checkpoint of param_count parameters."""
+    return np.ndarray(param_count, "<f8", data, 24)
 
 
 def write_checkpoint_file(path: str | Path, data) -> None:
@@ -130,6 +141,9 @@ def write_checkpoint_file(path: str | Path, data) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    if not math.isfinite(ckpt.val_loss):
+        # persisted checkpoints come from real training states only
+        raise ValueError("refusing to persist a checkpoint with non-finite val_loss")
     data = bytearray(checkpoint_bytes(ckpt.theta.shape[0]))
     encode_checkpoint(ckpt, data)
     write_checkpoint_file(path, data)

@@ -13,8 +13,9 @@ OOM killer, SystemExit) closes its pipe without replying, so the job it held
 fails instead of leaving the command waiting.
 
 A batch producer (BlockProducer) works beside one training run on another
-CPU: it draws the run's batch blocks ahead of it, and writes behind it the
-checkpoint files whose bytes the run encodes, through a shared ring.
+CPU, through a shared ring: it draws the run's batch blocks ahead of it, and
+behind it writes the checkpoint files whose bytes the run encodes, measuring
+each one's held-out loss first where the run asks it to.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import heapq
+import math
 import mmap
 import multiprocessing
 import os
@@ -33,8 +35,10 @@ import struct
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
+from dataclasses import replace
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,13 +48,20 @@ from .trajectory import (
     checkpoint_bytes,
     checkpoint_path,
     encode_checkpoint,
+    encode_val_loss,
+    encoded_theta,
     save_checkpoint,
     write_checkpoint_file,
 )
 
+if TYPE_CHECKING:
+    from .engine import Measure
+
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
 RING_SLOTS = 4  # blocks a producer may hold drawn ahead of its run
-SAVE_SLOTS = 2  # checkpoints a run may have handed to its producer unwritten
+# what the producer sends back for a checkpoint it wrote: its held-out loss,
+# whether it has a similarity, and the similarity (engine.Measure's pair)
+_MEASURED = struct.Struct("<d?d")
 
 
 class WorkerTraceback(Exception):
@@ -170,21 +181,23 @@ class BlockProducer:
     `like`. The producer draws block i into slot i mod RING_SLOTS of a shared
     ring and then sends i down the ready pipe. The run sends down the want
     pipe the index of the block it wants next, which frees every slot before
-    it: the producer draws at most RING_SLOTS blocks from there, and after a
-    leap skips the blocks the run passed over. `take` copies a block out of
-    the ring into fresh frozen arrays, so a batch the run holds never
-    changes. It serves blocks in order only; for any other request, and
-    once the producer is gone, it returns None and the run draws the block
-    itself.
+    it: the producer draws at most RING_SLOTS blocks from there, and skips
+    the blocks the run passed over. `take` never waits. It copies a block the
+    producer has drawn out of the ring into fresh frozen arrays, so a batch
+    the run holds never changes. For a block not drawn yet, any request out
+    of order, and once the producer is gone, it returns None: the run draws
+    the block itself, and the producer skips it.
 
-    With a store_dir, `save` encodes a checkpoint of param_count parameters
-    into a free one of SAVE_SLOTS more slots and sends the slot and step
-    down the save pipe; the producer writes the file (trajectory's
-    ckpt_<step>.lpv, through its .tmp) and sends the slot back down the
-    saved pipe, and only then is the slot reused. `wait_saved` waits for
-    every checkpoint handed over. A checkpoint the producer does not confirm,
-    because it died, could not be pinned or met an OSError, the run writes
-    itself through save_checkpoint, which raises the error naming the file.
+    `save` encodes a checkpoint of param_count parameters into one more slot
+    and sends its step down the save pipe. With a `measure` (engine.Measure)
+    the checkpoint comes without its held-out loss: the producer measures it
+    and packs the loss into the bytes. It writes the file to store_dir, if
+    any (trajectory's ckpt_<step>.lpv, through its .tmp), unless the loss is
+    non-finite, and sends what it measured down the saved pipe. `settle`
+    waits for that and returns it; the run settles each hand-over before the
+    next. A checkpoint the producer does not settle, because it died, could
+    not be pinned or met an error, `settle` measures and writes here through
+    the same steps, which meet the error again and raise it.
 
     The producer pins itself to the lowest CPU this process may use other
     than the one it runs on, and exits at once where it cannot: woken on the
@@ -193,31 +206,32 @@ class BlockProducer:
 
     def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int,
                  firsts: range, like: tuple[np.ndarray, ...], store_dir: Path | None = None,
-                 param_count: int = 0):
-        self.seed, self.firsts, self.store_dir = seed, firsts, store_dir
+                 param_count: int = 0, measure: Measure | None = None):
+        self.seed, self.firsts, self.store_dir, self.measure = seed, firsts, store_dir, measure
         self._wanted = 0
         self._gone = False  # the ready pipe ended: no block will come
-        self._unsaved: dict[int, Checkpoint] = {}  # by slot, handed over and not confirmed
+        self.pending: Checkpoint | None = None  # handed over, not settled
         sizes = [array.nbytes for array in like]
-        ckpt_size = checkpoint_bytes(param_count) if store_dir is not None else 0
+        saves = store_dir is not None or measure is not None
+        ckpt_size = checkpoint_bytes(param_count) if saves else 0
         blocks_size = RING_SLOTS * sum(sizes)
-        self._ring = mmap.mmap(-1, blocks_size + SAVE_SLOTS * ckpt_size)
+        self._ring = mmap.mmap(-1, blocks_size + ckpt_size)
         offsets = np.cumsum([0, *sizes * RING_SLOTS])
         self._slots = [[np.ndarray(a.shape, a.dtype, self._ring, offsets[s * len(like) + j])
                         for j, a in enumerate(like)] for s in range(RING_SLOTS)]
-        self._ckpt_slots = [np.ndarray(ckpt_size, np.uint8, self._ring, blocks_size + s * ckpt_size)
-                            for s in range(SAVE_SLOTS)]
+        self._ckpt_slot = np.ndarray(ckpt_size, np.uint8, self._ring, blocks_size)
         sched_getcpu = ctypes.CDLL(None).sched_getcpu
         sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
         cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
         wants, self._wants = os.pipe()
         self._ready, ready = os.pipe()
+        os.set_blocking(self._ready, False)
         saves, self._saves = os.pipe()
         self._saved, saved = os.pipe()
         self._process = None
         try:
-            self._process = fork(_produce, draw, seed, firsts, self._slots, store_dir,
-                                 self._ckpt_slots, cpu, (wants, ready, saves, saved),
+            self._process = fork(_produce, draw, seed, firsts, self._slots, store_dir, measure,
+                                 self._ckpt_slot, param_count, cpu, (wants, ready, saves, saved),
                                  (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
             self.close()
@@ -227,19 +241,23 @@ class BlockProducer:
                 os.close(fd)  # so that each pipe ends when the other side closes it
 
     def take(self, seed: int, first: int) -> tuple[np.ndarray, ...] | None:
-        """The block of seed's steps from `first`, or None where the producer does not serve it."""
+        """The block of seed's steps from `first` if the producer has drawn it, else None."""
         if self._gone or seed != self.seed or first not in self.firsts:
             return None
         index = self.firsts.index(first)
         if index < self._wanted:
             return None
-        if index > self._wanted:
-            self._want(index)
-        while (message := os.read(self._ready, 8)) != index.to_bytes(8, "little"):
-            if not message:
-                self._gone = True
-                return None
-        block = tuple(freeze(view.copy()) for view in self._slots[index % RING_SLOTS])
+        block = None
+        try:
+            while block is None:  # blocks drawn before a leap the run passed over come first
+                message = os.read(self._ready, 8)
+                if not message:
+                    self._gone = True
+                    return None
+                if int.from_bytes(message, "little") == index:
+                    block = tuple(freeze(view.copy()) for view in self._slots[index % RING_SLOTS])
+        except BlockingIOError:
+            pass  # not drawn yet
         self._want(index + 1)
         return block
 
@@ -251,49 +269,58 @@ class BlockProducer:
         self._wanted = index
 
     def save(self, ckpt: Checkpoint) -> None:
-        """Have ckpt written to the store dir: by the producer, or here once it is gone."""
-        if len(self._unsaved) == SAVE_SLOTS:
-            self.wait_saved()
-        slot = len(self._unsaved)  # wait_saved frees every slot at once
-        encode_checkpoint(ckpt, self._ckpt_slots[slot])
-        self._unsaved[slot] = ckpt
+        """Hand ckpt over to be written (and measured, with a measure); settles the last first."""
+        self.settle()
+        encode_checkpoint(ckpt, self._ckpt_slot)
+        self.pending = ckpt
         try:
-            os.write(self._saves, struct.pack("<QQ", slot, ckpt.step))
+            os.write(self._saves, ckpt.step.to_bytes(8, "little"))
         except BrokenPipeError:
-            self.wait_saved()  # the producer is gone, so this writes ckpt here
+            pass  # the producer is gone: settle does it here
 
-    def wait_saved(self) -> None:
-        """Return once every checkpoint handed over is written, writing here,
-        in step order, those the producer did not confirm before it ended."""
-        while self._unsaved:
-            confirmed = os.read(self._saved, 8 * SAVE_SLOTS)
-            for (slot,) in struct.iter_unpack("<Q", confirmed):
-                del self._unsaved[slot]
-            if not confirmed:  # the producer is gone
-                unsaved, self._unsaved = list(self._unsaved.values()), {}
-                for ckpt in unsaved:
-                    save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
+    def settle(self) -> tuple[float, float | None] | None:
+        """Wait until the checkpoint handed over last is written, or found
+        non-finite, doing it here if the producer is gone; return its held-out
+        loss and similarity where it was measured. None if nothing is pending."""
+        ckpt, self.pending = self.pending, None
+        if ckpt is None:
+            return None
+        reply = os.read(self._saved, _MEASURED.size)
+        if not reply:  # the producer is gone: as it would, measure, then write a finite one
+            measured = None
+            if self.measure is not None:
+                measured = self.measure(ckpt.theta)
+                ckpt = replace(ckpt, val_loss=measured[0])
+            if self.store_dir is not None and math.isfinite(ckpt.val_loss):
+                save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
+            return measured
+        if self.measure is None:
+            return None
+        self.measure.passed(ckpt.theta)
+        val_loss, has_similarity, similarity = _MEASURED.unpack(reply)
+        return val_loss, similarity if has_similarity else None
 
     def close(self) -> None:
         """Stop the producer and release the ring and the pipes; idempotent.
 
-        Checkpoints handed over and not yet confirmed are abandoned: call
-        wait_saved first to have them written."""
+        A checkpoint handed over and not settled is abandoned: settle it
+        first to have it written."""
         if self._ring.closed:
             return
         if self._process is not None:
             _stop(self._process)
         for fd in (self._wants, self._ready, self._saves, self._saved):
             os.close(fd)
-        self._slots = self._ckpt_slots = []  # their views hold the ring's buffer
+        self._slots, self._ckpt_slot = [], None  # their views hold the ring's buffer
         self._ring.close()
 
 
 def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firsts: range,
-             slots: list[list[np.ndarray]], store_dir: Path | None, ckpt_slots: list[np.ndarray],
-             cpu: int, fds: tuple[int, int, int, int], theirs: tuple[int, ...]) -> None:
-    """The producer: draw the blocks the run will want into the ring, and write the
-    checkpoints it hands over, until it stops us."""
+             slots: list[list[np.ndarray]], store_dir: Path | None, measure: Measure | None,
+             ckpt_slot: np.ndarray, param_count: int, cpu: int, fds: tuple[int, int, int, int],
+             theirs: tuple[int, ...]) -> None:
+    """The producer: draw the blocks the run will want into the ring, and write
+    (and measure) the checkpoints it hands over, until it stops us."""
     wants, ready, saves, saved = fds
     for fd in theirs:
         os.close(fd)
@@ -301,22 +328,32 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
         os.sched_setaffinity(0, {cpu})
     except OSError:
         return
+    theta = encoded_theta(ckpt_slot, param_count)
     index = wanted = 0
     try:
         while True:
-            full = index >= min(wanted + len(slots), len(firsts))
-            readable = select.select([saves, wants], [], [], None if full else 0)[0]
-            if saves in readable:
-                for slot, step in struct.iter_unpack("<QQ", _read(saves)):
-                    try:
-                        write_checkpoint_file(checkpoint_path(store_dir, step), ckpt_slots[slot])
-                    except OSError:
-                        return  # unconfirmed, so the run writes it and meets the error itself
-                    os.write(saved, slot.to_bytes(8, "little"))
+            ahead = min(wanted + len(slots), len(firsts))  # it may draw up to there
+            readable = select.select([saves, wants], [], [], None if index >= ahead else 0)[0]
             if wants in readable:
                 wanted = int.from_bytes(_read(wants)[-8:], "little")  # the run's last want
-            index = max(index, wanted)
-            if index < min(wanted + len(slots), len(firsts)):
+                index = max(index, wanted)
+                ahead = min(wanted + len(slots), len(firsts))
+            # the run's next block comes first: the run settles a checkpoint only at its next one
+            if saves in readable and not index == wanted < len(firsts):
+                step = int.from_bytes(_read(saves), "little")  # the next comes once it is settled
+                try:
+                    val_loss, similarity = math.nan, None  # what is sent where nothing is measured
+                    if measure is not None:
+                        val_loss, similarity = measure(theta)
+                        encode_val_loss(ckpt_slot, val_loss)
+                    # a diverged run writes no checkpoint of its own
+                    if store_dir is not None and (measure is None or math.isfinite(val_loss)):
+                        write_checkpoint_file(checkpoint_path(store_dir, step), ckpt_slot)
+                except Exception:
+                    return  # unsettled, so the run does it and meets the error itself
+                os.write(saved, _MEASURED.pack(val_loss, similarity is not None,
+                                               0.0 if similarity is None else similarity))
+            if index < ahead:
                 for view, array in zip(slots[index % len(slots)], draw(seed, firsts[index])):
                     np.copyto(view, array)
                 os.write(ready, index.to_bytes(8, "little"))

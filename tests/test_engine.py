@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
 import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -615,13 +617,18 @@ def far_leaps(name: str) -> SpeculationSettings:
     return SpeculationSettings(predictor="linear", k=100, criterion=FAR_LEAP_CRITERIA[name])
 
 
-def stored_run(task, store_dir, speculation=None):
-    result = train_run(task, 42, total_steps=RUN_STEPS, delta=20,
-                       hyper=AdamHyper(lr=task.recommended_lr, total_steps=RUN_STEPS),
+def stored_run(task, store_dir, speculation=None, steps=RUN_STEPS, delta=20):
+    result = train_run(task, 42, total_steps=steps, delta=delta,
+                       hyper=AdamHyper(lr=task.recommended_lr, total_steps=steps),
                        thresholds=PERMISSIVE, epsilon=0.9, speculation=speculation,
                        store_dir=store_dir)
-    files = {path.name: path.read_bytes() for path in sorted(store_dir.iterdir())}
-    return pickle.dumps(result), files
+    return pickle.dumps(result), stored_files(store_dir)
+
+
+def stored_files(store_dir):
+    """The run dir's files by name, with None for a directory."""
+    return {path.name: path.read_bytes() if path.is_file() else None
+            for path in sorted(store_dir.iterdir())}
 
 
 @pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
@@ -653,6 +660,8 @@ def test_a_killed_producer_leaves_the_run_unchanged(tmp_path, cpus, producers, t
     batch = task.batch
 
     def kill_the_producer_at_step_100(seed, step):
+        if step == 0:  # the run draws a block itself where the producer has not drawn it yet
+            time.sleep(0.05)
         if step >= 100 and not killed:
             (child,) = multiprocessing.active_children()
             os.kill(child.pid, signal.SIGKILL)
@@ -699,7 +708,7 @@ def test_a_producer_killed_after_the_first_hand_off_leaves_every_checkpoint(
 def test_a_checkpoint_that_cannot_be_written_fails_the_run_alike_with_a_producer(
         name, live, tmp_path, cpus, producers, two_cpus):
     speculation = far_leaps(name) if live else None
-    errors = []
+    errors, files = [], []
     for n in (1, 2):
         cpus(n)
         store_dir = tmp_path / f"cpus-{n}"
@@ -707,9 +716,12 @@ def test_a_checkpoint_that_cannot_be_written_fails_the_run_alike_with_a_producer
         with pytest.raises(OSError) as caught:
             stored_run(make_task(name), store_dir, speculation)
         errors.append((type(caught.value), str(caught.value).replace(str(store_dir), "")))
+        files.append(stored_files(store_dir))
     assert len(producers) == 1
     assert errors[0] == errors[1]
     assert "/ckpt_40.lpv'" in errors[0][1]
+    # the run stops at that checkpoint: no event from it or past it is logged
+    assert files[0] == files[1]
 
 
 def test_a_producer_that_cannot_be_pinned_leaves_the_run_unchanged(tmp_path, cpus, producers,
@@ -748,3 +760,186 @@ def test_short_runs_and_seed_workers_start_no_producer(cpus, producers, monkeypa
     monkeypatch.setattr(workers, "in_worker", lambda: True)
     train_run(task, 0, total_steps=400, delta=50, hyper=hyper)
     assert producers == []
+
+
+# ---------------------------------------- checkpoints measured behind the run
+
+def delay_the_producer_s_measuring(monkeypatch, seconds):
+    """Make the producer wait `seconds` before it measures each checkpoint; the
+    run, where it measures a checkpoint itself, does not."""
+    run, measure = os.getpid(), engine.Measure.__call__
+
+    def slow(self, theta):
+        if os.getpid() != run:
+            time.sleep(seconds)
+        return measure(self, theta)
+
+    monkeypatch.setattr(engine.Measure, "__call__", slow)
+
+
+def count_the_steps_trained(task):
+    """The list to which each training step of the task appends its step."""
+    batch, trained = task.batch, []
+    task.batch = lambda seed, step: (trained.append(step), batch(seed, step))[1]
+    return trained
+
+
+def count_the_held_out_losses_taken_here(task):
+    """The list to which each validation_loss call in this process appends 1."""
+    here, validation_loss, taken = os.getpid(), task.validation_loss, []
+    task.validation_loss = lambda theta: (
+        taken.append(1) if os.getpid() == here else None, validation_loss(theta))[1]
+    return taken
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_checkpoint_settled_past_its_step_leaves_every_output_unchanged(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    task = make_task(name)
+    inline_trained = count_the_steps_trained(task)
+    inline_taken = count_the_held_out_losses_taken_here(task)
+    inline = stored_run(task, tmp_path / "inline", speculation)
+    cpus(2)
+    delay_the_producer_s_measuring(monkeypatch, 0.005)  # longer than delta steps take
+    task = make_task(name)
+    trained = count_the_steps_trained(task)
+    taken = count_the_held_out_losses_taken_here(task)
+    assert stored_run(task, tmp_path / "late", speculation) == inline
+    assert len(producers) == 1
+    # a plain run's checkpoints are all measured behind it; a live run measures
+    # its own, and trains no step it then throws away, so its work repeats exactly
+    assert trained == inline_trained
+    assert len(taken) == (len(inline_taken) if live else 0)
+    result = pickle.loads(inline[0])
+    assert len(trained) == RUN_STEPS - result.skipped_steps
+    assert (result.skipped_steps > 0) == live
+
+
+def poison_the_gradient_at(task, poisoned):
+    """Make the task's gradient at step `poisoned` non-finite."""
+    trained = count_the_steps_trained(task)
+    loss_and_grad = task.loss_and_grad
+
+    def poisoned_gradient(theta, batch, out=None):
+        tg = loss_and_grad(theta, batch, out=out)
+        return replace(tg, grad=np.full_like(tg.grad, np.nan)) if trained[-1] == poisoned else tg
+
+    task.loss_and_grad = poisoned_gradient
+
+
+def poison_the_held_out_loss_of(task, poisoned):
+    """Make the task's held-out loss of the parameters `poisoned` NaN."""
+    validation_loss = task.validation_loss
+    task.validation_loss = lambda theta: (
+        math.nan if np.array_equal(theta, poisoned) else validation_loss(theta))
+
+
+def diverged_runs(name, speculation, tmp_path, cpus, poison):
+    """(message, files) of a stored run of task `name`, poisoned by
+    poison(task), on one CPU and on two."""
+    outcomes = []
+    for n in (1, 2):
+        cpus(n)
+        task = make_task(name)
+        poison(task)
+        store_dir = tmp_path / f"cpus-{n}"
+        with pytest.raises(RunDivergedError) as caught:
+            stored_run(task, store_dir, speculation)
+        outcomes.append((str(caught.value), stored_files(store_dir)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_non_finite_held_out_loss_stops_the_run_at_its_checkpoint(
+        name, live, tmp_path, cpus, producers, two_cpus):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    clean = pickle.loads(stored_run(make_task(name), tmp_path / "clean", speculation)[0])
+    step = clean.steps[3]
+    poisoned = load_checkpoint(tmp_path / "clean" / f"ckpt_{step}.lpv").theta
+    message, files = diverged_runs(name, speculation, tmp_path, cpus,
+                                   lambda task: poison_the_held_out_loss_of(task, poisoned))
+    assert len(producers) == 1
+    assert message == f"non-finite validation loss at step {step} (seed 42)"
+    assert f"ckpt_{step}.lpv" not in files
+    assert f"ckpt_{clean.steps[2]}.lpv" in files
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_non_finite_gradient_past_a_diverged_checkpoint_names_the_checkpoint(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    clean = pickle.loads(stored_run(make_task(name), tmp_path / "clean", speculation)[0])
+    step = clean.steps[3]
+    poisoned = load_checkpoint(tmp_path / "clean" / f"ckpt_{step}.lpv").theta
+    delay_the_producer_s_measuring(monkeypatch, 0.005)  # so that the run trains on meanwhile
+
+    def poison(task):
+        poison_the_held_out_loss_of(task, poisoned)
+        poison_the_gradient_at(task, step)  # the step after the checkpoint
+
+    message, files = diverged_runs(name, speculation, tmp_path, cpus, poison)
+    assert len(producers) == 1
+    assert message == f"non-finite validation loss at step {step} (seed 42)"
+    assert f"ckpt_{step}.lpv" not in files
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_non_finite_gradient_with_a_checkpoint_pending_fails_the_run_alike(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    step = 21  # the step after the first checkpoint, from which no leap is made
+    delay_the_producer_s_measuring(monkeypatch, 0.005)  # so that checkpoint 20 is pending then
+    message, files = diverged_runs(name, speculation, tmp_path, cpus,
+                                   lambda task: poison_the_gradient_at(task, step - 1))
+    assert len(producers) == 1
+    assert message == f"non-finite gradient; training halted at step {step} (seed 42)"
+    assert "ckpt_20.lpv" in files
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_producer_killed_with_a_checkpoint_pending_leaves_every_output_unchanged(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    inline = stored_run(make_task(name), tmp_path / "inline", speculation)
+    cpus(2)
+    delay_the_producer_s_measuring(monkeypatch, 0.05)  # longer than the kill takes
+    hand_off, handed = workers.BlockProducer.save, []
+
+    def kill_after_the_third_hand_off(producer, ckpt):
+        hand_off(producer, ckpt)
+        handed.append(ckpt.step)
+        if len(handed) == 3:
+            assert producer.pending is ckpt
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join()
+
+    monkeypatch.setattr(workers.BlockProducer, "save", kill_after_the_third_hand_off)
+    assert stored_run(make_task(name), tmp_path / "killed", speculation) == inline
+    assert handed == pickle.loads(inline[0]).steps
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_checkpoint_at_every_step_leaves_every_output_unchanged(
+        name, live, tmp_path, cpus, producers, two_cpus):
+    speculation = SpeculationSettings(predictor="linear", k=5,
+                                      criterion=FAR_LEAP_CRITERIA[name]) if live else None
+    steps = 100  # the default warm-up's length, and more than two batch blocks
+    cpus(1)
+    inline = stored_run(make_task(name), tmp_path / "inline", speculation, steps, delta=1)
+    cpus(2)
+    assert stored_run(make_task(name), tmp_path / "ahead", speculation, steps, delta=1) == inline
+    assert len(producers) == 1
+    assert (pickle.loads(inline[0]).skipped_steps > 0) == live

@@ -142,7 +142,8 @@ def step_rng(task, seed: int, step: int) -> np.random.Generator:
 
 
 def per_row_cumsum_batch(task, seed: int, step: int):
-    """char-seq batch of one step, drawn with a cumsum of the gathered transition rows."""
+    """char-seq batch of one step, drawn with a cumsum of the gathered transition rows:
+    the one-hot contexts, the next symbols, and those symbols one-hot."""
     rng = step_rng(task, seed, step)
     n = task.batch_size
     sym = rng.integers(0, task.alphabet, size=n)
@@ -151,7 +152,7 @@ def per_row_cumsum_batch(task, seed: int, step: int):
         onehot[np.arange(n), pos * task.alphabet + sym] = 1.0
         cdf = np.cumsum(task._transition[sym], axis=1)
         sym = (rng.random(n)[:, None] < cdf).argmax(axis=1)
-    return onehot, sym
+    return onehot, sym, np.eye(task.alphabet)[sym]
 
 
 def per_step_mlp_batch(task, seed: int, step: int):
@@ -193,10 +194,11 @@ STEPS = [(0, 0), (42, 7), (42, BATCH_BLOCK - 1), (42, BATCH_BLOCK), (42, 2 * BAT
 
 @pytest.mark.parametrize("seed, step", STEPS)
 def test_char_seq_cdf_table_draws_the_per_row_cumsum_batch(tasks, seed, step):
-    x, y = tasks["char-seq"].batch(seed, step)
-    x_ref, y_ref = per_row_cumsum_batch(tasks["char-seq"], seed, step)
+    x, y, target = tasks["char-seq"].batch(seed, step)
+    x_ref, y_ref, target_ref = per_row_cumsum_batch(tasks["char-seq"], seed, step)
     assert x.tobytes() == x_ref.tobytes()
     assert y.tobytes() == y_ref.tobytes()
+    assert target.tobytes() == target_ref.tobytes()
 
 
 @pytest.mark.parametrize("name", ["mlp-reg", "quad-bowl"])
@@ -272,12 +274,16 @@ def test_rng_equals_the_tuple_seeded_generator(data_seed):
 
 def test_char_seq_batch_structure():
     task = make_task("char-seq", batch_size=16)
-    x, targets = task.batch(3, 4)
+    x, targets, onehot = task.batch(3, 4)
     assert x.shape == (16, 48)
     assert np.all((x == 0.0) | (x == 1.0))
     assert np.all(x.sum(axis=1) == 4)  # one hot symbol per context slot
     assert targets.shape == (16,)
     assert np.all((0 <= targets) & (targets < 12))
+    # the targets one-hot, the rows the loss's gradient subtracts
+    assert onehot.shape == (16, 12)
+    assert onehot.tobytes() == np.eye(12)[targets].tobytes()
+    assert not any(part.flags.writeable for part in (x, targets, onehot))
 
 
 def test_fingerprints():
@@ -317,8 +323,7 @@ def batches_of_32_and_7_rows(task):
     first, last = task.batch(0, 3), task.batch(0, 4)
     if task.name == "quad-bowl":
         return [first, last]
-    x, y = first
-    return [first, (x[:7], y[:7]), last]
+    return [first, tuple(part[:7] for part in first), last]
 
 
 @pytest.mark.parametrize("name", TASK_NAMES)
