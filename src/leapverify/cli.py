@@ -35,13 +35,12 @@ from .harness import (
     run_experiment,
     sweep_pass,
     train_pass,
-    write_atomic,
-    write_loss_log,
     write_thresholds,
 )
 from .predict import MOMENTUM_VARIANTS, QUAD_VARIANTS, SWEEP_PREDICTORS, resolve_predictor
 from .regime import Thresholds
 from .tasks import TASK_NAMES
+from .trajectory import write_atomic
 from .verify import CRITERIA
 
 
@@ -157,7 +156,6 @@ def cmd_live(args: argparse.Namespace) -> int:
                            ff_policy=cfg.ff_policy, speculation=speculation,
                            store_dir=live_dirs[seed])
         write_atomic(live_dirs[seed] / "config.txt", config_text)
-        write_loss_log(result, live_dirs[seed])
         applied = sum(ev.applied for ev in result.events)
         return len(result.events), applied, result.skipped_steps, result.loss_log[-1]
 

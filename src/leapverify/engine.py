@@ -20,16 +20,20 @@ against stage n-1's loss. A live attempt is a depth-1 walk from
 speculate()'s exact prediction, and leap_or_continue only marks its event
 applied; an offline cascade walks deeper and applies nothing.
 
-A training run that has a CPU to spare has a producer process pinned to
+A training run hands each checkpoint over, and settles that hand-over
+before its next checkpoint and once it ends: the checkpoint is then
+finished (trajectory.finish_checkpoint), written and, in a plain run,
+which never leaps, measured (Measure: held-out loss and fingerprint
+similarity). A run that has a CPU to spare has a producer process pinned to
 that CPU (batches_drawn_ahead), which draws its batch blocks ahead of it and
-writes its checkpoint files behind it. In a plain run, which never leaps,
-the producer also measures each checkpoint (Measure: held-out loss and
-fingerprint similarity) while the run trains on, and the run records what
-it found before its next checkpoint. A run that may leap judges each
-checkpoint itself before its next step, since an accepted leap changes what
-it trains next. Since batches are pure in (seed, step) and a checkpoint's
-measurements are pure in it and the checkpoint before, every output is the
-same bit for bit as a run's that does everything itself.
+finishes its checkpoints behind it while the run trains on; else Handover
+finishes each one in the run's process when it is settled. A run that may
+leap measures each checkpoint itself before its next step, since an
+accepted leap changes what it trains next. Since batches are pure in
+(seed, step) and a checkpoint's measurements are pure in it and the
+checkpoint before, every output is the same bit for bit either way. The
+run writes events.jsonl and loss_log.csv last, once every checkpoint is
+settled, so no event or label outlives a checkpoint file left unwritten.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,14 +58,14 @@ from .tasks import BATCH_BLOCK, Task
 from .trajectory import (
     WINDOW_CAPACITY,
     Checkpoint,
-    checkpoint_path,
+    checkpoint_bytes,
+    encode_checkpoint,
+    finish_checkpoint,
     recent_loss_std,
-    save_checkpoint,
+    write_atomic,
+    write_loss_log,
 )
 from .verify import Decision, decide
-
-if TYPE_CHECKING:
-    from .workers import BlockProducer
 
 FF_POLICIES = ("carry", "decay")
 
@@ -254,21 +257,33 @@ class Measure:
         self.last, self.fingerprint = theta, None
 
 
-class WrittenHere:
-    """A run's checkpoints written to store_dir, if any, in its own process,
-    each at once: BlockProducer's `save` and `settle` without a producer."""
+class Handover:
+    """A run's checkpoints finished in its own process: the checkpoint handed
+    over last is held until the run settles it, then finished by
+    trajectory.finish_checkpoint, measured with `measure`, if given, and
+    written to store_dir, if any. workers.BlockProducer finishes them in a
+    process beside the run instead, and falls back on this once it is gone.
+    """
 
-    measure = None
-
-    def __init__(self, store_dir: Path | None):
-        self.store_dir = store_dir
+    def __init__(self, store_dir: Path | None, measure: Measure | None):
+        self.store_dir, self.measure = store_dir, measure
+        self.pending: Checkpoint | None = None  # handed over, not settled
 
     def save(self, ckpt: Checkpoint) -> None:
-        if self.store_dir is not None:
-            save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
+        """Hand ckpt over; settles the last one first."""
+        self.settle()
+        self.pending = ckpt
 
-    def settle(self) -> None:
-        return None
+    def settle(self) -> tuple[int, float, float | None] | None:
+        """Finish the checkpoint handed over last: its step, held-out loss and
+        similarity where it was measured here, else None."""
+        ckpt, self.pending = self.pending, None
+        if ckpt is None:
+            return None
+        data = bytearray(checkpoint_bytes(ckpt.theta.shape[0]))
+        encode_checkpoint(ckpt, data)
+        measured = finish_checkpoint(data, ckpt.step, self.store_dir, self.measure)
+        return None if measured is None else (ckpt.step, *measured)
 
 
 def usable_cpus() -> int:
@@ -279,22 +294,22 @@ def usable_cpus() -> int:
 
 @contextmanager
 def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path | None = None,
-                        measure: Measure | None = None) -> Iterator[BlockProducer | WrittenHere]:
+                        measure: Measure | None = None) -> Iterator[Handover]:
     """Within the block, a producer process draws the task's batch blocks of
-    seed's first total_steps steps ahead of the run, and writes behind it the
-    checkpoints the run hands over to store_dir, measuring each one first
-    with `measure`, if given (workers.BlockProducer).
+    seed's first total_steps steps ahead of the run, and finishes behind it
+    the checkpoints the run hands over, measured with `measure`, if given,
+    and written to store_dir, if any (workers.BlockProducer).
 
     Yields what the run hands its checkpoints over to: the producer, else a
-    WrittenHere, which writes each at once and measures none. There is a
-    producer only on Linux, for runs of more than two blocks, when this
-    process may run on two CPUs or more and is not itself a seed worker,
-    since the workers already fill the CPUs. Else, and once the producer is
-    gone, the task draws every block itself and the run writes (and
-    measures) every checkpoint itself: the same stream, measurements and
-    files bit for bit. The run's first block is drawn here, in the process
-    that wants it first, and sizes the ring. When the block ends, however it
-    ends, a checkpoint handed over is written before the producer is stopped.
+    Handover, which finishes each one in this process. There is a producer
+    only on Linux, for runs of more than two blocks, when this process may
+    run on two CPUs or more and is not itself a seed worker, since the
+    workers already fill the CPUs. Else, and once the producer is gone, the
+    task draws every block itself and the run finishes every checkpoint
+    itself: the same stream, measurements and files bit for bit. The run's
+    first block is drawn here, in the process that wants it first, and sizes
+    the ring. When the block ends, however it ends, the checkpoint handed
+    over last is settled, and only then is the producer stopped.
     """
     producer = None
     if total_steps > 2 * BATCH_BLOCK and usable_cpus() > 1:
@@ -306,14 +321,15 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path
                                              range(BATCH_BLOCK, total_steps, BATCH_BLOCK),
                                              first_block, store_dir, task.param_dim, measure)
     task.producer = producer
+    checkpoints = producer if producer is not None else Handover(store_dir, measure)
     try:
-        yield producer if producer is not None else WrittenHere(store_dir)
+        yield checkpoints
     finally:
         task.producer = None
-        if producer is not None:
-            try:
-                producer.settle()
-            finally:
+        try:
+            checkpoints.settle()
+        finally:
+            if producer is not None:
                 producer.close()
 
 
@@ -342,8 +358,10 @@ def train_run(
     leap; accepted leaps fast-forward the run under `ff_policy`, and
     `momentum_variant` picks the formula of a `momentum` predictor, through
     predict.resolve_predictor. Checkpoints are persisted to store_dir when
-    given, and leap events are streamed to events.jsonl alongside them; in
-    memory the run keeps only its history window.
+    given, and once every one is settled the run writes events.jsonl, if it
+    made an attempt, and loss_log.csv there last, so a run that fails
+    leaves neither. In memory a live run keeps only its history window, and
+    a plain run only the checkpoint it handed over last.
 
     The run owns one writable parameter buffer, one gradient buffer and its
     optimizer state's moment buffers, and every step updates them in place:
@@ -354,15 +372,15 @@ def train_run(
     landing leap copies the predicted parameters into the buffer.
 
     A producer process (batches_drawn_ahead) may draw its batches ahead of
-    it and write its checkpoint files behind it. In a plain run it also
-    measures each checkpoint (Measure) while the run trains on; the run
-    settles that hand-over, recording the checkpoint's loss, similarity and
-    label, before its next checkpoint, before it returns, and before it
-    raises, so that a checkpoint's non-finite held-out loss still stops the
-    run at that checkpoint. A live run measures each checkpoint and makes
-    its attempt itself, since a leap must land before the next step. An
-    event is appended to events.jsonl once its checkpoint's file is written.
-    The producer is stopped before the run returns or raises.
+    it and finish its checkpoints behind it while it trains on; else
+    Handover finishes each one when the run settles it. A plain run's
+    checkpoint is measured (Measure) as it is finished, and the run settles
+    each hand-over, recording the checkpoint's loss, similarity and label,
+    before its next checkpoint, before it returns, and before it raises, so
+    that a checkpoint's non-finite held-out loss still stops the run at
+    that checkpoint. A live run measures each checkpoint and makes its
+    attempt itself, since a leap must land before the next step. The
+    producer is stopped before the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -375,7 +393,6 @@ def train_run(
     store_path = Path(store_dir) if store_dir is not None else None
     if store_path is not None:
         store_path.mkdir(parents=True, exist_ok=True)
-    events_file = store_path / "events.jsonl" if store_path is not None else None
 
     theta = task.init_params(seed).copy()
     grad = np.empty(task.param_dim)
@@ -401,23 +418,16 @@ def train_run(
         labels.append(label)
         return label
 
-    # a checkpoint is measured behind the run only where no leap can follow it
+    # a checkpoint is measured as it is finished only where no leap can follow it
     behind = measure if speculation is None else None
     with batches_drawn_ahead(task, seed, total_steps, store_path, behind) as checkpoints:
-        handed: tuple[int, LeapEvent | None] | None = None  # the last hand-over: step, event
 
         def settle() -> None:
-            """Wait for the last checkpoint handed over: record it where it was
-            measured behind (raising if it diverged), then log its event."""
-            nonlocal handed
-            if handed is not None:
-                (at, event), handed = handed, None
-                measured = checkpoints.settle()
-                if measured is not None:
-                    record(at, *measured)
-                if event is not None and events_file is not None:
-                    with events_file.open("a") as fh:
-                        fh.write(json.dumps(event.to_json()) + "\n")
+            """Settle the last hand-over; record it if it was measured then,
+            raising if it diverged."""
+            measured = checkpoints.settle()
+            if measured is not None:
+                record(*measured)
 
         step = 0
         next_ckpt = delta
@@ -436,22 +446,20 @@ def train_run(
             if not is_finite(theta):
                 raise RunDivergedError(f"non-finite parameters at step {step} (seed {seed})")
             m, v = snapshot_moments(state)
-            snapshot = freeze(theta.copy())
-            if checkpoints.measure is not None:
-                checkpoints.save(Checkpoint(step=step, theta=snapshot, m=m, v=v,
-                                            val_loss=math.nan, seed=seed))
-                handed = step, None
+            ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v,
+                              val_loss=math.nan, seed=seed)
+            if speculation is None:
+                checkpoints.save(ckpt)  # measured when it is settled
                 next_ckpt += delta
                 continue
-            val_loss, sim = measure(snapshot)
+            val_loss, sim = measure(ckpt.theta)
             label = record(step, val_loss, sim)
-            ckpt = Checkpoint(step=step, theta=snapshot, m=m, v=v, val_loss=val_loss, seed=seed)
+            ckpt = replace(ckpt, val_loss=val_loss)
             if store_path is not None:
                 checkpoints.save(ckpt)
-                handed = step, None
             window.append(ckpt)
 
-            if speculation is not None and step + speculation.k <= total_steps:
+            if step + speculation.k <= total_steps:
                 event, pred = leap_or_continue(
                     window, delta, task, hyper, speculation,
                     regime=label, sigma=recent_loss_std(loss_log, adaptive_window),
@@ -459,8 +467,6 @@ def train_run(
                 )
                 if event is not None:
                     events.append(event)
-                    if handed is not None:
-                        handed = step, event
                     if event.applied:
                         assert pred is not None
                         np.copyto(theta, pred.theta_hat)
@@ -471,17 +477,15 @@ def train_run(
             next_ckpt = (step // delta + 1) * delta
         settle()
 
-    return RunResult(
-        seed=seed,
-        steps=ckpt_steps,
-        loss_log=loss_log,
-        similarities=sims,
-        labels=labels,
-        events=events,
-        theta_final=freeze(theta),
-        adam_final=state,
-        skipped_steps=skipped,
-    )
+    result = RunResult(seed=seed, steps=ckpt_steps, loss_log=loss_log, similarities=sims,
+                       labels=labels, events=events, theta_final=freeze(theta),
+                       adam_final=state, skipped_steps=skipped)
+    if store_path is not None:
+        if events:
+            write_atomic(store_path / "events.jsonl",
+                         "".join(json.dumps(event.to_json()) + "\n" for event in events))
+        write_loss_log(result, store_path)
+    return result
 
 
 def run_cascade(

@@ -1,7 +1,7 @@
 """Three-pass experiment protocol, aggregation, and report emission.
 
-Pass 1 trains each seed with periodic checkpoints and writes loss_log.csv,
-the one record of each checkpoint's regime label, last. Pass 2
+Pass 1 trains each seed with periodic checkpoints; the run writes
+loss_log.csv, the one record of each checkpoint's regime label, last. Pass 2
 replays every non-chaotic checkpoint through the full predictor x K grid,
 scoring all three acceptance criteria offline (nothing is applied to the
 run). Pass 3 scores cascades, lines of leaps from stable checkpoints: it
@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import math
-import os
 from collections.abc import Callable, Collection, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -54,19 +53,21 @@ from .optim import AdamHyper
 from .predict import FORMULAS, SWEEP_PREDICTORS, Prediction, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
-from .trajectory import (
+from .trajectory import (  # noqa: F401  (write_loss_log: the benchmark calls harness's)
+    LOSS_LOG,
     Checkpoint,
     checkpoint_path,
     checkpoint_spacing,
-    checkpoint_steps,
     history_at,
     load_checkpoint,
+    read_loss_log,
     recent_loss_std,
+    write_atomic,
+    write_loss_log,
 )
 from .verify import CRITERIA, Decision, decide
 
 THRESHOLDS_FILE = "thresholds.txt"
-LOSS_LOG = "loss_log.csv"
 SWEEP_CSV = "sweep.csv"
 
 SWEEP_CSV_HEADER = (
@@ -197,8 +198,8 @@ def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
     Checkpoints, events, the loss log and a live run's config are replaced
     by the new run, and the sweep and cascade files derived from the old
     checkpoints go with them, so no later pass mixes the two runs. So do
-    the `.tmp` files that an interrupted checkpoint write, by the run or its
-    batch producer, or write_atomic leaves beside them. With force=False a
+    the `.tmp` files that an interrupted trajectory.write_atomic, by the run
+    or its batch producer, leaves beside them. With force=False a
     run dir that holds any of them is refused instead.
     """
     run_dir = Path(run_dir)
@@ -209,13 +210,6 @@ def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
     for path in stale:
         path.unlink()
     return run_dir
-
-
-def write_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 # ------------------------------------------------------------- the passes
@@ -276,40 +270,8 @@ def pass1_train(task: Task, seed: int, cfg: RunConfig, thresholds: Thresholds,
     """Train one seed, persisting checkpoints and the loss log to its run dir."""
     run_dir = fresh_run_dir(run_dir_for(out_root, task.name, seed))
     hyper = build_hyper(cfg, task)
-    result = train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
-                       hyper=hyper, thresholds=thresholds, store_dir=run_dir)
-    write_loss_log(result, run_dir)
-    return result
-
-
-def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
-    """Write loss_log.csv, the record of each checkpoint's label; last, once the run is over."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["step", "val_loss", "similarity", "regime"])
-    for step, val_loss, sim, label in zip(result.steps, result.loss_log, result.similarities,
-                                          result.labels):
-        writer.writerow([step, repr(val_loss),
-                         "" if sim is None else repr(sim), label.value])
-    write_atomic(Path(run_dir) / LOSS_LOG, buf.getvalue())
-
-
-def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
-    """Each checkpoint's held-out loss and regime label by step, from the run's loss_log.csv.
-
-    A run dir without loss_log.csv, or whose log lists other steps than its
-    checkpoint files, holds an unfinished or mixed run and is refused.
-    """
-    path = Path(run_dir) / LOSS_LOG
-    if not path.exists():
-        raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
-    with open(path, newline="") as fh:
-        log = {int(row["step"]): (float(row["val_loss"]), RegimeLabel(row["regime"]))
-               for row in csv.DictReader(fh)}
-    mismatch = set(log).symmetric_difference(checkpoint_steps(run_dir))
-    if mismatch:
-        raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")
-    return log
+    return train_run(task, seed, total_steps=cfg.steps, delta=cfg.delta,
+                     hyper=hyper, thresholds=thresholds, store_dir=run_dir)
 
 
 ReplayPoint = tuple[Checkpoint, RegimeLabel, Sequence[Checkpoint], int, float | None]

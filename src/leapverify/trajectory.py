@@ -1,4 +1,4 @@
-"""Checkpoint capture, the checkpoint-history rule, and binary persistence.
+"""Checkpoint capture, the checkpoint-history rule, and a run's files.
 
 A checkpoint freezes the training state speculation needs at one trajectory
 point: parameters, raw optimizer moments, held-out validation loss and the
@@ -6,7 +6,7 @@ run seed. What was observed there (the fingerprint similarity and the regime
 label) is recorded in the run's loss_log.csv, not in the checkpoint.
 
 The finite-difference predictors read a short history: `history_at` gives a
-checkpoint and at most two predecessors. Training and replay hold that
+checkpoint and at most two predecessors. A live run and replay hold that
 window in memory, not the whole run. A live run empties its window on an
 applied leap, because a predicted point is not a trained one. Checkpoints
 land on multiples of delta, so every window is evenly spaced;
@@ -19,32 +19,40 @@ On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
     | f64 val_loss | u64 seed
 
 Round-trips are bit-exact for every float payload. encode_checkpoint is the
-one writer of these bytes: save_checkpoint writes what it encodes, and so
-does a training run's batch producer, which writes the run's checkpoints
-behind it (workers.BlockProducer). A plain run hands its checkpoints over
-before their held-out loss is known, encoded with a NaN loss; the producer
-measures the parameters in place (encoded_theta) and packs the loss in with
-encode_val_loss. Either way the file is written to its `.tmp` name and
-renamed, so a checkpoint file is never partial, and only a checkpoint with a
-finite loss is written.
+one writer of these bytes, and finish_checkpoint the one path from a run's
+checkpoint to its file, taken by the run's batch producer behind the run
+(workers.BlockProducer), else in the run (engine.Handover). A plain run's
+checkpoint comes encoded with a NaN loss: finish_checkpoint measures the
+parameters in place and packs the loss in. Only a checkpoint with a finite
+loss is written. write_atomic writes every file of a run through its `.tmp`
+name, so none is ever partial. The run writes loss_log.csv last, so
+read_loss_log refuses a run dir without it as unfinished.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import freeze
+from .regime import RegimeLabel
+
+if TYPE_CHECKING:
+    from .engine import Measure, RunResult
 
 MAGIC = b"LPVF"
 FORMAT_VERSION = 2
 WINDOW_CAPACITY = 3
+LOSS_LOG = "loss_log.csv"
 
 
 class CheckpointFormatError(ValueError):
@@ -121,23 +129,33 @@ def encode_checkpoint(ckpt: Checkpoint, out) -> None:
     struct.pack_into("<dQ", out, 24 + 24 * n, ckpt.val_loss, ckpt.seed)
 
 
-def encode_val_loss(out, val_loss: float) -> None:
-    """Set the held-out loss in the encoded checkpoint `out`."""
-    struct.pack_into("<d", out, len(out) - 16, val_loss)
-
-
-def encoded_theta(data, param_count: int) -> np.ndarray:
-    """A view of the parameters in `data`, an encoded checkpoint of param_count parameters."""
-    return np.ndarray(param_count, "<f8", data, 24)
-
-
-def write_checkpoint_file(path: str | Path, data) -> None:
-    """Write a checkpoint's bytes to path through path.tmp, so that path is never partial."""
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write data, text or any bytes-like buffer, to path through path.tmp,
+    so that path is never partial."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def finish_checkpoint(data, step: int, store_dir: Path | None,
+                      measure: Measure | None) -> tuple[float, float | None] | None:
+    """Finish a run's checkpoint at `step`, encoded in the writable buffer `data`.
+
+    With a `measure` (engine.Measure) its parameters are measured where
+    they lie in `data` and the held-out loss is packed in. The file goes to
+    store_dir, if any, unless that loss is not finite: a diverged run stores
+    no checkpoint of its own. Returns what `measure` returned, else None.
+    """
+    measured = None
+    if measure is not None:
+        param_count = (len(data) - checkpoint_bytes(0)) // 24
+        measured = measure(np.ndarray(param_count, "<f8", data, 24))
+        struct.pack_into("<d", data, len(data) - 16, measured[0])
+    if store_dir is not None and math.isfinite(struct.unpack_from("<d", data, len(data) - 16)[0]):
+        write_atomic(checkpoint_path(store_dir, step), data)
+    return measured
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -146,7 +164,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         raise ValueError("refusing to persist a checkpoint with non-finite val_loss")
     data = bytearray(checkpoint_bytes(ckpt.theta.shape[0]))
     encode_checkpoint(ckpt, data)
-    write_checkpoint_file(path, data)
+    write_atomic(path, data)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -183,3 +201,33 @@ def load_run_checkpoints(run_dir: str | Path) -> list[Checkpoint]:
     if not steps:
         raise FileNotFoundError(f"no checkpoint files under {run_dir}")
     return [load_checkpoint(checkpoint_path(run_dir, step)) for step in steps]
+
+
+def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
+    """Write the run's loss_log.csv, the record of each checkpoint's label."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "val_loss", "similarity", "regime"])
+    for step, val_loss, sim, label in zip(result.steps, result.loss_log, result.similarities,
+                                          result.labels):
+        writer.writerow([step, repr(val_loss),
+                         "" if sim is None else repr(sim), label.value])
+    write_atomic(Path(run_dir) / LOSS_LOG, buf.getvalue())
+
+
+def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
+    """Each checkpoint's held-out loss and regime label by step, from the run's loss_log.csv.
+
+    A run dir without loss_log.csv, or whose log lists other steps than its
+    checkpoint files, holds an unfinished or mixed run and is refused.
+    """
+    path = Path(run_dir) / LOSS_LOG
+    if not path.exists():
+        raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
+    with open(path, newline="") as fh:
+        log = {int(row["step"]): (float(row["val_loss"]), RegimeLabel(row["regime"]))
+               for row in csv.DictReader(fh)}
+    mismatch = set(log).symmetric_difference(checkpoint_steps(run_dir))
+    if mismatch:
+        raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")
+    return log

@@ -14,8 +14,8 @@ fails instead of leaving the command waiting.
 
 A batch producer (BlockProducer) works beside one training run on another
 CPU, through a shared ring: it draws the run's batch blocks ahead of it, and
-behind it writes the checkpoint files whose bytes the run encodes, measuring
-each one's held-out loss first where the run asks it to.
+behind it finishes the checkpoints whose bytes the run encodes
+(trajectory.finish_checkpoint), measuring each one where the run asks it to.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import heapq
-import math
 import mmap
 import multiprocessing
 import os
@@ -35,7 +34,6 @@ import struct
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import replace
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -43,16 +41,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import freeze
-from .trajectory import (
-    Checkpoint,
-    checkpoint_bytes,
-    checkpoint_path,
-    encode_checkpoint,
-    encode_val_loss,
-    encoded_theta,
-    save_checkpoint,
-    write_checkpoint_file,
-)
+from .engine import Handover
+from .trajectory import Checkpoint, checkpoint_bytes, encode_checkpoint, finish_checkpoint
 
 if TYPE_CHECKING:
     from .engine import Measure
@@ -173,9 +163,9 @@ def _work(fns: Sequence[Callable[[int], object]], seeds: Sequence[int], pipe: Co
         pipe.send(reply)
 
 
-class BlockProducer:
+class BlockProducer(Handover):
     """A process pinned to another CPU that draws one run's batch blocks ahead
-    of it and writes its checkpoint files behind it.
+    of it and finishes its checkpoints behind it.
 
     Block i is draw(seed, firsts[i]), a tuple of arrays shaped like those of
     `like`. The producer draws block i into slot i mod RING_SLOTS of a shared
@@ -189,15 +179,14 @@ class BlockProducer:
     the block itself, and the producer skips it.
 
     `save` encodes a checkpoint of param_count parameters into one more slot
-    and sends its step down the save pipe. With a `measure` (engine.Measure)
-    the checkpoint comes without its held-out loss: the producer measures it
-    and packs the loss into the bytes. It writes the file to store_dir, if
-    any (trajectory's ckpt_<step>.lpv, through its .tmp), unless the loss is
-    non-finite, and sends what it measured down the saved pipe. `settle`
-    waits for that and returns it; the run settles each hand-over before the
-    next. A checkpoint the producer does not settle, because it died, could
-    not be pinned or met an error, `settle` measures and writes here through
-    the same steps, which meet the error again and raise it.
+    and sends its step down the save pipe. The producer finishes it there
+    (trajectory.finish_checkpoint: measured with `measure`, if given, and
+    written to store_dir, if any) and sends what it measured down the saved
+    pipe. `settle` waits for that and returns it as Handover's does; the run
+    settles each hand-over before the next. A checkpoint the producer does
+    not settle, because it died, could not be pinned or met an error,
+    Handover's `settle` finishes here, which meets the error again and
+    raises it.
 
     The producer pins itself to the lowest CPU this process may use other
     than the one it runs on, and exits at once where it cannot: woken on the
@@ -207,10 +196,10 @@ class BlockProducer:
     def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int,
                  firsts: range, like: tuple[np.ndarray, ...], store_dir: Path | None = None,
                  param_count: int = 0, measure: Measure | None = None):
-        self.seed, self.firsts, self.store_dir, self.measure = seed, firsts, store_dir, measure
+        super().__init__(store_dir, measure)
+        self.seed, self.firsts = seed, firsts
         self._wanted = 0
         self._gone = False  # the ready pipe ended: no block will come
-        self.pending: Checkpoint | None = None  # handed over, not settled
         sizes = [array.nbytes for array in like]
         saves = store_dir is not None or measure is not None
         ckpt_size = checkpoint_bytes(param_count) if saves else 0
@@ -231,7 +220,7 @@ class BlockProducer:
         self._process = None
         try:
             self._process = fork(_produce, draw, seed, firsts, self._slots, store_dir, measure,
-                                 self._ckpt_slot, param_count, cpu, (wants, ready, saves, saved),
+                                 self._ckpt_slot, cpu, (wants, ready, saves, saved),
                                  (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
             self.close()
@@ -269,36 +258,30 @@ class BlockProducer:
         self._wanted = index
 
     def save(self, ckpt: Checkpoint) -> None:
-        """Hand ckpt over to be written (and measured, with a measure); settles the last first."""
+        """Hand ckpt over to the producer; settles the last one first."""
         self.settle()
         encode_checkpoint(ckpt, self._ckpt_slot)
         self.pending = ckpt
         try:
             os.write(self._saves, ckpt.step.to_bytes(8, "little"))
         except BrokenPipeError:
-            pass  # the producer is gone: settle does it here
+            pass  # the producer is gone: settle finishes it here
 
-    def settle(self) -> tuple[float, float | None] | None:
-        """Wait until the checkpoint handed over last is written, or found
-        non-finite, doing it here if the producer is gone; return its held-out
-        loss and similarity where it was measured. None if nothing is pending."""
-        ckpt, self.pending = self.pending, None
-        if ckpt is None:
+    def settle(self) -> tuple[int, float, float | None] | None:
+        """Wait until the producer has finished the checkpoint handed over
+        last, or finish it here if the producer is gone: its step, held-out
+        loss and similarity where it was measured then, else None."""
+        if self.pending is None:
             return None
         reply = os.read(self._saved, _MEASURED.size)
-        if not reply:  # the producer is gone: as it would, measure, then write a finite one
-            measured = None
-            if self.measure is not None:
-                measured = self.measure(ckpt.theta)
-                ckpt = replace(ckpt, val_loss=measured[0])
-            if self.store_dir is not None and math.isfinite(ckpt.val_loss):
-                save_checkpoint(ckpt, checkpoint_path(self.store_dir, ckpt.step))
-            return measured
+        if not reply:
+            return super().settle()
+        ckpt, self.pending = self.pending, None
         if self.measure is None:
             return None
         self.measure.passed(ckpt.theta)
         val_loss, has_similarity, similarity = _MEASURED.unpack(reply)
-        return val_loss, similarity if has_similarity else None
+        return ckpt.step, val_loss, similarity if has_similarity else None
 
     def close(self) -> None:
         """Stop the producer and release the ring and the pipes; idempotent.
@@ -317,10 +300,10 @@ class BlockProducer:
 
 def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firsts: range,
              slots: list[list[np.ndarray]], store_dir: Path | None, measure: Measure | None,
-             ckpt_slot: np.ndarray, param_count: int, cpu: int, fds: tuple[int, int, int, int],
+             ckpt_slot: np.ndarray, cpu: int, fds: tuple[int, int, int, int],
              theirs: tuple[int, ...]) -> None:
-    """The producer: draw the blocks the run will want into the ring, and write
-    (and measure) the checkpoints it hands over, until it stops us."""
+    """The producer: draw the blocks the run will want into the ring, and
+    finish the checkpoints it hands over, until it stops us."""
     wants, ready, saves, saved = fds
     for fd in theirs:
         os.close(fd)
@@ -328,7 +311,6 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
         os.sched_setaffinity(0, {cpu})
     except OSError:
         return
-    theta = encoded_theta(ckpt_slot, param_count)
     index = wanted = 0
     try:
         while True:
@@ -342,15 +324,10 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
             if saves in readable and not index == wanted < len(firsts):
                 step = int.from_bytes(_read(saves), "little")  # the next comes once it is settled
                 try:
-                    val_loss, similarity = math.nan, None  # what is sent where nothing is measured
-                    if measure is not None:
-                        val_loss, similarity = measure(theta)
-                        encode_val_loss(ckpt_slot, val_loss)
-                    # a diverged run writes no checkpoint of its own
-                    if store_dir is not None and (measure is None or math.isfinite(val_loss)):
-                        write_checkpoint_file(checkpoint_path(store_dir, step), ckpt_slot)
+                    measured = finish_checkpoint(ckpt_slot, step, store_dir, measure)
                 except Exception:
                     return  # unsettled, so the run does it and meets the error itself
+                val_loss, similarity = measured or (0.0, None)  # unmeasured: a bare reply
                 os.write(saved, _MEASURED.pack(val_loss, similarity is not None,
                                                0.0 if similarity is None else similarity))
             if index < ahead:

@@ -377,6 +377,23 @@ def test_a_forced_rerun_clears_the_tmp_files_of_interrupted_writes(tmp_path, cap
     assert (run_dir / "ckpt_50.lpv").exists()
 
 
+def test_a_thresholds_file_without_both_taus_is_refused_before_force_empties_a_run(tmp_path,
+                                                                                   capsys):
+    out = tmp_path / "exp"
+    args = ["--task", "quad-bowl", "--seeds", "42", "--steps", "300", "--delta", "50",
+            "--out", str(out)]
+    assert main(["calibrate", *args, "--tau-low", "-0.999", "--tau-high", "-0.99"]) == 0
+    assert main(["train", *args]) == 0
+    thresholds = out / "thresholds.txt"
+    thresholds.write_text("tau_low = -0.999\n")
+    before = files_under(out)
+    capsys.readouterr()
+    assert main(["train", *args, "--force"]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {thresholds}: expected tau_low and tau_high entries\n")
+    assert files_under(out) == before
+
+
 def test_calibrate_stores_thresholds(tmp_path, capsys):
     out = tmp_path / "exp"
     cmd = ["calibrate", "--task", "quad-bowl", "--steps", "300", "--delta", "50",

@@ -36,9 +36,9 @@ from leapverify.regime import RegimeLabel, Thresholds
 from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, make_task
 from leapverify.trajectory import (
     WINDOW_CAPACITY,
+    finish_checkpoint,
     load_checkpoint,
     load_run_checkpoints,
-    save_checkpoint,
 )
 from leapverify.verify import decide
 
@@ -301,11 +301,12 @@ def test_checkpoints_stay_frozen_copies_while_training_continues(tmp_path, monke
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
     # the checkpoints the run holds in memory, as it hands them to the store:
-    # on one CPU no producer writes them, so the run calls save_checkpoint
+    # on one CPU no producer finishes them, so the run hands them to a Handover
     cpus(1)
     held = []
-    monkeypatch.setattr(engine, "save_checkpoint",
-                        lambda ckpt, path: (held.append(ckpt), save_checkpoint(ckpt, path)))
+    save = engine.Handover.save
+    monkeypatch.setattr(engine.Handover, "save",
+                        lambda self, ckpt: (held.append(ckpt), save(self, ckpt)))
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
                     thresholds=PERMISSIVE, epsilon=0.9, speculation=spec,
                     store_dir=tmp_path)
@@ -641,10 +642,10 @@ def test_a_producer_leaves_every_output_unchanged(name, live, tmp_path, cpus, pr
     assert producers == []
     cpus(2)
 
-    def refuse(ckpt, path):
-        raise AssertionError(f"the run wrote {path} itself")
+    def refuse(data, step, store_dir, measure):
+        raise AssertionError(f"the run finished checkpoint {step} itself")
 
-    monkeypatch.setattr(workers, "save_checkpoint", refuse)  # the producer writes every file
+    monkeypatch.setattr(engine, "finish_checkpoint", refuse)  # the producer finishes every one
     assert stored_run(make_task(name), tmp_path / "ahead", speculation) == inline
     (producer,) = producers
     assert producer.served > 0
@@ -694,8 +695,8 @@ def test_a_producer_killed_after_the_first_hand_off_leaves_every_checkpoint(
         handed.append(ckpt.step)
 
     monkeypatch.setattr(workers.BlockProducer, "save", hand_off_then_kill)
-    monkeypatch.setattr(workers, "save_checkpoint", lambda ckpt, path: (
-        written_here.append(ckpt.step), save_checkpoint(ckpt, path)))
+    monkeypatch.setattr(engine, "finish_checkpoint", lambda data, step, *args: (
+        written_here.append(step), finish_checkpoint(data, step, *args))[1])
     assert stored_run(make_task(name), tmp_path / "killed", speculation) == inline
     steps = pickle.loads(inline[0]).steps
     assert handed == steps
@@ -903,6 +904,59 @@ def test_a_non_finite_gradient_with_a_checkpoint_pending_fails_the_run_alike(
     assert len(producers) == 1
     assert message == f"non-finite gradient; training halted at step {step} (seed 42)"
     assert "ckpt_20.lpv" in files
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+@pytest.mark.parametrize("name", ["quad-bowl", "char-seq"])
+def test_non_finite_parameters_stop_the_run_at_their_checkpoint(
+        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name) if live else None
+    cpus(1)
+    clean = pickle.loads(stored_run(make_task(name), tmp_path / "clean", speculation)[0])
+    step = clean.steps[3]
+    update = engine.apply_update
+
+    def overflow_at_the_checkpoint(state, theta, g, out=None):
+        updated = update(state, theta, g, out=out)
+        if state.step == step:
+            out[0] = math.inf  # finite gradients, and yet the parameters overflow
+        return updated
+
+    monkeypatch.setattr(engine, "apply_update", overflow_at_the_checkpoint)
+    message, files = diverged_runs(name, speculation, tmp_path, cpus, lambda task: None)
+    assert len(producers) == 1
+    assert message == f"non-finite parameters at step {step} (seed 42)"
+    assert f"ckpt_{step}.lpv" not in files
+    assert f"ckpt_{clean.steps[2]}.lpv" in files
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_live_run_that_fails_leaves_its_checkpoints_and_neither_log(
+        name, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps(name)
+    cpus(1)
+    clean = stored_run(make_task(name), tmp_path / "clean", speculation)[1]
+    attempt, attempted = engine.leap_or_continue, []
+
+    def fail_on_the_third_attempt(window, *args, **kwargs):
+        attempted.append(window[-1].step)
+        if len(attempted) == 3:
+            raise RuntimeError("the attempt failed")
+        return attempt(window, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "leap_or_continue", fail_on_the_third_attempt)
+    for n in (1, 2):
+        cpus(n)
+        attempted.clear()
+        store_dir = tmp_path / f"cpus-{n}"
+        with pytest.raises(RuntimeError, match="the attempt failed"):
+            stored_run(make_task(name), store_dir, speculation)
+        # the checkpoint of the failed attempt was handed over first, so it is written too
+        assert stored_files(store_dir) == {
+            f"ckpt_{step}.lpv": clean[f"ckpt_{step}.lpv"] for step in attempted}
+    assert len(producers) == 1
+    # an event was logged before the failure, and is not now
+    assert json.loads(clean["events.jsonl"].splitlines()[0])["step_from"] < attempted[-1]
 
 
 @pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
