@@ -23,17 +23,16 @@ applied; an offline cascade walks deeper and applies nothing.
 A training run hands each checkpoint over, and settles that hand-over
 before its next checkpoint and once it ends: the checkpoint is then
 finished (trajectory.finish_checkpoint), written and, in a plain run,
-which never leaps, measured (Measure: held-out loss and fingerprint
-similarity). A run that has a CPU to spare has a producer process pinned to
-that CPU (batches_drawn_ahead), which draws its batch blocks ahead of it and
-finishes its checkpoints behind it while the run trains on; else Handover
-finishes each one in the run's process when it is settled. A run that may
-leap measures each checkpoint itself before its next step, since an
-accepted leap changes what it trains next. Since batches are pure in
-(seed, step) and a checkpoint's measurements are pure in it and the
-checkpoint before, every output is the same bit for bit either way. The
-run writes events.jsonl and loss_log.csv last, once every checkpoint is
-settled, so no event or label outlives a checkpoint file left unwritten.
+which never leaps, measured (Measure). A run that has a CPU to spare has a
+producer process pinned to that CPU (batches_drawn_ahead), which draws its
+batch blocks ahead of it and finishes its checkpoints behind it while the
+run trains on; else Handover finishes each one in the run's process when
+it is settled. A run that may leap measures each checkpoint itself before
+its next step, since an accepted leap changes what it trains next. Measure
+keeps no state and the run alone computes each similarity, so every output
+is the same bit for bit whichever process measured. The run writes
+events.jsonl and loss_log.csv last, once every checkpoint is settled, so
+no event or label outlives a checkpoint file left unwritten.
 """
 
 from __future__ import annotations
@@ -223,66 +222,47 @@ def leap_or_continue(
 
 
 class Measure:
-    """The held-out loss of a run's checkpoints, in order, and the similarity
-    of each one's fingerprint to the last one's: what labels a checkpoint.
-
-    Called with a checkpoint's parameters, it returns (val_loss, similarity),
-    the similarity None for the first checkpoint and for one whose loss is
-    not finite, whose fingerprint is not taken. A run keeps one, and its
-    producer a forked copy when it measures the run's checkpoints behind it;
-    `passed` tells the run's own of a checkpoint the producer measured, whose
-    fingerprint it then takes only if it must measure the next one itself.
+    """What labels a checkpoint, from its parameters alone: their held-out
+    loss and, where that is finite, their fingerprint, else None. It keeps
+    no state, so any process may measure any checkpoint; train_run compares
+    each fingerprint with the last one it recorded.
     """
 
     def __init__(self, task: Task):
         self.task = task
-        self.last: np.ndarray | None = None  # the last checkpoint's parameters
-        self.fingerprint: np.ndarray | None = None  # their fingerprint, once taken here
 
-    def __call__(self, theta: np.ndarray) -> tuple[float, float | None]:
-        task = self.task
-        val_loss = task.validation_loss(theta)
-        if not math.isfinite(val_loss):
-            return val_loss, None
-        fingerprint, sim = task.fingerprint(theta), None
-        if self.last is not None:
-            if self.fingerprint is None:
-                self.fingerprint = task.fingerprint(self.last)
-            sim = similarity_at(fingerprint, self.fingerprint)
-        self.last, self.fingerprint = theta, fingerprint
-        return val_loss, sim
-
-    def passed(self, theta: np.ndarray) -> None:
-        """Note a checkpoint with parameters theta measured elsewhere."""
-        self.last, self.fingerprint = theta, None
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
+        val_loss = self.task.validation_loss(theta)
+        return val_loss, self.task.fingerprint(theta) if math.isfinite(val_loss) else None
 
 
 class Handover:
-    """A run's checkpoints finished in its own process: the checkpoint handed
-    over last is held until the run settles it, then finished by
-    trajectory.finish_checkpoint, measured with `measure`, if given, and
+    """A run's checkpoints finished in its own process: `save` encodes the
+    checkpoint handed over into `slot`, a writable buffer of its file's size,
+    and holds it until the run settles it, which finishes the slot's bytes
+    (trajectory.finish_checkpoint), measured with `measure`, if given, and
     written to store_dir, if any. workers.BlockProducer finishes them in a
     process beside the run instead, and falls back on this once it is gone.
     """
 
-    def __init__(self, store_dir: Path | None, measure: Measure | None):
-        self.store_dir, self.measure = store_dir, measure
+    def __init__(self, slot: bytearray | np.ndarray, store_dir: Path | None,
+                 measure: Measure | None):
+        self.slot, self.store_dir, self.measure = slot, store_dir, measure
         self.pending: Checkpoint | None = None  # handed over, not settled
 
     def save(self, ckpt: Checkpoint) -> None:
-        """Hand ckpt over; settles the last one first."""
+        """Hand ckpt over: settle the last one, then encode ckpt into the slot."""
         self.settle()
+        encode_checkpoint(ckpt, self.slot)
         self.pending = ckpt
 
-    def settle(self) -> tuple[int, float, float | None] | None:
+    def settle(self) -> tuple[int, float, np.ndarray | None] | None:
         """Finish the checkpoint handed over last: its step, held-out loss and
-        similarity where it was measured here, else None."""
+        fingerprint (Measure's) where it was measured then, else None."""
         ckpt, self.pending = self.pending, None
         if ckpt is None:
             return None
-        data = bytearray(checkpoint_bytes(ckpt.theta.shape[0]))
-        encode_checkpoint(ckpt, data)
-        measured = finish_checkpoint(data, ckpt.step, self.store_dir, self.measure)
+        measured = finish_checkpoint(self.slot, ckpt.step, self.store_dir, self.measure)
         return None if measured is None else (ckpt.step, *measured)
 
 
@@ -306,22 +286,19 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path
     run on two CPUs or more and is not itself a seed worker, since the
     workers already fill the CPUs. Else, and once the producer is gone, the
     task draws every block itself and the run finishes every checkpoint
-    itself: the same stream, measurements and files bit for bit. The run's
-    first block is drawn here, in the process that wants it first, and sizes
-    the ring. When the block ends, however it ends, the checkpoint handed
-    over last is settled, and only then is the producer stopped.
+    itself: the same stream, measurements and files bit for bit. When the
+    block ends, however it ends, the checkpoint handed over last is
+    settled, and only then is the producer stopped.
     """
     producer = None
     if total_steps > 2 * BATCH_BLOCK and usable_cpus() > 1:
         from . import workers  # here, so that a run on one CPU never loads multiprocessing
 
         if not workers.in_worker():
-            first_block, _ = task._batch_block(seed, 0)
-            producer = workers.BlockProducer(task.draw_block, seed,
-                                             range(BATCH_BLOCK, total_steps, BATCH_BLOCK),
-                                             first_block, store_dir, task.param_dim, measure)
+            producer = workers.BlockProducer(task, seed, total_steps, store_dir, measure)
     task.producer = producer
-    checkpoints = producer if producer is not None else Handover(store_dir, measure)
+    checkpoints = producer if producer is not None else Handover(
+        bytearray(checkpoint_bytes(task.param_dim)), store_dir, measure)
     try:
         yield checkpoints
     finally:
@@ -379,7 +356,8 @@ def train_run(
     before its next checkpoint, before it returns, and before it raises, so
     that a checkpoint's non-finite held-out loss still stops the run at
     that checkpoint. A live run measures each checkpoint and makes its
-    attempt itself, since a leap must land before the next step. The
+    attempt itself, since a leap must land before the next step. The run
+    computes each similarity itself, from the fingerprints measured. The
     producer is stopped before the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
@@ -404,12 +382,17 @@ def train_run(
     labels: list[RegimeLabel] = []
     events: list[LeapEvent] = []
     measure = Measure(task)
+    last_fingerprint: np.ndarray | None = None  # of the last checkpoint recorded
     skipped = 0
 
-    def record(step: int, val_loss: float, sim: float | None) -> RegimeLabel:
-        """Add checkpoint `step`'s measurements to the run's; its regime label."""
+    def record(step: int, val_loss: float, fingerprint: np.ndarray | None) -> RegimeLabel:
+        """Add checkpoint `step`'s measurements to the run's, with its
+        fingerprint's similarity to the last one's; its regime label."""
+        nonlocal last_fingerprint
         if not math.isfinite(val_loss):
             raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
+        sim = None if last_fingerprint is None else similarity_at(fingerprint, last_fingerprint)
+        last_fingerprint = fingerprint
         label = (classify(sim, thresholds) if sim is not None and thresholds is not None
                  else RegimeLabel.UNKNOWN)
         ckpt_steps.append(step)
@@ -418,7 +401,8 @@ def train_run(
         labels.append(label)
         return label
 
-    # a checkpoint is measured as it is finished only where no leap can follow it
+    # measured behind, a plain run trains on (char-seq, 2000 steps: 0.741 s, inline 0.821 s);
+    # a live run must not wait for the reply before it leaps (0.819 s, inline 0.702 s)
     behind = measure if speculation is None else None
     with batches_drawn_ahead(task, seed, total_steps, store_path, behind) as checkpoints:
 
@@ -452,8 +436,8 @@ def train_run(
                 checkpoints.save(ckpt)  # measured when it is settled
                 next_ckpt += delta
                 continue
-            val_loss, sim = measure(ckpt.theta)
-            label = record(step, val_loss, sim)
+            val_loss, fingerprint = measure(ckpt.theta)
+            label = record(step, val_loss, fingerprint)
             ckpt = replace(ckpt, val_loss=val_loss)
             if store_path is not None:
                 checkpoints.save(ckpt)

@@ -20,8 +20,9 @@ handed out earlier never changes. While a training run has a producer
 process drawing its blocks ahead (engine.batches_drawn_ahead), the task
 takes each block from it instead when it has one; the producer draws through
 the same `draw_block`, so the stream is the same bit for bit. The held-out
-validation set and the probe set used for activation fingerprints are fixed
-at construction.
+validation set and the probe set used for activation fingerprints (of
+fingerprint_dim values, which size the producer's ring) are fixed at
+construction.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class Task:
     recommended_lr: float
     data_seed: int
     batch_size: int  # rows of one batch drawn from one generator
+    fingerprint_dim: int  # values in a fingerprint
     producer: BlockProducer | None = None  # drawing this task's blocks ahead of a run
 
     def init_params(self, seed: int) -> np.ndarray:
@@ -180,7 +182,7 @@ class QuadBowl(Task):
     batch_size = 1  # a batch is one noise row
 
     def __init__(self, dim: int = 20, noise: float = 0.01, data_seed: int = 7):
-        self.param_dim = dim
+        self.param_dim = self.fingerprint_dim = dim
         self.noise = float(noise)
         self.data_seed = int(data_seed)
         self.curvature = freeze(np.geomspace(0.1, 2.0, dim))
@@ -255,6 +257,10 @@ class TanhNetwork(Task):
         self.data_seed = int(data_seed)
         i, h, o = self.in_dim, self.hidden_dim, self.out_dim
         self.param_dim = i * h + h + h * o + o
+
+    @property
+    def fingerprint_dim(self) -> int:
+        return len(self._x_probe) * self.out_dim
 
     def batch(self, seed: int, step: int):
         block, i = self._batch_block(seed, step)

@@ -19,14 +19,15 @@ On-disk format (little-endian), 24 + 24 * param_count + 16 bytes:
     | f64 val_loss | u64 seed
 
 Round-trips are bit-exact for every float payload. encode_checkpoint is the
-one writer of these bytes, and finish_checkpoint the one path from a run's
-checkpoint to its file, taken by the run's batch producer behind the run
-(workers.BlockProducer), else in the run (engine.Handover). A plain run's
-checkpoint comes encoded with a NaN loss: finish_checkpoint measures the
-parameters in place and packs the loss in. Only a checkpoint with a finite
-loss is written. write_atomic writes every file of a run through its `.tmp`
-name, so none is ever partial. The run writes loss_log.csv last, so
-read_loss_log refuses a run dir without it as unfinished.
+one writer of these bytes, into the slot of a run's engine.Handover, and
+finish_checkpoint the one path from them to a file, taken by the run's
+batch producer behind the run (workers.BlockProducer), else in the run. A
+plain run's checkpoint comes encoded with a NaN loss: finish_checkpoint
+measures the parameters in place, packs the loss in and returns it with the
+fingerprint. Only a checkpoint with a finite loss is written. write_atomic
+writes every file of a run through its `.tmp` name, so none is ever
+partial. The run writes loss_log.csv last, so read_loss_log refuses a run
+dir without it as unfinished.
 """
 
 from __future__ import annotations
@@ -140,13 +141,14 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 
 def finish_checkpoint(data, step: int, store_dir: Path | None,
-                      measure: Measure | None) -> tuple[float, float | None] | None:
+                      measure: Measure | None) -> tuple[float, np.ndarray | None] | None:
     """Finish a run's checkpoint at `step`, encoded in the writable buffer `data`.
 
     With a `measure` (engine.Measure) its parameters are measured where
     they lie in `data` and the held-out loss is packed in. The file goes to
     store_dir, if any, unless that loss is not finite: a diverged run stores
-    no checkpoint of its own. Returns what `measure` returned, else None.
+    no checkpoint of its own. Returns what `measure` returned, the held-out
+    loss and the fingerprint (None where the loss is not finite), else None.
     """
     measured = None
     if measure is not None:

@@ -14,8 +14,9 @@ fails instead of leaving the command waiting.
 
 A batch producer (BlockProducer) works beside one training run on another
 CPU, through a shared ring: it draws the run's batch blocks ahead of it, and
-behind it finishes the checkpoints whose bytes the run encodes
-(trajectory.finish_checkpoint), measuring each one where the run asks it to.
+behind it finishes the checkpoints whose bytes the run encodes into the ring
+(trajectory.finish_checkpoint), sending back the loss and fingerprint of each
+one it measures.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -42,16 +43,18 @@ import numpy as np
 
 from .core import freeze
 from .engine import Handover
-from .trajectory import Checkpoint, checkpoint_bytes, encode_checkpoint, finish_checkpoint
+from .tasks import BATCH_BLOCK
+from .trajectory import Checkpoint, checkpoint_bytes, finish_checkpoint
 
 if TYPE_CHECKING:
     from .engine import Measure
+    from .tasks import Task
 
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
 RING_SLOTS = 4  # blocks a producer may hold drawn ahead of its run
-# what the producer sends back for a checkpoint it wrote: its held-out loss,
-# whether it has a similarity, and the similarity (engine.Measure's pair)
-_MEASURED = struct.Struct("<d?d")
+# what the producer sends back for a checkpoint it finished: its held-out loss,
+# and whether it wrote the checkpoint's fingerprint into the ring
+_MEASURED = struct.Struct("<d?")
 
 
 class WorkerTraceback(Exception):
@@ -167,48 +170,49 @@ class BlockProducer(Handover):
     """A process pinned to another CPU that draws one run's batch blocks ahead
     of it and finishes its checkpoints behind it.
 
-    Block i is draw(seed, firsts[i]), a tuple of arrays shaped like those of
-    `like`. The producer draws block i into slot i mod RING_SLOTS of a shared
-    ring and then sends i down the ready pipe. The run sends down the want
-    pipe the index of the block it wants next, which frees every slot before
-    it: the producer draws at most RING_SLOTS blocks from there, and skips
-    the blocks the run passed over. `take` never waits. It copies a block the
-    producer has drawn out of the ring into fresh frozen arrays, so a batch
-    the run holds never changes. For a block not drawn yet, any request out
-    of order, and once the producer is gone, it returns None: the run draws
-    the block itself, and the producer skips it.
+    The run's first block, which it wants at once, is drawn here and kept on
+    the task (Task._batch_block); block i of the rest of seed's total_steps
+    steps is task.draw_block(seed, firsts[i]). The producer draws block i
+    into slot i mod RING_SLOTS of a shared ring and then sends i down the
+    ready pipe. The run sends down the want pipe the index of the block it
+    wants next, which frees every slot before it: the producer draws at most
+    RING_SLOTS blocks from there, and skips the blocks the run passed over.
+    `take` never waits. It copies a block the producer has drawn out of the
+    ring into fresh frozen arrays, so a batch the run holds never changes.
+    For a block not drawn yet, any request out of order, and once the
+    producer is gone, it returns None: the run draws the block itself, and
+    the producer skips it.
 
-    `save` encodes a checkpoint of param_count parameters into one more slot
-    and sends its step down the save pipe. The producer finishes it there
-    (trajectory.finish_checkpoint: measured with `measure`, if given, and
-    written to store_dir, if any) and sends what it measured down the saved
-    pipe. `settle` waits for that and returns it as Handover's does; the run
-    settles each hand-over before the next. A checkpoint the producer does
-    not settle, because it died, could not be pinned or met an error,
-    Handover's `settle` finishes here, which meets the error again and
-    raises it.
+    Handover's slot lies in the ring too, beside one for a fingerprint, and
+    `save` is Handover's plus the step sent down the save pipe. The producer
+    finishes the slot's bytes there (trajectory.finish_checkpoint), copies
+    the fingerprint into its slot and sends the held-out loss, and whether
+    it wrote a fingerprint, down the saved pipe; `settle` waits for that and
+    returns what Handover's does. A checkpoint the producer does not settle,
+    because it died, could not be pinned or met an error, Handover's
+    `settle` finishes from the bytes already encoded, which meets the error
+    again and raises it.
 
     The producer pins itself to the lowest CPU this process may use other
     than the one it runs on, and exits at once where it cannot: woken on the
     run's CPU, it would wait for the run and slow it down.
     """
 
-    def __init__(self, draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int,
-                 firsts: range, like: tuple[np.ndarray, ...], store_dir: Path | None = None,
-                 param_count: int = 0, measure: Measure | None = None):
-        super().__init__(store_dir, measure)
-        self.seed, self.firsts = seed, firsts
-        self._wanted = 0
-        self._gone = False  # the ready pipe ended: no block will come
-        sizes = [array.nbytes for array in like]
-        saves = store_dir is not None or measure is not None
-        ckpt_size = checkpoint_bytes(param_count) if saves else 0
-        blocks_size = RING_SLOTS * sum(sizes)
-        self._ring = mmap.mmap(-1, blocks_size + ckpt_size)
-        offsets = np.cumsum([0, *sizes * RING_SLOTS])
+    def __init__(self, task: Task, seed: int, total_steps: int, store_dir: Path | None,
+                 measure: Measure | None):
+        self.seed, self.firsts = seed, range(BATCH_BLOCK, total_steps, BATCH_BLOCK)
+        self._wanted, self._gone = 0, False  # _gone: the ready pipe ended, no block will come
+        like, _ = task._batch_block(seed, 0)
+        sizes = [array.nbytes for array in like] * RING_SLOTS
+        blocks_size, fingerprint_dim = sum(sizes), task.fingerprint_dim
+        ckpt_size = checkpoint_bytes(task.param_dim)
+        self._ring = mmap.mmap(-1, blocks_size + 8 * fingerprint_dim + ckpt_size)
+        offsets = np.cumsum([0, *sizes])
         self._slots = [[np.ndarray(a.shape, a.dtype, self._ring, offsets[s * len(like) + j])
                         for j, a in enumerate(like)] for s in range(RING_SLOTS)]
-        self._ckpt_slot = np.ndarray(ckpt_size, np.uint8, self._ring, blocks_size)
+        self._fingerprint = np.ndarray(fingerprint_dim, np.float64, self._ring, blocks_size)
+        super().__init__(np.ndarray(ckpt_size, np.uint8, self._ring,
+                                    blocks_size + 8 * fingerprint_dim), store_dir, measure)
         sched_getcpu = ctypes.CDLL(None).sched_getcpu
         sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
         cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
@@ -219,8 +223,9 @@ class BlockProducer(Handover):
         self._saved, saved = os.pipe()
         self._process = None
         try:
-            self._process = fork(_produce, draw, seed, firsts, self._slots, store_dir, measure,
-                                 self._ckpt_slot, cpu, (wants, ready, saves, saved),
+            self._process = fork(_produce, task, seed, self.firsts, self._slots,
+                                 self._fingerprint, self.slot, store_dir, measure, cpu,
+                                 (wants, ready, saves, saved),
                                  (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
             self.close()
@@ -258,30 +263,27 @@ class BlockProducer(Handover):
         self._wanted = index
 
     def save(self, ckpt: Checkpoint) -> None:
-        """Hand ckpt over to the producer; settles the last one first."""
-        self.settle()
-        encode_checkpoint(ckpt, self._ckpt_slot)
-        self.pending = ckpt
+        """Hand ckpt over as Handover does, and send its step to the producer."""
+        super().save(ckpt)
         try:
             os.write(self._saves, ckpt.step.to_bytes(8, "little"))
         except BrokenPipeError:
             pass  # the producer is gone: settle finishes it here
 
-    def settle(self) -> tuple[int, float, float | None] | None:
+    def settle(self) -> tuple[int, float, np.ndarray | None] | None:
         """Wait until the producer has finished the checkpoint handed over
         last, or finish it here if the producer is gone: its step, held-out
-        loss and similarity where it was measured then, else None."""
+        loss and fingerprint where it was measured then, else None."""
         if self.pending is None:
             return None
         reply = os.read(self._saved, _MEASURED.size)
         if not reply:
             return super().settle()
-        ckpt, self.pending = self.pending, None
+        step, self.pending = self.pending.step, None
         if self.measure is None:
             return None
-        self.measure.passed(ckpt.theta)
-        val_loss, has_similarity, similarity = _MEASURED.unpack(reply)
-        return ckpt.step, val_loss, similarity if has_similarity else None
+        val_loss, fingerprinted = _MEASURED.unpack(reply)
+        return step, val_loss, freeze(self._fingerprint.copy()) if fingerprinted else None
 
     def close(self) -> None:
         """Stop the producer and release the ring and the pipes; idempotent.
@@ -294,13 +296,13 @@ class BlockProducer(Handover):
             _stop(self._process)
         for fd in (self._wants, self._ready, self._saves, self._saved):
             os.close(fd)
-        self._slots, self._ckpt_slot = [], None  # their views hold the ring's buffer
+        self._slots, self._fingerprint, self.slot = [], None, None  # views of the ring
         self._ring.close()
 
 
-def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firsts: range,
-             slots: list[list[np.ndarray]], store_dir: Path | None, measure: Measure | None,
-             ckpt_slot: np.ndarray, cpu: int, fds: tuple[int, int, int, int],
+def _produce(task: Task, seed: int, firsts: range, slots: list[list[np.ndarray]],
+             fingerprint_slot: np.ndarray, ckpt_slot: np.ndarray, store_dir: Path | None,
+             measure: Measure | None, cpu: int, fds: tuple[int, int, int, int],
              theirs: tuple[int, ...]) -> None:
     """The producer: draw the blocks the run will want into the ring, and
     finish the checkpoints it hands over, until it stops us."""
@@ -327,11 +329,13 @@ def _produce(draw: Callable[[int, int], tuple[np.ndarray, ...]], seed: int, firs
                     measured = finish_checkpoint(ckpt_slot, step, store_dir, measure)
                 except Exception:
                     return  # unsettled, so the run does it and meets the error itself
-                val_loss, similarity = measured or (0.0, None)  # unmeasured: a bare reply
-                os.write(saved, _MEASURED.pack(val_loss, similarity is not None,
-                                               0.0 if similarity is None else similarity))
+                val_loss, fingerprint = measured or (0.0, None)  # unmeasured: a bare reply
+                if fingerprint is not None:
+                    np.copyto(fingerprint_slot, fingerprint)
+                os.write(saved, _MEASURED.pack(val_loss, fingerprint is not None))
             if index < ahead:
-                for view, array in zip(slots[index % len(slots)], draw(seed, firsts[index])):
+                block = task.draw_block(seed, firsts[index])
+                for view, array in zip(slots[index % len(slots)], block):
                     np.copyto(view, array)
                 os.write(ready, index.to_bytes(8, "little"))
                 index += 1

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leapverify import engine, workers
+from leapverify import engine, trajectory, workers
 from leapverify.engine import (
     FF_POLICIES,
     RunDivergedError,
@@ -764,6 +764,54 @@ def test_short_runs_and_seed_workers_start_no_producer(cpus, producers, monkeypa
 
 
 # ---------------------------------------- checkpoints measured behind the run
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_measure_is_pure(name):
+    task = make_task(name)
+    a, b = task.init_params(0), task.init_params(1)
+    alone = engine.Measure(task)(a)
+    measure = engine.Measure(task)
+    measure(b)
+    after_another = measure(a)
+    # a loss and a fingerprint, the same whatever was measured before: no similarity
+    for loss, fingerprint in (alone, after_another):
+        assert loss == task.validation_loss(a)
+        assert fingerprint.tobytes() == task.fingerprint(a).tobytes()
+    assert engine.Measure(task)(np.full(task.param_dim, np.nan))[1] is None  # no finite loss
+
+
+@pytest.mark.parametrize("how", ["one-cpu", "two-cpus", "killed"])
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+def test_every_checkpoint_handed_over_is_encoded_once(live, how, tmp_path, cpus, producers,
+                                                      monkeypatch):
+    if how != "one-cpu" and engine.usable_cpus() < 2:
+        pytest.skip("a batch producer needs a second CPU")
+    speculation = far_leaps("char-seq") if live else None
+    encode, encoded = trajectory.encode_checkpoint, []
+
+    def counted(ckpt, out):
+        encoded.append(ckpt.step)
+        encode(ckpt, out)
+
+    for module in (engine, workers, trajectory):  # wherever it is looked up
+        if hasattr(module, "encode_checkpoint"):
+            monkeypatch.setattr(module, "encode_checkpoint", counted)
+    if how == "killed":
+        hand_off = workers.BlockProducer.save
+
+        def hand_off_then_kill(producer, ckpt):
+            hand_off(producer, ckpt)
+            if len(encoded) == 1:
+                (child,) = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+                child.join()
+
+        monkeypatch.setattr(workers.BlockProducer, "save", hand_off_then_kill)
+    cpus(1 if how == "one-cpu" else 2)
+    result = pickle.loads(stored_run(make_task("char-seq"), tmp_path, speculation)[0])
+    assert len(producers) == (0 if how == "one-cpu" else 1)
+    assert encoded == result.steps
+
 
 def delay_the_producer_s_measuring(monkeypatch, seconds):
     """Make the producer wait `seconds` before it measures each checkpoint; the
