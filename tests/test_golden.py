@@ -19,8 +19,9 @@ pinned with each hash, so the live modes are known to really leap.
 Replay cases pin the offline protocol the same way: `run_experiment` over one
 mlp-reg seed (400 steps, delta 20, K in {5, 25}, cascades 3x25, adaptive
 criterion, the same thresholds) must write the same sweep.csv,
-cascades.jsonl and report.txt, and `leapverify live` with the momentum or
-quadratic predictor the same events.jsonl. Each runs under the paper
+cascades.jsonl, report.txt and report.json (whose one mention of the output
+root is replaced by a fixed token first), and `leapverify live` with the
+momentum or quadratic predictor the same events.jsonl. Each runs under the paper
 formulas and under the variant pair (momentum_variant = descent,
 quad_variant = exact), so every prediction formula is pinned byte for byte.
 Cascade stage n scores theta_t + n * (stage 1's displacement) against stage
@@ -123,11 +124,13 @@ GOLDEN_REPLAY = {
         "sweep.csv": "b9f72daefbc5528df9cbe15712d6b8c17321931c9446f4ccc2f2aaa1463cd1e5",
         "cascades.jsonl": "3aeee12242671bb1773c4da6386e03a28ee9ecc639fd6a1dfedfd544444fe030",
         "report.txt": "50e9d42a78b2f66661cc9659b24c8a6579f8027368de29fbbcf56a3b019f5649",
+        "report.json": "0e273205a26390797d69d646c7de7001554f5d75b254b084e5bdcbcb6dd8ada8",
     },
     "paper": {
         "sweep.csv": "b102e02c44db34136684889016ecb2eef2398a2515e241e931810a5140dfcd20",
         "cascades.jsonl": "fdca310bb11f82292e68e1576eba4593007d188600a827205cdb478ccc5a121d",
         "report.txt": "89f3a7cf24f9f5c04694386146b186392c56190b9048a47f769fa9840374ba5f",
+        "report.json": "b11bcf8986451a465c171b66b6fd80a313482dd1da0065c841c8745ba60c501e",
     },
 }
 
@@ -152,6 +155,10 @@ def test_golden_replay(variants, tmp_path):
     run_dir = tmp_path / "runs" / "mlp-reg" / str(SEED)
     digests = {name: sha256_file(run_dir / name) for name in ("sweep.csv", "cascades.jsonl")}
     digests["report.txt"] = sha256_file(tmp_path / "report.txt")
+    # report.json's config names the output root; pin every other byte
+    report_json = (tmp_path / "report.json").read_text().replace(json.dumps(str(tmp_path)),
+                                                                 '"<out>"')
+    digests["report.json"] = hashlib.sha256(report_json.encode()).hexdigest()
     assert digests == GOLDEN_REPLAY[variants]
 
 
