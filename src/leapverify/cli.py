@@ -172,7 +172,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     stored_config = out_root / "config.txt"
     cfg = build_config(args, base_file=stored_config if stored_config.exists() else None)
     report = make_report(replace(cfg, out=str(out_root)))
-    print(f"report over seeds {list(report.seeds)} -> {out_root / 'report.json'}")
+    print(f"report over seeds {report['seeds']} -> {out_root / 'report.json'}")
     return 0
 
 
@@ -188,8 +188,8 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     for name in ("report.json", "report.txt", "config.txt"):  # they describe the old runs
         (out_root / name).unlink(missing_ok=True)
     report = run_experiment(cfg)  # reads the thresholds resolved here
-    print(f"report over seeds {list(report.seeds)} -> {out_root / 'report.json'}")
-    if len(report.seeds) == 1:
+    print(f"report over seeds {report['seeds']} -> {out_root / 'report.json'}")
+    if len(report["seeds"]) == 1:
         print("note: single seed; cross-seed spreads are 0 by convention")
     return 0
 

@@ -8,10 +8,13 @@ run). Pass 3 scores cascades, lines of leaps from stable checkpoints: it
 predicts each cascade's stage 1, reads that sweep cell's loss from pass 2's
 sweep.csv, so pass 2 must have run first with every cascade K in k_set, and
 engine.run_cascade walks the later stages. The report is aggregated from
-the files the passes leave on disk. Statistics follow the
-per-seed-first convention: rates are computed within each seed, then
-summarized as mean/std/CoV across seeds, with denominators carried
-alongside every rate so each percentage is auditable.
+the files the passes leave on disk into one document, the dict `aggregate`
+returns: report.json holds it as is, and report.txt is rendered from it
+alone, so a new table is one key in `aggregate` and one block in
+`format_report_text`. Statistics follow the per-seed-first convention:
+rates are computed within each seed, then summarized as mean/std/CoV across
+seeds, with denominators carried alongside every rate so each percentage is
+auditable.
 
 Every command that runs many seeds goes through `each_seed`, which takes
 one or more passes and runs their jobs, one pass of one seed each, at the
@@ -110,50 +113,6 @@ class CascadeRow:
     criterion: str
     accepted_depth: int
     events: tuple[LeapEvent, ...]
-
-
-@dataclass(frozen=True)
-class PerSeedRate:
-    seed: int
-    accepted: int
-    denominator: int
-
-    @property
-    def rate(self) -> float:
-        return 100.0 * self.accepted / self.denominator
-
-
-@dataclass(frozen=True)
-class RateStat:
-    """mean +/- std across seeds of a per-seed percentage, with receipts."""
-
-    mean: float
-    std: float
-    cov: float | None   # None when mean == 0 (undefined, printed as a dash)
-    per_seed: tuple[PerSeedRate, ...]
-    single_seed: bool
-
-    @property
-    def accepted(self) -> int:
-        return sum(p.accepted for p in self.per_seed)
-
-    @property
-    def denominator(self) -> int:
-        return sum(p.denominator for p in self.per_seed)
-
-
-@dataclass
-class ExperimentReport:
-    config: dict
-    seeds: tuple[int, ...]
-    regime_counts: dict[int, dict[str, int]]
-    regime_summary: dict[str, dict[str, float]]
-    acceptance: dict[tuple[str, str, int, str], RateStat]
-    cov: dict[tuple[str, int, str], RateStat]
-    ratios: dict[str, list[dict]]
-    cascades: list[dict]
-    cascade_note: str | None
-    notes: list[str]
 
 
 # ---------------------------------------------------------------- plumbing
@@ -511,17 +470,24 @@ def read_cascade_rows(path: str | Path, epsilon: float) -> list[CascadeRow]:
 
 # ------------------------------------------------------------ aggregation
 
-def _rate_stat(per_seed: dict[int, list[int]]) -> RateStat | None:
-    entries = tuple(PerSeedRate(seed, acc, den)
-                    for seed, (acc, den) in sorted(per_seed.items()) if den > 0)
+def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean, and std across seeds with ddof=1, which is 0 for a single value."""
+    return float(np.mean(values)), 0.0 if len(values) < 2 else float(np.std(values, ddof=1))
+
+
+def _rate_stat(per_seed: dict[int, list[int]]) -> dict | None:
+    """mean +/- std across seeds of a per-seed percentage, with receipts; cov is None
+    (undefined, printed as a dash) when the mean is 0."""
+    entries = [{"seed": seed, "accepted": acc, "denominator": den, "rate": 100.0 * acc / den}
+               for seed, (acc, den) in sorted(per_seed.items()) if den > 0]
     if not entries:
         return None
-    rates = [e.rate for e in entries]
-    mean = float(np.mean(rates))
-    std = 0.0 if len(rates) < 2 else float(np.std(rates, ddof=1))
-    cov = None if mean == 0.0 else 100.0 * std / mean
-    return RateStat(mean=mean, std=std, cov=cov, per_seed=entries,
-                    single_seed=len(entries) == 1)
+    mean, std = _mean_std([e["rate"] for e in entries])
+    return {"mean": mean, "std": std, "cov": None if mean == 0.0 else 100.0 * std / mean,
+            "single_seed": len(entries) == 1,
+            "accepted": sum(e["accepted"] for e in entries),
+            "denominator": sum(e["denominator"] for e in entries),
+            "per_seed": entries}
 
 
 def ratio_table(cells: list[SweepCell], predictor: str) -> list[dict]:
@@ -559,27 +525,28 @@ def ratio_table(cells: list[SweepCell], predictor: str) -> list[dict]:
 
 def aggregate(cells: list[SweepCell], cascade_rows: list[CascadeRow],
               labels_by_seed: dict[int, list[RegimeLabel]],
-              config: dict) -> ExperimentReport:
-    """Reduce all seeds' cells to the experiment report.
+              config: dict) -> dict:
+    """Reduce all seeds' cells to the report document, which report.json holds as is.
+
+    It holds config, seeds, regime_counts (keyed by str(seed)),
+    regime_summary, acceptance and cov (keyed "regime|predictor|K|criterion"
+    and "predictor|K|criterion"), ratios, cascades, cascade_note and notes;
+    format_report_text renders report.txt from it alone. So a new table is
+    one key here and one block in format_report_text.
 
     Pure function of its inputs up to reordering: every grouping is keyed and
     sorted, so seed or cell order cannot change a single output value.
     """
-    seeds = tuple(sorted(labels_by_seed))
-    notes: list[str] = []
-    if len(seeds) == 1:
-        notes.append("single seed: cross-seed std is 0 by convention")
-
+    seeds = sorted(labels_by_seed)
     regime_counts = {
-        seed: {label.value: count
-               for label, count in regime_breakdown(labels_by_seed[seed]).items()}
+        str(seed): {label.value: count
+                    for label, count in regime_breakdown(labels_by_seed[seed]).items()}
         for seed in seeds
     }
     regime_summary = {}
     for label in RegimeLabel:
-        counts = [regime_counts[s][label.value] for s in seeds]
-        std = 0.0 if len(counts) < 2 else float(np.std(counts, ddof=1))
-        regime_summary[label.value] = {"mean": float(np.mean(counts)), "std": std}
+        mean, std = _mean_std([regime_counts[str(s)][label.value] for s in seeds])
+        regime_summary[label.value] = {"mean": mean, "std": std}
 
     acc_groups: dict[tuple[str, str, int, str], dict[int, list[int]]] = {}
     cov_groups: dict[tuple[str, int, str], dict[int, list[int]]] = {}
@@ -596,12 +563,9 @@ def aggregate(cells: list[SweepCell], cascade_rows: list[CascadeRow],
                 tally[0] += int(verdict)
                 tally[1] += 1
 
-    def stats(groups: dict) -> dict:
-        return {key: stat for key in sorted(groups)
+    def stats(groups: dict) -> dict:  # in key order, K compared as a number
+        return {"|".join(map(str, key)): stat for key in sorted(groups)
                 if (stat := _rate_stat(groups[key])) is not None}
-    acceptance, cov = stats(acc_groups), stats(cov_groups)
-
-    ratios = {p: ratio_table(cells, p) for p in SWEEP_PREDICTORS}
 
     cascades = []
     by_cfg: dict[tuple[int, int, str], list[CascadeRow]] = {}
@@ -612,75 +576,35 @@ def aggregate(cells: list[SweepCell], cascade_rows: list[CascadeRow],
         depth_by_seed: dict[int, list[int]] = {}
         for r in rows:
             depth_by_seed.setdefault(r.seed, []).append(r.accepted_depth)
-        per_seed_means = [float(np.mean(depth_by_seed[s])) for s in sorted(depth_by_seed)]
-        std = 0.0 if len(per_seed_means) < 2 else float(np.std(per_seed_means, ddof=1))
+        mean, std = _mean_std([float(np.mean(depth_by_seed[s])) for s in sorted(depth_by_seed)])
         cascades.append({
             "depth": depth,
             "k": k,
             "predictor": predictor,
             "starts": len(rows),
             "seeds": len(depth_by_seed),
-            "mean_accepted_depth": float(np.mean(per_seed_means)),
+            "mean_accepted_depth": mean,
             "std_accepted_depth": std,
             "max_accepted_depth": max(r.accepted_depth for r in rows),
             "full_depth_count": sum(r.accepted_depth == depth for r in rows),
         })
-    cascade_note = None
-    if not cascade_rows:
-        cascade_note = "no stable checkpoints with sufficient history: cascade table has zero denominators"
 
-    return ExperimentReport(
-        config=config,
-        seeds=seeds,
-        regime_counts=regime_counts,
-        regime_summary=regime_summary,
-        acceptance=acceptance,
-        cov=cov,
-        ratios=ratios,
-        cascades=cascades,
-        cascade_note=cascade_note,
-        notes=notes,
-    )
+    return {
+        "config": config,
+        "seeds": seeds,
+        "regime_counts": regime_counts,
+        "regime_summary": regime_summary,
+        "acceptance": stats(acc_groups),
+        "cov": stats(cov_groups),
+        "ratios": {p: ratio_table(cells, p) for p in SWEEP_PREDICTORS},
+        "cascades": cascades,
+        "cascade_note": None if cascade_rows else ("no stable checkpoints with sufficient "
+                                                   "history: cascade table has zero denominators"),
+        "notes": ["single seed: cross-seed std is 0 by convention"] if len(seeds) == 1 else [],
+    }
 
 
 # ---------------------------------------------------------------- reports
-
-def _stat_json(stat: RateStat) -> dict:
-    return {
-        "mean": stat.mean,
-        "std": stat.std,
-        "cov": stat.cov,
-        "single_seed": stat.single_seed,
-        "accepted": stat.accepted,
-        "denominator": stat.denominator,
-        "per_seed": [
-            {"seed": p.seed, "accepted": p.accepted,
-             "denominator": p.denominator, "rate": p.rate}
-            for p in stat.per_seed
-        ],
-    }
-
-
-def report_to_json(report: ExperimentReport) -> dict:
-    return {
-        "config": report.config,
-        "seeds": list(report.seeds),
-        "regime_counts": {str(s): report.regime_counts[s] for s in report.seeds},
-        "regime_summary": report.regime_summary,
-        "acceptance": {
-            f"{regime}|{predictor}|{k}|{criterion}": _stat_json(stat)
-            for (regime, predictor, k, criterion), stat in report.acceptance.items()
-        },
-        "cov": {
-            f"{predictor}|{k}|{criterion}": _stat_json(stat)
-            for (predictor, k, criterion), stat in report.cov.items()
-        },
-        "ratios": report.ratios,
-        "cascades": report.cascades,
-        "cascade_note": report.cascade_note,
-        "notes": report.notes,
-    }
-
 
 def _fmt_float(x: float | None, nd: int = 2) -> str:
     if x is None:
@@ -702,8 +626,8 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _k_table(title: str, predictors: list[str], k_values: list[int],
-             stat_at: Callable[[str, int], RateStat | None],
-             fmt: Callable[[RateStat | None], str]) -> list[str]:
+             stat_at: Callable[[str, int], dict | None],
+             fmt: Callable[[dict | None], str]) -> list[str]:
     """A predictor x K table with its title; predictors without any stat are left out."""
     rows = []
     for predictor in predictors:
@@ -715,36 +639,45 @@ def _k_table(title: str, predictors: list[str], k_values: list[int],
     return [title, _render_table(["predictor"] + [f"K={k}" for k in k_values], rows), ""]
 
 
-def format_report_text(report: ExperimentReport) -> str:
+def format_report_text(report: dict) -> str:
+    """report.txt, rendered from the report document (aggregate's dict) alone.
+
+    So json.loads of report.json renders the same text; a new table is one
+    key in aggregate and one block here.
+    """
     out: list[str] = []
-    out.append(f"Seeds: {', '.join(str(s) for s in report.seeds)}")
-    for note in report.notes:
+    out.append(f"Seeds: {', '.join(str(s) for s in report['seeds'])}")
+    for note in report["notes"]:
         out.append(f"Note: {note}")
     out.append("")
 
     out.append("Regime breakdown (checkpoints per run, mean +/- std across seeds)")
     rows = []
     for label in RegimeLabel:
-        s = report.regime_summary[label.value]
-        per_seed = " ".join(str(report.regime_counts[sd][label.value]) for sd in report.seeds)
+        s = report["regime_summary"][label.value]
+        per_seed = " ".join(str(report["regime_counts"][str(sd)][label.value])
+                            for sd in report["seeds"])
         rows.append([label.value, f"{_fmt_float(s['mean'], 1)} +/- {_fmt_float(s['std'], 1)}", per_seed])
     out.append(_render_table(["regime", "count", "per-seed"], rows))
     out.append("")
 
-    k_values = sorted({k for (_, _, k, _) in report.acceptance})
-    regimes = sorted({r for (r, _, _, _) in report.acceptance})
-    predictors = sorted({p for (_, p, _, _) in report.acceptance})
-    def rate(stat: RateStat | None) -> str:
+    acceptance, cov = report["acceptance"], report["cov"]
+    keys = [key.split("|") for key in acceptance]
+    k_values = sorted({int(k) for (_, _, k, _) in keys})
+    regimes = sorted({r for (r, _, _, _) in keys})
+    predictors = sorted({p for (_, p, _, _) in keys})
+    def rate(stat: dict | None) -> str:
         if stat is None:
             return "-"
-        return f"{_fmt_float(stat.mean, 1)}+/-{_fmt_float(stat.std, 1)} (n={stat.denominator})"
+        return (f"{_fmt_float(stat['mean'], 1)}+/-{_fmt_float(stat['std'], 1)} "
+                f"(n={stat['denominator']})")
     for criterion in CRITERIA:
         for regime in regimes:
             out += _k_table(f"Acceptance rate % ({criterion} criterion, {regime} regime)",
                             predictors, k_values,
-                            lambda p, k: report.acceptance.get((regime, p, k, criterion)), rate)
+                            lambda p, k: acceptance.get(f"{regime}|{p}|{k}|{criterion}"), rate)
 
-    mom = report.ratios.get("momentum", [])
+    mom = report["ratios"].get("momentum", [])
     if mom:
         out.append("Momentum predictor: predicted vs actual held-out loss")
         rows = []
@@ -762,16 +695,16 @@ def format_report_text(report: ExperimentReport) -> str:
 
     for criterion in CRITERIA:
         out += _k_table(f"Cross-seed CoV % of acceptance rate ({criterion} criterion)",
-                        predictors, k_values, lambda p, k: report.cov.get((p, k, criterion)),
-                        lambda stat: "-" if stat is None or stat.cov is None
-                        else _fmt_float(stat.cov, 1))
+                        predictors, k_values, lambda p, k: cov.get(f"{p}|{k}|{criterion}"),
+                        lambda stat: "-" if stat is None or stat["cov"] is None
+                        else _fmt_float(stat["cov"], 1))
 
     out.append("Cascades (accepted depth out of configured depth)")
-    if report.cascade_note:
-        out.append(f"Note: {report.cascade_note}")
-    if report.cascades:
+    if report["cascade_note"]:
+        out.append(f"Note: {report['cascade_note']}")
+    if report["cascades"]:
         rows = []
-        for c in report.cascades:
+        for c in report["cascades"]:
             rows.append([
                 f"({c['depth']},{c['k']})", c["predictor"], str(c["starts"]),
                 f"{_fmt_float(c['mean_accepted_depth'])} +/- {_fmt_float(c['std_accepted_depth'])}",
@@ -782,10 +715,11 @@ def format_report_text(report: ExperimentReport) -> str:
     return "\n".join(out)
 
 
-def write_report(report: ExperimentReport, out_root: str | Path) -> None:
+def write_report(report: dict, out_root: str | Path) -> None:
+    """Write the report document as report.json and its rendering as report.txt."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_root / "report.json", json.dumps(report_to_json(report), indent=2) + "\n")
+    write_atomic(out_root / "report.json", json.dumps(report, indent=2) + "\n")
     write_atomic(out_root / "report.txt", format_report_text(report))
 
 
@@ -880,13 +814,16 @@ def cascade_pass(cfg: RunConfig, task: Task, out_root: str | Path) -> Pass:
     return "pass3 (cascade)", cascade
 
 
-def make_report(cfg: RunConfig) -> ExperimentReport:
+def make_report(cfg: RunConfig) -> dict:
     """Aggregate the stored outputs of cfg's seeds; write report.json and report.txt.
 
-    `run-all` and `report` both build their report here, from the files on
-    disk, so re-running `report` reproduces `run-all`'s report exactly. It reads
-    labels from loss_log.csv, no checkpoint, and records the resolved lr and
-    the stored thresholds in the config, but never calibrates.
+    It returns aggregate's report document, which report.json holds and
+    report.txt renders: a new table is one key in aggregate and one block in
+    format_report_text. `run-all` and `report` both build their report here,
+    from the files on disk, so re-running `report` reproduces `run-all`'s
+    report exactly. It reads labels from loss_log.csv, no checkpoint, and
+    records the resolved lr and the stored thresholds in the config, but
+    never calibrates.
     """
     out_root = resolve_out_root(cfg)
     task_dir = out_root / "runs" / cfg.task
@@ -921,7 +858,7 @@ def make_report(cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-def run_experiment(cfg: RunConfig) -> ExperimentReport:
+def run_experiment(cfg: RunConfig) -> dict:
     """Calibrate if need be, run passes 1, 2 and 3 of every seed, then write the report.
 
     The stored or calibrated thresholds label pass 1's checkpoints. The

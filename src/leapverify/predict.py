@@ -26,8 +26,9 @@ that choice into a formula name. Each formula names its directions in the
 DIRECTIONS table, so formulas that share one (linear and quadratic share the
 velocity) can share its computation. predict_grid() is the one dispatch: it
 computes each named direction once and builds every theta_hat in _combine.
-predict() is predict_grid() at one formula and one K, and the named
-predict_* functions are one-line calls of predict(). The live loop scores
+predict() is predict_grid() at one formula and one K, and
+predict_momentum, predict_linear and predict_quadratic, the paper's formula
+of each family, are one-line calls of predict(). The live loop scores
 predict()'s exact weights; the sweep hands predict_grid()'s directions and
 coefficient matrices to Task.affine_losses. Pass 3 takes a cascade's stage 1
 from predict_grid() and its loss from the sweep, and run_cascade walks on:
@@ -121,13 +122,6 @@ def predict_quadratic(theta_t: np.ndarray, theta_prev: np.ndarray,
                       theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
     """Parabola through three checkpoints, curvature coefficient K(K-delta)."""
     return predict(QUADRATIC, (theta_prev2, theta_prev, theta_t), delta, k, None, None, 0, None)
-
-
-def predict_quadratic_exact(theta_t: np.ndarray, theta_prev: np.ndarray,
-                            theta_prev2: np.ndarray, delta: int, k: int) -> Prediction:
-    """Quadratic variant with coefficient K(K+delta): exact on parabolic trajectories."""
-    return predict(QUADRATIC_EXACT, (theta_prev2, theta_prev, theta_t), delta, k,
-                   None, None, 0, None)
 
 
 # the directions formulas combine: (thetas, m, v, step, hyper) -> D, thetas oldest first

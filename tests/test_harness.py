@@ -27,6 +27,7 @@ from leapverify.harness import (
     build_task,
     calibrate_thresholds,
     each_seed,
+    format_report_text,
     make_report,
     pass1_train,
     pass2_ksweep,
@@ -35,12 +36,12 @@ from leapverify.harness import (
     read_cascade_rows,
     read_sweep_csv,
     replay_points,
-    report_to_json,
     resolve_predictor,
     run_dir_for,
     run_experiment,
     sweep_formulas,
     write_cascade_rows,
+    write_report,
     write_sweep_csv,
 )
 from leapverify.predict import FORMULAS
@@ -49,6 +50,7 @@ from leapverify.trajectory import WindowSpacingError, save_checkpoint
 from leapverify.verify import decide
 
 from conftest import make_checkpoint
+from test_golden import REPLAY, VARIANTS
 
 PERMISSIVE = Thresholds(tau_low=-0.999, tau_high=-0.99)
 
@@ -340,7 +342,8 @@ def test_make_report_reads_no_checkpoint(experiment, tmp_path, monkeypatch, cpus
     assert loads == []
     assert (copy / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
     # the labels come from loss_log.csv
-    assert report.regime_counts[42] == {"unknown": 1, "chaotic": 0, "transition": 0, "stable": 5}
+    assert report["regime_counts"]["42"] == {"unknown": 1, "chaotic": 0, "transition": 0,
+                                             "stable": 5}
 
 
 @pytest.mark.parametrize("stage", ["pass2 (sweep)", "pass3 (cascade)", "report"])
@@ -395,8 +398,8 @@ def test_pass3_without_stable_checkpoints(tmp_path):
                           criterion="strict", epsilon=cfg.epsilon)
     assert rows == []
     report = aggregate([], rows, {42: [RegimeLabel.TRANSITION]}, {})
-    assert report.cascades == []
-    assert "zero denominators" in report.cascade_note
+    assert report["cascades"] == []
+    assert "zero denominators" in report["cascade_note"]
 
 
 def cascade_over_a_sweep(experiment, tmp_path, formulas, k_set, cascade_cfg=None, scored=None):
@@ -571,15 +574,15 @@ def test_aggregate_rate_identity():
         _cell(2, 50, 5, 0.5), _cell(2, 100, 5, 0.25),
     ]
     report = aggregate(cells, [], {1: [], 2: []}, {})
-    stat = report.acceptance[("stable", "momentum", 5, "strict")]
-    assert [(p.seed, p.accepted, p.denominator) for p in stat.per_seed] == \
+    stat = report["acceptance"]["stable|momentum|5|strict"]
+    assert [(p["seed"], p["accepted"], p["denominator"]) for p in stat["per_seed"]] == \
         [(1, 1, 2), (2, 2, 2)]
-    for p in stat.per_seed:
-        assert p.rate == 100.0 * p.accepted / p.denominator
-    assert stat.mean == pytest.approx((50.0 + 100.0) / 2.0)
-    assert stat.accepted == 3
-    assert stat.denominator == 4
-    assert not stat.single_seed
+    for p in stat["per_seed"]:
+        assert p["rate"] == 100.0 * p["accepted"] / p["denominator"]
+    assert stat["mean"] == pytest.approx((50.0 + 100.0) / 2.0)
+    assert stat["accepted"] == 3
+    assert stat["denominator"] == 4
+    assert not stat["single_seed"]
 
 
 def test_aggregate_identical_rates_have_zero_cov():
@@ -588,17 +591,17 @@ def test_aggregate_identical_rates_have_zero_cov():
         _cell(2, 50, 5, 0.5), _cell(2, 100, 5, 2.0),
     ]
     report = aggregate(cells, [], {1: [], 2: []}, {})
-    stat = report.cov[("momentum", 5, "strict")]
-    assert stat.std == 0.0
-    assert stat.cov == 0.0
+    stat = report["cov"]["momentum|5|strict"]
+    assert stat["std"] == 0.0
+    assert stat["cov"] == 0.0
 
 
 def test_aggregate_cov_undefined_at_zero_mean():
     cells = [_cell(1, 50, 5, 2.0), _cell(2, 50, 5, 3.0)]
     report = aggregate(cells, [], {1: [], 2: []}, {})
-    stat = report.cov[("momentum", 5, "strict")]
-    assert stat.mean == 0.0
-    assert stat.cov is None
+    stat = report["cov"]["momentum|5|strict"]
+    assert stat["mean"] == 0.0
+    assert stat["cov"] is None
 
 
 def test_aggregate_is_order_invariant():
@@ -609,22 +612,51 @@ def test_aggregate_is_order_invariant():
     labels = {1: [RegimeLabel.STABLE], 2: [RegimeLabel.CHAOTIC]}
     a = aggregate(cells, [], labels, {})
     b = aggregate(list(reversed(cells)), [], dict(reversed(labels.items())), {})
-    assert report_to_json(a) == report_to_json(b)
+    assert a == b
 
 
 def test_aggregate_single_seed_note():
     report = aggregate([_cell(1, 50, 5, 0.5)], [], {1: [RegimeLabel.STABLE]}, {})
-    assert any("single seed" in note for note in report.notes)
-    stat = report.acceptance[("stable", "momentum", 5, "strict")]
-    assert stat.single_seed
-    assert stat.std == 0.0
+    assert any("single seed" in note for note in report["notes"])
+    stat = report["acceptance"]["stable|momentum|5|strict"]
+    assert stat["single_seed"]
+    assert stat["std"] == 0.0
 
 
 def test_aggregate_skips_unevaluable_adaptive():
     cells = [_cell(1, 50, 5, 0.5, sigma=None)]
     report = aggregate(cells, [], {1: []}, {})
-    assert ("stable", "momentum", 5, "strict") in report.acceptance
-    assert ("stable", "momentum", 5, "adaptive") not in report.acceptance
+    assert "stable|momentum|5|strict" in report["acceptance"]
+    assert "stable|momentum|5|adaptive" not in report["acceptance"]
+
+
+def _report_files(report_dir) -> tuple[dict, str]:
+    """report.json's document and report.txt's text."""
+    return (json.loads((report_dir / "report.json").read_text()),
+            (report_dir / "report.txt").read_text())
+
+
+@pytest.mark.parametrize("variants", sorted(VARIANTS))
+def test_report_txt_is_rendered_from_report_json_alone(variants, tmp_path):
+    momentum_variant, quad_variant = VARIANTS[variants]
+    run_experiment(replace(REPLAY, momentum_variant=momentum_variant,
+                           quad_variant=quad_variant, out=str(tmp_path)))
+    document, text = _report_files(tmp_path)
+    assert format_report_text(document) == text
+
+
+def test_report_txt_is_rendered_from_report_json_alone_on_notes(tmp_path):
+    single_seed = aggregate([_cell(1, 50, 5, 0.5)], [], {1: [RegimeLabel.STABLE]}, {})
+    assert single_seed["notes"]
+    transition = RegimeLabel.TRANSITION
+    no_stable = aggregate([_cell(1, 50, 5, 0.5, regime=transition),
+                           _cell(2, 50, 5, 2.0, regime=transition)], [],
+                          {1: [transition], 2: [transition]}, {})
+    assert no_stable["cascade_note"] and not no_stable["notes"]
+    for name, report in (("single-seed", single_seed), ("no-stable", no_stable)):
+        write_report(report, tmp_path / name)
+        document, text = _report_files(tmp_path / name)
+        assert format_report_text(document) == text
 
 
 def test_ratio_table_perfect_prediction():
@@ -688,7 +720,7 @@ def test_calibrate_thresholds_produces_valid_band(tmp_path):
 
 def test_report_files_and_shape(experiment):
     cfg, report, out = experiment
-    assert report.seeds == (42, 43)
+    assert report["seeds"] == [42, 43]
     data = json.loads((out / "report.json").read_text())
     assert data["seeds"] == [42, 43]
     # effective config echoes resolved values, not the None placeholders
@@ -715,11 +747,11 @@ def test_report_files_and_shape(experiment):
 def test_report_regime_counts(experiment):
     cfg, report, _ = experiment
     for seed in cfg.seeds:
-        counts = report.regime_counts[seed]
+        counts = report["regime_counts"][str(seed)]
         assert sum(counts.values()) == 6
         assert counts["unknown"] == 1
-    assert report.regime_summary["unknown"]["mean"] == 1.0
-    assert report.regime_summary["unknown"]["std"] == 0.0
+    assert report["regime_summary"]["unknown"]["mean"] == 1.0
+    assert report["regime_summary"]["unknown"]["std"] == 0.0
 
 
 def test_run_experiment_raises_a_failure_once_the_jobs_before_it_are_done(tmp_path,

@@ -8,12 +8,12 @@ import pytest
 from leapverify.optim import AdamHyper
 from leapverify.predict import (
     FORMULAS,
+    QUADRATIC_EXACT,
     SWEEP_PREDICTORS,
     predict,
     predict_linear,
     predict_momentum,
     predict_quadratic,
-    predict_quadratic_exact,
 )
 
 
@@ -97,8 +97,10 @@ def test_quadratic_frozen_scalar_examples():
     assert predict_quadratic(curr, prev, prev2, delta=50, k=50).theta_hat[0] == 17500.0
     assert predict_quadratic(curr, prev, prev2, delta=50, k=100).theta_hat[0] == 30000.0
     # the exact-variant coefficient recovers theta(150) and theta(200)
-    assert predict_quadratic_exact(curr, prev, prev2, delta=50, k=50).theta_hat[0] == 22500.0
-    assert predict_quadratic_exact(curr, prev, prev2, delta=50, k=100).theta_hat[0] == 40000.0
+    assert predict(QUADRATIC_EXACT, (prev2, prev, curr), 50, 50, None, None, 0,
+                   None).theta_hat[0] == 22500.0
+    assert predict(QUADRATIC_EXACT, (prev2, prev, curr), 50, 100, None, None, 0,
+                   None).theta_hat[0] == 40000.0
 
 
 def test_quadratic_exact_on_parabolic_trajectories():
@@ -111,7 +113,8 @@ def test_quadratic_exact_on_parabolic_trajectories():
         delta = int(rng.integers(1, 100))
         k = int(rng.integers(1, 200))
         theta = lambda s: a + b * s + c * s * s
-        pred = predict_quadratic_exact(theta(t), theta(t - delta), theta(t - 2 * delta), delta, k)
+        pred = predict(QUADRATIC_EXACT, (theta(t - 2 * delta), theta(t - delta), theta(t)),
+                       delta, k, None, None, 0, None)
         truth = theta(t + k)
         rel = np.linalg.norm(pred.theta_hat - truth) / max(np.linalg.norm(truth), 1e-12)
         assert rel <= 1e-10
@@ -156,7 +159,7 @@ def test_predict_dispatches_each_formula_on_the_history():
         "momentum": predict_momentum(t2, m, v, 25, h.eps),
         "linear": predict_linear(t2, t1, 10, 25),
         "quadratic": predict_quadratic(t2, t1, t0, 10, 25),
-        "quadratic_exact": predict_quadratic_exact(t2, t1, t0, 10, 25),
+        "quadratic_exact": predict(QUADRATIC_EXACT, (t0, t1, t2), 10, 25, None, None, 0, None),
     }
     for name, want in expected.items():
         got = predict(name, thetas, 10, 25, m, v, 30, h)
