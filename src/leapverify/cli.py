@@ -18,8 +18,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import OUT_ENV_VAR, PARSERS, RunConfig, format_config, load_config, resolve_out_root
-from .engine import FF_POLICIES, SpeculationSettings, train_run
+from .engine import SpeculationSettings, train_run
 from .harness import (
+    CASCADES_JSONL,
+    SWEEP_CSV,
     THRESHOLDS_FILE,  # noqa: F401  (the benchmark reads cli.THRESHOLDS_FILE)
     build_hyper,
     build_task,
@@ -37,6 +39,7 @@ from .harness import (
     train_pass,
     write_thresholds,
 )
+from .optim import FF_POLICIES
 from .predict import MOMENTUM_VARIANTS, QUAD_VARIANTS, SWEEP_PREDICTORS, resolve_predictor
 from .regime import Thresholds
 from .tasks import TASK_NAMES
@@ -118,7 +121,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_root = resolve_out_root(cfg)
     for _, seed, (cells, eligible) in each_seed([sweep_pass(cfg, build_task(cfg), out_root)],
                                                 cfg.seeds):
-        path = run_dir_for(out_root, cfg.task, seed) / "sweep.csv"
+        path = run_dir_for(out_root, cfg.task, seed) / SWEEP_CSV
         print(f"seed {seed}: {cells} cells ({eligible} eligible) -> {path}")
     return 0
 
@@ -127,7 +130,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_root = resolve_out_root(cfg)
     for _, seed, rows in each_seed([cascade_pass(cfg, build_task(cfg), out_root)], cfg.seeds):
-        path = run_dir_for(out_root, cfg.task, seed) / "cascades.jsonl"
+        path = run_dir_for(out_root, cfg.task, seed) / CASCADES_JSONL
         if rows:
             print(f"seed {seed}: {rows} cascade evaluations -> {path}")
         else:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .engine import FF_POLICIES
-from .optim import AdamHyper
+from .optim import FF_POLICIES, AdamHyper
 from .predict import LINEAR, SWEEP_PREDICTORS, resolve_predictor
 from .tasks import TASK_NAMES
 from .verify import CRITERIA

@@ -37,7 +37,6 @@ no event or label outlives a checkpoint file left unwritten.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -50,23 +49,23 @@ from pathlib import Path
 import numpy as np
 
 from .core import NonFiniteError, freeze, is_finite
-from .optim import AdamHyper, AdamState, apply_update, fast_forward, init_state, snapshot_moments
+from .optim import (FF_POLICIES, AdamHyper, AdamState, apply_update, fast_forward, init_state,
+                    snapshot_moments)
 from .predict import FORMULAS, LINEAR, Prediction, predict, predict_grid, resolve_predictor
 from .regime import RegimeLabel, Thresholds, classify, similarity_at
 from .tasks import BATCH_BLOCK, Task
 from .trajectory import (
+    EVENTS_JSONL,
     WINDOW_CAPACITY,
     Checkpoint,
     checkpoint_bytes,
     encode_checkpoint,
     finish_checkpoint,
     recent_loss_std,
-    write_atomic,
+    write_jsonl,
     write_loss_log,
 )
 from .verify import Decision, decide
-
-FF_POLICIES = ("carry", "decay")
 
 
 class RunDivergedError(RuntimeError):
@@ -86,38 +85,17 @@ class SpeculationSettings:
 
 @dataclass(frozen=True)
 class LeapEvent:
+    """A scored speculation stage; its JSON's keys are these fields, in order."""
+
     step_from: int
     k: int
     predictor: str
-    decision: Decision
+    stage: int
     applied: bool
     criterion_used: str
     regime_at_leap: RegimeLabel
     displacement_norm: float
-    stage: int = 1
-
-    def to_json(self) -> dict:
-        d = self.decision
-        return {
-            "step_from": self.step_from,
-            "k": self.k,
-            "predictor": self.predictor,
-            "stage": self.stage,
-            "applied": self.applied,
-            "criterion_used": self.criterion_used,
-            "regime_at_leap": self.regime_at_leap.value,
-            "displacement_norm": self.displacement_norm,
-            "decision": {
-                "strict": d.strict,
-                "adaptive": d.adaptive,
-                "proximity": d.proximity,
-                "l_hat": d.l_hat,
-                "l_t": d.l_t,
-                "sigma_l": d.sigma_l,
-                "epsilon": d.epsilon,
-                "reason": d.reason,
-            },
-        }
+    decision: Decision
 
 
 @dataclass
@@ -466,8 +444,7 @@ def train_run(
                        adam_final=state, skipped_steps=skipped)
     if store_path is not None:
         if events:
-            write_atomic(store_path / "events.jsonl",
-                         "".join(json.dumps(event.to_json()) + "\n" for event in events))
+            write_jsonl(store_path / EVENTS_JSONL, events)
         write_loss_log(result, store_path)
     return result
 
@@ -507,16 +484,9 @@ def run_cascade(
             l_hat = task.validation_loss(theta)
         decision = decide(l_hat, baseline, sigma_l, epsilon)
         events.append(LeapEvent(
-            step_from=start.step + (stage - 1) * pred.k,
-            k=pred.k,
-            predictor=pred.predictor,
-            decision=decision,
-            applied=False,
-            criterion_used=criterion,
-            regime_at_leap=regime,
-            displacement_norm=pred.displacement_norm,
-            stage=stage,
-        ))
+            step_from=start.step + (stage - 1) * pred.k, k=pred.k, predictor=pred.predictor,
+            stage=stage, applied=False, criterion_used=criterion, regime_at_leap=regime,
+            displacement_norm=pred.displacement_norm, decision=decision))
         if decision.verdict(criterion) is not True or not l_hat > 0:
             break  # a zero loss cannot anchor the next stage's verification
         baseline = l_hat

@@ -57,6 +57,7 @@ from .predict import FORMULAS, SWEEP_PREDICTORS, Prediction, predict_grid, resol
 from .regime import RegimeLabel, Thresholds, calibrate, regime_breakdown
 from .tasks import Task, make_task
 from .trajectory import (  # noqa: F401  (write_loss_log: the benchmark calls harness's)
+    EVENTS_JSONL,
     LOSS_LOG,
     Checkpoint,
     checkpoint_path,
@@ -66,12 +67,14 @@ from .trajectory import (  # noqa: F401  (write_loss_log: the benchmark calls ha
     read_loss_log,
     recent_loss_std,
     write_atomic,
+    write_jsonl,
     write_loss_log,
 )
 from .verify import CRITERIA, Decision, decide
 
 THRESHOLDS_FILE = "thresholds.txt"
 SWEEP_CSV = "sweep.csv"
+CASCADES_JSONL = "cascades.jsonl"
 
 SWEEP_CSV_HEADER = (
     "seed,step,regime,predictor,K,L_hat,L_t,"
@@ -105,6 +108,8 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class CascadeRow:
+    """A cascade start; its cascades.jsonl line's keys are these fields, in order."""
+
     seed: int
     start_step: int
     depth: int
@@ -147,8 +152,7 @@ def check_cascade_ks(cfg: RunConfig) -> None:
                              f"{','.join(map(str, cfg.k_set))}")
 
 
-RUN_OUTPUTS = ("ckpt_*.lpv", "events.jsonl", LOSS_LOG, SWEEP_CSV, "cascades.jsonl",
-               "config.txt")
+RUN_OUTPUTS = ("ckpt_*.lpv", EVENTS_JSONL, LOSS_LOG, SWEEP_CSV, CASCADES_JSONL, "config.txt")
 
 
 def fresh_run_dir(run_dir: str | Path, force: bool = True) -> Path:
@@ -429,42 +433,31 @@ def read_sweep_csv(path: str | Path, epsilon: float,
     return cells
 
 
-def _cascade_row_json(row: CascadeRow) -> dict:
-    return {
-        "seed": row.seed,
-        "start_step": row.start_step,
-        "depth": row.depth,
-        "k": row.k,
-        "predictor": row.predictor,
-        "criterion": row.criterion,
-        "accepted_depth": row.accepted_depth,
-        "events": [ev.to_json() for ev in row.events],
-    }
-
-
 def write_cascade_rows(rows: list[CascadeRow], path: str | Path) -> None:
-    text = "".join(json.dumps(_cascade_row_json(r)) + "\n" for r in rows)
-    write_atomic(path, text)
+    write_jsonl(path, rows)
 
 
 def read_cascade_rows(path: str | Path, epsilon: float) -> list[CascadeRow]:
     """Reload cascade rows; per-stage events are not reconstructed.
 
-    A row whose events record another epsilon than `epsilon` is refused.
+    A line that is not JSON of CascadeRow's fields is refused by its number,
+    and a row whose events record another epsilon than `epsilon` is refused.
     """
     rows: list[CascadeRow] = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        for scored in (event["decision"]["epsilon"] for event in obj["events"]):
-            if scored != epsilon:
-                raise ValueError(f"{path} was scored under epsilon {scored}, not the "
+        try:
+            row = CascadeRow(**json.loads(line))
+            scored = [event["decision"]["epsilon"] for event in row.events]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}, line {number} is not a cascade row: {exc}; "
+                             f"run the cascade pass again") from exc
+        for eps in scored:
+            if eps != epsilon:
+                raise ValueError(f"{path} was scored under epsilon {eps}, not the "
                                  f"configured {epsilon}; run the cascade pass again")
-        rows.append(CascadeRow(
-            seed=obj["seed"], start_step=obj["start_step"], depth=obj["depth"],
-            k=obj["k"], predictor=obj["predictor"], criterion=obj["criterion"],
-            accepted_depth=obj["accepted_depth"], events=()))
+        rows.append(replace(row, events=()))
     return rows
 
 
@@ -808,7 +801,7 @@ def cascade_pass(cfg: RunConfig, task: Task, out_root: str | Path) -> Pass:
         rows = pass3_cascades(run_dir, task, hyper, configs=cfg.cascades,
                               criterion=cfg.criterion, epsilon=cfg.epsilon,
                               adaptive_window=cfg.adaptive_window, formulas=formulas)
-        write_cascade_rows(rows, run_dir / "cascades.jsonl")
+        write_cascade_rows(rows, run_dir / CASCADES_JSONL)
         return len(rows)
 
     return "pass3 (cascade)", cascade
@@ -834,7 +827,7 @@ def make_report(cfg: RunConfig) -> dict:
     def load(seed: int) -> tuple[list[RegimeLabel], list[SweepCell], list[CascadeRow]]:
         run_dir = task_dir / str(seed)
         labels = [label for _, label in read_loss_log(run_dir).values()]
-        sweep_file, cascade_file = run_dir / SWEEP_CSV, run_dir / "cascades.jsonl"
+        sweep_file, cascade_file = run_dir / SWEEP_CSV, run_dir / CASCADES_JSONL
         for path, stage in ((sweep_file, "sweep"), (cascade_file, "cascade")):
             if not path.exists():
                 raise FileNotFoundError(f"{path} missing; run the {stage} pass first")

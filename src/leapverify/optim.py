@@ -20,6 +20,8 @@ import numpy as np
 
 from .core import NonFiniteError, freeze, is_finite
 
+FF_POLICIES = ("carry", "decay")
+
 
 @dataclass(frozen=True)
 class AdamHyper:
@@ -151,9 +153,9 @@ def fast_forward(state: AdamState, k: int, policy: str = "carry") -> None:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if policy not in FF_POLICIES:
+        raise ValueError(f"unknown fast-forward policy {policy!r}")
     if policy == "decay":
         state.m *= state.hyper.beta1**k
         state.v *= state.hyper.beta2**k
-    elif policy != "carry":
-        raise ValueError(f"unknown fast-forward policy {policy!r}")
     state.step += k

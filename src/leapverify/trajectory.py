@@ -27,17 +27,19 @@ measures the parameters in place, packs the loss in and returns it with the
 fingerprint. Only a checkpoint with a finite loss is written. write_atomic
 writes every file of a run through its `.tmp` name, so none is ever
 partial. The run writes loss_log.csv last, so read_loss_log refuses a run
-dir without it as unfinished.
+dir without it as unfinished. write_jsonl writes events.jsonl and
+cascades.jsonl, each line the fields of one LeapEvent or CascadeRow in order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,6 +56,8 @@ MAGIC = b"LPVF"
 FORMAT_VERSION = 2
 WINDOW_CAPACITY = 3
 LOSS_LOG = "loss_log.csv"
+LOSS_LOG_HEADER = "step,val_loss,similarity,regime"
+EVENTS_JSONL = "events.jsonl"
 
 
 class CheckpointFormatError(ValueError):
@@ -140,6 +144,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
+def write_jsonl(path: str | Path, records: Iterable) -> None:
+    """Write each dataclass record as one JSON line: its vars(), the fields in declared order."""
+    write_atomic(path, "".join(json.dumps(record, default=vars) + "\n" for record in records))
+
+
 def finish_checkpoint(data, step: int, store_dir: Path | None,
                       measure: Measure | None) -> tuple[float, np.ndarray | None] | None:
     """Finish a run's checkpoint at `step`, encoded in the writable buffer `data`.
@@ -209,7 +218,7 @@ def write_loss_log(result: RunResult, run_dir: str | Path) -> None:
     """Write the run's loss_log.csv, the record of each checkpoint's label."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["step", "val_loss", "similarity", "regime"])
+    writer.writerow(LOSS_LOG_HEADER.split(","))
     for step, val_loss, sim, label in zip(result.steps, result.loss_log, result.similarities,
                                           result.labels):
         writer.writerow([step, repr(val_loss),
@@ -221,14 +230,17 @@ def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
     """Each checkpoint's held-out loss and regime label by step, from the run's loss_log.csv.
 
     A run dir without loss_log.csv, or whose log lists other steps than its
-    checkpoint files, holds an unfinished or mixed run and is refused.
+    checkpoint files, holds an unfinished or mixed run and is refused; so is
+    a log of another header than LOSS_LOG_HEADER.
     """
     path = Path(run_dir) / LOSS_LOG
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
     with open(path, newline="") as fh:
-        log = {int(row["step"]): (float(row["val_loss"]), RegimeLabel(row["regime"]))
-               for row in csv.DictReader(fh)}
+        if (header := fh.readline().rstrip("\r\n")) != LOSS_LOG_HEADER:
+            raise ValueError(f"{path}: unexpected loss log header {header!r}")
+        log = {int(step): (float(val_loss), RegimeLabel(regime))
+               for step, val_loss, _, regime in csv.reader(fh)}
     mismatch = set(log).symmetric_difference(checkpoint_steps(run_dir))
     if mismatch:
         raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")

@@ -218,6 +218,23 @@ def test_report_refuses_outputs_of_another_epsilon(tmp_path, capsys):
         f"epsilon 0.05, not the configured 0.5; run the cascade pass again\n")
 
 
+def test_report_refuses_a_cascades_line_of_another_layout(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(run_all_args(out)) == 0
+    cascades = out / "runs" / "quad-bowl" / "42" / "cascades.jsonl"
+    *lines, last = cascades.read_text().splitlines()
+    row = json.loads(last)
+    del row["depth"]
+    capsys.readouterr()
+    # a row without one of CascadeRow's fields, and a line cut short
+    for broken in (json.dumps(row), last[:100]):
+        cascades.write_text("\n".join([*lines, broken]) + "\n")
+        assert main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report failed for seed 42: {cascades}, line "
+                              f"{len(lines) + 1} is not a cascade row: ")
+        assert err.endswith("; run the cascade pass again\n")
+
 def test_an_invalid_optimizer_setting_is_refused_before_force_deletes_anything(tmp_path,
                                                                               capsys):
     out = tmp_path / "exp"

@@ -8,7 +8,7 @@ import pickle
 import signal
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -395,7 +395,7 @@ def test_leap_event_json_is_serializable():
     event, _ = leap_or_continue(w, 50, task, hyper,
                                 SpeculationSettings(predictor="linear", k=10),
                                 regime=RegimeLabel.STABLE, sigma=0.0, epsilon=0.05)
-    blob = json.dumps(event.to_json())
+    blob = json.dumps(asdict(event))
     back = json.loads(blob)
     assert back["regime_at_leap"] == "stable"
     assert back["stage"] == 1

@@ -48,17 +48,19 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from leapverify.cli import main
 from leapverify.config import RunConfig, save_config
-from leapverify.engine import SpeculationSettings, train_run
-from leapverify.harness import build_hyper, read_sweep_csv, run_experiment, write_loss_log
+from leapverify.engine import LeapEvent, SpeculationSettings, train_run
+from leapverify.harness import (CascadeRow, build_hyper, read_sweep_csv, run_experiment,
+                                write_loss_log)
 from leapverify.regime import Thresholds
 from leapverify.tasks import make_task
 from leapverify.trajectory import load_checkpoint
+from leapverify.verify import Decision
 
 STEPS, DELTA, SEED = 400, 20, 42
 THRESHOLDS = Thresholds(tau_low=-0.999, tau_high=-0.99)
@@ -209,3 +211,25 @@ def test_golden_live_events_of_one_seed_among_two(predictor, variants, tmp_path)
     assert main(["live", "--config", str(config), "--out", str(tmp_path)]) == 0
     events = tmp_path / "live" / "mlp-reg" / str(SEED) / "events.jsonl"
     assert sha256_file(events) == GOLDEN_LIVE_EVENTS[(predictor, variants)]
+
+
+def test_each_line_holds_its_records_fields_in_declared_order(tmp_path):
+    def names(record) -> list[str]:
+        return [f.name for f in fields(record)]
+
+    def check_event(event: dict) -> None:
+        assert list(event) == names(LeapEvent)
+        assert list(event["decision"]) == names(Decision)
+
+    _, leaps = run_digest("quad-bowl", "live", tmp_path / "live")
+    assert leaps
+    for line in (tmp_path / "live" / "events.jsonl").read_text().splitlines():
+        check_event(json.loads(line))
+    run_experiment(replace(REPLAY, out=str(tmp_path / "replay")))
+    run_dir = tmp_path / "replay" / "runs" / "mlp-reg" / str(SEED)
+    rows = [json.loads(line) for line in (run_dir / "cascades.jsonl").read_text().splitlines()]
+    assert rows
+    for row in rows:
+        assert list(row) == names(CascadeRow)
+        for event in row["events"]:
+            check_event(event)

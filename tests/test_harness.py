@@ -369,6 +369,12 @@ def test_unfinished_runs_are_refused(experiment, tmp_path, stage):
     with pytest.raises(PassError, match=rf"{re.escape(stage)} failed for seed 43: .*loss_log.csv "
                                          r"and the checkpoint files disagree at step 300"):
         passes[stage]()
+    # a loss log of another layout
+    (run_dir / "loss_log.csv").write_bytes(log.replace(b"val_loss", b"loss", 1))
+    with pytest.raises(PassError, match=rf"{re.escape(stage)} failed for seed 43: "
+                                         rf"{re.escape(str(run_dir / 'loss_log.csv'))}: "
+                                         r"unexpected loss log header 'step,loss,"):
+        passes[stage]()
 
 
 def test_pass3_rows_start_from_stable_checkpoints(experiment):
