@@ -22,17 +22,17 @@ applied; an offline cascade walks deeper and applies nothing.
 
 A training run hands each checkpoint over, and settles that hand-over
 before its next checkpoint and once it ends: the checkpoint is then
-finished (trajectory.finish_checkpoint), written and, in a plain run,
-which never leaps, measured (Measure). A run that has a CPU to spare has a
-producer process pinned to that CPU (batches_drawn_ahead), which draws its
-batch blocks ahead of it and finishes its checkpoints behind it while the
-run trains on; else Handover finishes each one in the run's process when
-it is settled. A run that may leap measures each checkpoint itself before
-its next step, since an accepted leap changes what it trains next. Measure
-keeps no state and the run alone computes each similarity, so every output
-is the same bit for bit whichever process measured. The run writes
-events.jsonl and loss_log.csv last, once every checkpoint is settled, so
-no event or label outlives a checkpoint file left unwritten.
+finished (trajectory.finish_checkpoint), written and, if it came with a NaN
+loss, as a plain run's does, measured (Task.measure). A run that has a CPU
+to spare has a producer process pinned to that CPU (batches_drawn_ahead),
+which draws its batch blocks ahead of it and finishes its checkpoints
+behind it while the run trains on; else Handover finishes each one in the
+run's process when it is settled. A run that may leap measures each
+checkpoint itself before its next step, since an accepted leap changes what
+it trains next. The run alone computes each similarity, so every output is
+the same bit for bit whichever process measured. The run writes
+events.jsonl and loss_log.csv last, once every checkpoint is settled, so no
+event or label outlives a checkpoint file left unwritten.
 """
 
 from __future__ import annotations
@@ -199,33 +199,18 @@ def leap_or_continue(
     return replace(events[0], applied=accepted and settings.apply), pred
 
 
-class Measure:
-    """What labels a checkpoint, from its parameters alone: their held-out
-    loss and, where that is finite, their fingerprint, else None. It keeps
-    no state, so any process may measure any checkpoint; train_run compares
-    each fingerprint with the last one it recorded.
-    """
-
-    def __init__(self, task: Task):
-        self.task = task
-
-    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-        val_loss = self.task.validation_loss(theta)
-        return val_loss, self.task.fingerprint(theta) if math.isfinite(val_loss) else None
-
-
 class Handover:
     """A run's checkpoints finished in its own process: `save` encodes the
     checkpoint handed over into `slot`, a writable buffer of its file's size,
     and holds it until the run settles it, which finishes the slot's bytes
-    (trajectory.finish_checkpoint), measured with `measure`, if given, and
-    written to store_dir, if any. workers.BlockProducer finishes them in a
-    process beside the run instead, and falls back on this once it is gone.
+    (trajectory.finish_checkpoint), measured where their loss is NaN, as a
+    plain run's is and a live run's never, and written to store_dir, if any.
+    workers.BlockProducer finishes them in a process beside the run instead,
+    and falls back on this once it is gone.
     """
 
-    def __init__(self, slot: bytearray | np.ndarray, store_dir: Path | None,
-                 measure: Measure | None):
-        self.slot, self.store_dir, self.measure = slot, store_dir, measure
+    def __init__(self, slot: bytearray | np.ndarray, store_dir: Path | None, task: Task):
+        self.slot, self.store_dir, self.task = slot, store_dir, task
         self.pending: Checkpoint | None = None  # handed over, not settled
 
     def save(self, ckpt: Checkpoint) -> None:
@@ -236,11 +221,11 @@ class Handover:
 
     def settle(self) -> tuple[int, float, np.ndarray | None] | None:
         """Finish the checkpoint handed over last: its step, held-out loss and
-        fingerprint (Measure's) where it was measured then, else None."""
+        fingerprint (Task.measure's) where it was measured then, else None."""
         ckpt, self.pending = self.pending, None
         if ckpt is None:
             return None
-        measured = finish_checkpoint(self.slot, ckpt.step, self.store_dir, self.measure)
+        measured = finish_checkpoint(self.slot, ckpt.step, self.store_dir, self.task)
         return None if measured is None else (ckpt.step, *measured)
 
 
@@ -251,11 +236,11 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path | None = None,
-                        measure: Measure | None = None) -> Iterator[Handover]:
+def batches_drawn_ahead(task: Task, seed: int, total_steps: int,
+                        store_dir: Path | None = None) -> Iterator[Handover]:
     """Within the block, a producer process draws the task's batch blocks of
     seed's first total_steps steps ahead of the run, and finishes behind it
-    the checkpoints the run hands over, measured with `measure`, if given,
+    the checkpoints the run hands over, measured where their loss is NaN
     and written to store_dir, if any (workers.BlockProducer).
 
     Yields what the run hands its checkpoints over to: the producer, else a
@@ -273,10 +258,10 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int, store_dir: Path
         from . import workers  # here, so that a run on one CPU never loads multiprocessing
 
         if not workers.in_worker():
-            producer = workers.BlockProducer(task, seed, total_steps, store_dir, measure)
+            producer = workers.BlockProducer(task, seed, total_steps, store_dir)
     task.producer = producer
     checkpoints = producer if producer is not None else Handover(
-        bytearray(checkpoint_bytes(task.param_dim)), store_dir, measure)
+        bytearray(checkpoint_bytes(task.param_dim)), store_dir, task)
     try:
         yield checkpoints
     finally:
@@ -326,16 +311,16 @@ def train_run(
     checkpoint stores frozen copies of the parameters and moments, and a
     landing leap copies the predicted parameters into the buffer.
 
-    A producer process (batches_drawn_ahead) may draw its batches ahead of
-    it and finish its checkpoints behind it while it trains on; else
-    Handover finishes each one when the run settles it. A plain run's
-    checkpoint is measured (Measure) as it is finished, and the run settles
-    each hand-over, recording the checkpoint's loss, similarity and label,
-    before its next checkpoint, before it returns, and before it raises, so
-    that a checkpoint's non-finite held-out loss still stops the run at
-    that checkpoint. A live run measures each checkpoint and makes its
-    attempt itself, since a leap must land before the next step. The run
-    computes each similarity itself, from the fingerprints measured. The
+    A producer process (batches_drawn_ahead) may draw its batches ahead of it
+    and finish its checkpoints behind it while it trains on; else Handover
+    finishes each one when the run settles it. A plain run's checkpoint,
+    handed over with a NaN loss, is measured as it is finished, and the run
+    settles each hand-over, recording the checkpoint's loss, similarity and
+    label, before its next checkpoint, before it returns, and before it
+    raises, so that a checkpoint's non-finite held-out loss still stops the
+    run at that checkpoint. A live run measures each checkpoint and makes its
+    attempt itself, since a leap must land before the next step, and hands
+    over only finite losses. The run computes each similarity itself. The
     producer is stopped before the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
@@ -359,7 +344,6 @@ def train_run(
     sims: list[float | None] = []
     labels: list[RegimeLabel] = []
     events: list[LeapEvent] = []
-    measure = Measure(task)
     last_fingerprint: np.ndarray | None = None  # of the last checkpoint recorded
     skipped = 0
 
@@ -379,10 +363,7 @@ def train_run(
         labels.append(label)
         return label
 
-    # measured behind, a plain run trains on (char-seq, 2000 steps: 0.741 s, inline 0.821 s);
-    # a live run must not wait for the reply before it leaps (0.819 s, inline 0.702 s)
-    behind = measure if speculation is None else None
-    with batches_drawn_ahead(task, seed, total_steps, store_path, behind) as checkpoints:
+    with batches_drawn_ahead(task, seed, total_steps, store_path) as checkpoints:
 
         def settle() -> None:
             """Settle the last hand-over; record it if it was measured then,
@@ -410,11 +391,13 @@ def train_run(
             m, v = snapshot_moments(state)
             ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v,
                               val_loss=math.nan, seed=seed)
+            # measured behind, a plain run trains on (char-seq, 2000 steps: 0.741 s, inline
+            # 0.821 s); a live run must not wait for a reply to leap (0.819 s, inline 0.702 s)
             if speculation is None:
-                checkpoints.save(ckpt)  # measured when it is settled
+                checkpoints.save(ckpt)  # its NaN loss: measured when it is settled
                 next_ckpt += delta
                 continue
-            val_loss, fingerprint = measure(ckpt.theta)
+            val_loss, fingerprint = task.measure(ckpt.theta)
             label = record(step, val_loss, fingerprint)
             ckpt = replace(ckpt, val_loss=val_loss)
             if store_path is not None:

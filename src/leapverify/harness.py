@@ -200,10 +200,13 @@ def write_thresholds(th: Thresholds, out_root: str | Path) -> Path:
 
 def read_thresholds(path: str | Path) -> Thresholds:
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         key, _, value = line.partition("=")
         if key.strip() in ("tau_low", "tau_high"):
-            values[key.strip()] = float(value.strip())
+            try:
+                values[key.strip()] = float(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
     if set(values) != {"tau_low", "tau_high"}:
         raise ValueError(f"{path}: expected tau_low and tau_high entries")
     return Thresholds(tau_low=values["tau_low"], tau_high=values["tau_high"])
@@ -400,10 +403,10 @@ def read_sweep_csv(path: str | Path, epsilon: float,
                    regime: RegimeLabel | None = None) -> list[SweepCell]:
     """Rebuild sweep cells from CSV (criterion verdicts are authoritative).
 
-    A sweep whose stored proximity verdict disagrees with `epsilon`, recomputed
-    from the exact L_hat and L_t, was scored under another epsilon and is
-    refused. With `regime`, only the eligible cells of checkpoints labelled
-    `regime` are built, and the other rows are skipped.
+    A row that does not parse is refused, and so is a sweep whose stored
+    proximity verdict disagrees with `epsilon`, recomputed from the exact
+    L_hat and L_t: it was scored under another epsilon. With `regime`, only
+    the eligible cells of checkpoints labelled `regime` are built.
     """
     cells: list[SweepCell] = []
     regimes = {label.value: label for label in RegimeLabel}
@@ -412,24 +415,27 @@ def read_sweep_csv(path: str | Path, epsilon: float,
         header = next(reader, None)
         if header != SWEEP_CSV_HEADER.split(","):
             raise ValueError(f"{path}: unexpected sweep CSV header {header}")
-        # the columns of SWEEP_CSV_HEADER, in order
-        for (seed, step, label, predictor, k, l_hat, l_t,
-             strict, adaptive, proximity, disp, eligible) in reader:
-            if regime is not None and (label != regime.value or eligible != "1"):
-                continue
-            l_t = float(l_t)
+        for row in reader:
+            try:  # the columns of SWEEP_CSV_HEADER, in order
+                (seed, step, label, predictor, k, l_hat, l_t,
+                 strict, adaptive, proximity, disp, eligible) = row
+                if regime is not None and (label != regime.value or eligible != "1"):
+                    continue
+                seed, step, label, k, l_t = int(seed), int(step), regimes[label], int(k), float(l_t)
+                l_hat, disp = (float(l_hat), float(disp)) if eligible == "1" else (math.nan,) * 2
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num} is not a sweep row: {exc}; "
+                                 f"run the sweep pass again") from exc
+            decision = None
             if eligible == "1":
-                l_hat, disp = float(l_hat), float(disp)
                 if (proximity == "1") != (abs(l_hat - l_t) < epsilon * l_t):
                     raise ValueError(f"{path} was swept under another epsilon than {epsilon} "
                                      f"(step {step}, predictor {predictor}, K={k}); "
                                      f"run the sweep pass again")
                 decision = Decision(strict == "1", None if adaptive == "" else adaptive == "1",
                                     proximity == "1", l_hat, l_t, None, epsilon)
-            else:
-                l_hat, decision, disp = math.nan, None, math.nan
-            cells.append(SweepCell(int(seed), int(step), regimes[label], predictor, int(k),
-                                   l_hat, l_t, decision, disp, eligible == "1"))
+            cells.append(SweepCell(seed, step, label, predictor, k, l_hat, l_t, decision, disp,
+                                   eligible == "1"))
     return cells
 
 

@@ -22,12 +22,13 @@ takes each block from it instead when it has one; the producer draws through
 the same `draw_block`, so the stream is the same bit for bit. The held-out
 validation set and the probe set used for activation fingerprints (of
 fingerprint_dim values, which size the producer's ring) are fixed at
-construction.
+construction, so `measure` labels a checkpoint alike in any process.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from collections.abc import Sequence
 from itertools import chain
 from dataclasses import dataclass
@@ -91,6 +92,12 @@ class Task:
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         """Concatenated final-layer activations over the fixed probe set."""
         raise NotImplementedError
+
+    def measure(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Theta's held-out loss and, where that is finite, fingerprint, else None:
+        what labels a checkpoint, alike in any process. No task overrides it."""
+        val_loss = self.validation_loss(theta)
+        return val_loss, self.fingerprint(theta) if math.isfinite(val_loss) else None
 
     def affine_losses(self, theta: np.ndarray,
                       grids: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],

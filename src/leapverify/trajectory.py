@@ -50,7 +50,8 @@ from .core import freeze
 from .regime import RegimeLabel
 
 if TYPE_CHECKING:
-    from .engine import Measure, RunResult
+    from .engine import RunResult
+    from .tasks import Task
 
 MAGIC = b"LPVF"
 FORMAT_VERSION = 2
@@ -150,21 +151,20 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
 
 
 def finish_checkpoint(data, step: int, store_dir: Path | None,
-                      measure: Measure | None) -> tuple[float, np.ndarray | None] | None:
+                      task: Task) -> tuple[float, np.ndarray | None] | None:
     """Finish a run's checkpoint at `step`, encoded in the writable buffer `data`.
 
-    With a `measure` (engine.Measure) its parameters are measured where
-    they lie in `data` and the held-out loss is packed in. The file goes to
-    store_dir, if any, unless that loss is not finite: a diverged run stores
-    no checkpoint of its own. Returns what `measure` returned, the held-out
-    loss and the fingerprint (None where the loss is not finite), else None.
+    A NaN loss in `data`, which a plain run hands over and a live run never
+    does, has the parameters measured where they lie, and their loss packed
+    in. The file goes to store_dir, if any, unless that loss is not finite:
+    a diverged run stores no checkpoint of its own. Returns Task.measure's
+    loss and fingerprint if it measured, else None.
     """
-    measured = None
-    if measure is not None:
-        param_count = (len(data) - checkpoint_bytes(0)) // 24
-        measured = measure(np.ndarray(param_count, "<f8", data, 24))
-        struct.pack_into("<d", data, len(data) - 16, measured[0])
-    if store_dir is not None and math.isfinite(struct.unpack_from("<d", data, len(data) - 16)[0]):
+    loss, measured = struct.unpack_from("<d", data, len(data) - 16)[0], None
+    if math.isnan(loss):
+        measured = task.measure(np.ndarray(task.param_dim, "<f8", data, 24))
+        struct.pack_into("<d", data, len(data) - 16, loss := measured[0])
+    if store_dir is not None and math.isfinite(loss):
         write_atomic(checkpoint_path(store_dir, step), data)
     return measured
 
@@ -231,16 +231,21 @@ def read_loss_log(run_dir: str | Path) -> dict[int, tuple[float, RegimeLabel]]:
 
     A run dir without loss_log.csv, or whose log lists other steps than its
     checkpoint files, holds an unfinished or mixed run and is refused; so is
-    a log of another header than LOSS_LOG_HEADER.
+    a log of another header than LOSS_LOG_HEADER, or a row that does not parse.
     """
     path = Path(run_dir) / LOSS_LOG
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; pass 1 (train) did not finish this run")
     with open(path, newline="") as fh:
-        if (header := fh.readline().rstrip("\r\n")) != LOSS_LOG_HEADER:
+        reader, log = csv.reader(fh), {}
+        if (header := ",".join(next(reader, []))) != LOSS_LOG_HEADER:
             raise ValueError(f"{path}: unexpected loss log header {header!r}")
-        log = {int(step): (float(val_loss), RegimeLabel(regime))
-               for step, val_loss, _, regime in csv.reader(fh)}
+        try:
+            for step, val_loss, _, regime in reader:
+                log[int(step)] = float(val_loss), RegimeLabel(regime)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num} is not a loss log row: {exc}; "
+                             f"run the train pass again") from exc
     mismatch = set(log).symmetric_difference(checkpoint_steps(run_dir))
     if mismatch:
         raise ValueError(f"{path} and the checkpoint files disagree at step {min(mismatch)}")

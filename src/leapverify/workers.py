@@ -16,7 +16,7 @@ A batch producer (BlockProducer) works beside one training run on another
 CPU, through a shared ring: it draws the run's batch blocks ahead of it, and
 behind it finishes the checkpoints whose bytes the run encodes into the ring
 (trajectory.finish_checkpoint), sending back the loss and fingerprint of each
-one it measures.
+one it measures: each one a plain run hands over with a NaN loss.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -47,7 +47,6 @@ from .tasks import BATCH_BLOCK
 from .trajectory import Checkpoint, checkpoint_bytes, finish_checkpoint
 
 if TYPE_CHECKING:
-    from .engine import Measure
     from .tasks import Task
 
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
@@ -185,21 +184,20 @@ class BlockProducer(Handover):
 
     Handover's slot lies in the ring too, beside one for a fingerprint, and
     `save` is Handover's plus the step sent down the save pipe. The producer
-    finishes the slot's bytes there (trajectory.finish_checkpoint), copies
-    the fingerprint into its slot and sends the held-out loss, and whether
-    it wrote a fingerprint, down the saved pipe; `settle` waits for that and
-    returns what Handover's does. A checkpoint the producer does not settle,
-    because it died, could not be pinned or met an error, Handover's
-    `settle` finishes from the bytes already encoded, which meets the error
-    again and raises it.
+    finishes a copy of the slot's bytes (trajectory.finish_checkpoint),
+    copies the fingerprint into its slot and sends the held-out loss, and
+    whether it wrote a fingerprint, down the saved pipe; `settle` waits for
+    that and returns what Handover's does. A checkpoint the producer does
+    not settle, because it died, could not be pinned or met an error,
+    Handover's `settle` finishes from the bytes as the run encoded them, a
+    plain run's NaN loss still in, which meets the error again and raises it.
 
     The producer pins itself to the lowest CPU this process may use other
     than the one it runs on, and exits at once where it cannot: woken on the
     run's CPU, it would wait for the run and slow it down.
     """
 
-    def __init__(self, task: Task, seed: int, total_steps: int, store_dir: Path | None,
-                 measure: Measure | None):
+    def __init__(self, task: Task, seed: int, total_steps: int, store_dir: Path | None):
         self.seed, self.firsts = seed, range(BATCH_BLOCK, total_steps, BATCH_BLOCK)
         self._wanted, self._gone = 0, False  # _gone: the ready pipe ended, no block will come
         like, _ = task._batch_block(seed, 0)
@@ -212,7 +210,7 @@ class BlockProducer(Handover):
                         for j, a in enumerate(like)] for s in range(RING_SLOTS)]
         self._fingerprint = np.ndarray(fingerprint_dim, np.float64, self._ring, blocks_size)
         super().__init__(np.ndarray(ckpt_size, np.uint8, self._ring,
-                                    blocks_size + 8 * fingerprint_dim), store_dir, measure)
+                                    blocks_size + 8 * fingerprint_dim), store_dir, task)
         sched_getcpu = ctypes.CDLL(None).sched_getcpu
         sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
         cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
@@ -224,7 +222,7 @@ class BlockProducer(Handover):
         self._process = None
         try:
             self._process = fork(_produce, task, seed, self.firsts, self._slots,
-                                 self._fingerprint, self.slot, store_dir, measure, cpu,
+                                 self._fingerprint, self.slot, store_dir, cpu,
                                  (wants, ready, saves, saved),
                                  (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
@@ -273,17 +271,17 @@ class BlockProducer(Handover):
     def settle(self) -> tuple[int, float, np.ndarray | None] | None:
         """Wait until the producer has finished the checkpoint handed over
         last, or finish it here if the producer is gone: its step, held-out
-        loss and fingerprint where it was measured then, else None."""
+        loss and fingerprint if it was handed over with a NaN loss, else None."""
         if self.pending is None:
             return None
         reply = os.read(self._saved, _MEASURED.size)
         if not reply:
             return super().settle()
-        step, self.pending = self.pending.step, None
-        if self.measure is None:
+        ckpt, self.pending = self.pending, None
+        if not np.isnan(ckpt.val_loss):
             return None
         val_loss, fingerprinted = _MEASURED.unpack(reply)
-        return step, val_loss, freeze(self._fingerprint.copy()) if fingerprinted else None
+        return ckpt.step, val_loss, freeze(self._fingerprint.copy()) if fingerprinted else None
 
     def close(self) -> None:
         """Stop the producer and release the ring and the pipes; idempotent.
@@ -302,8 +300,7 @@ class BlockProducer(Handover):
 
 def _produce(task: Task, seed: int, firsts: range, slots: list[list[np.ndarray]],
              fingerprint_slot: np.ndarray, ckpt_slot: np.ndarray, store_dir: Path | None,
-             measure: Measure | None, cpu: int, fds: tuple[int, int, int, int],
-             theirs: tuple[int, ...]) -> None:
+             cpu: int, fds: tuple[int, int, int, int], theirs: tuple[int, ...]) -> None:
     """The producer: draw the blocks the run will want into the ring, and
     finish the checkpoints it hands over, until it stops us."""
     wants, ready, saves, saved = fds
@@ -325,8 +322,8 @@ def _produce(task: Task, seed: int, firsts: range, slots: list[list[np.ndarray]]
             # the run's next block comes first: the run settles a checkpoint only at its next one
             if saves in readable and not index == wanted < len(firsts):
                 step = int.from_bytes(_read(saves), "little")  # the next comes once it is settled
-                try:
-                    measured = finish_checkpoint(ckpt_slot, step, store_dir, measure)
+                try:  # a copy, so that the slot keeps a NaN loss for the run if we die
+                    measured = finish_checkpoint(bytearray(ckpt_slot), step, store_dir, task)
                 except Exception:
                     return  # unsettled, so the run does it and meets the error itself
                 val_loss, fingerprint = measured or (0.0, None)  # unmeasured: a bare reply

@@ -235,6 +235,19 @@ def test_report_refuses_a_cascades_line_of_another_layout(tmp_path, capsys):
                               f"{len(lines) + 1} is not a cascade row: ")
         assert err.endswith("; run the cascade pass again\n")
 
+
+def test_report_refuses_a_sweep_row_cut_short(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(run_all_args(out)) == 0
+    sweep = out / "runs" / "quad-bowl" / "42" / "sweep.csv"
+    *lines, last = sweep.read_text().splitlines()
+    sweep.write_text("\n".join([*lines, ",".join(last.split(",")[:7])]) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: report failed for seed 42: {sweep}, line {len(lines) + 1} is not a sweep row: "
+        f"not enough values to unpack (expected 12, got 7); run the sweep pass again\n")
+
 def test_an_invalid_optimizer_setting_is_refused_before_force_deletes_anything(tmp_path,
                                                                               capsys):
     out = tmp_path / "exp"
@@ -408,6 +421,13 @@ def test_a_thresholds_file_without_both_taus_is_refused_before_force_empties_a_r
     assert main(["train", *args, "--force"]) == 1
     assert (capsys.readouterr().err
             == f"error: {thresholds}: expected tau_low and tau_high entries\n")
+    assert files_under(out) == before
+    # a value that is not a number, refused by its file and line
+    thresholds.write_text("tau_low = abc\ntau_high = -0.99\n")
+    before = files_under(out)
+    assert main(["train", *args, "--force"]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {thresholds}, line 1: could not convert string to float: 'abc'\n")
     assert files_under(out) == before
 
 

@@ -33,7 +33,7 @@ from leapverify.predict import (
     predict,
 )
 from leapverify.regime import RegimeLabel, Thresholds
-from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, make_task
+from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, Task, make_task
 from leapverify.trajectory import (
     WINDOW_CAPACITY,
     finish_checkpoint,
@@ -769,15 +769,104 @@ def test_short_runs_and_seed_workers_start_no_producer(cpus, producers, monkeypa
 def test_measure_is_pure(name):
     task = make_task(name)
     a, b = task.init_params(0), task.init_params(1)
-    alone = engine.Measure(task)(a)
-    measure = engine.Measure(task)
+    alone = task.measure(a)
+    measure = task.measure
     measure(b)
     after_another = measure(a)
     # a loss and a fingerprint, the same whatever was measured before: no similarity
     for loss, fingerprint in (alone, after_another):
         assert loss == task.validation_loss(a)
         assert fingerprint.tobytes() == task.fingerprint(a).tobytes()
-    assert engine.Measure(task)(np.full(task.param_dim, np.nan))[1] is None  # no finite loss
+    assert task.measure(np.full(task.param_dim, np.nan))[1] is None  # no finite loss
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_nan_loss_is_the_one_sign_that_a_checkpoint_is_measured(name, tmp_path, monkeypatch):
+    task = make_task(name)
+    theta = task.init_params(3)
+    loss, fingerprint = task.measure(theta)
+    measure, taken = Task.measure, []
+    monkeypatch.setattr(Task, "measure", lambda self, theta: (
+        taken.append(theta), measure(self, theta))[1])
+    size = trajectory.checkpoint_bytes(task.param_dim)
+    for val_loss in (0.5, math.nan):  # as a live run and a plain run hand it over
+        ckpt = make_checkpoint(20, theta, val_loss=val_loss, seed=3)
+        data = bytearray(size)
+        trajectory.encode_checkpoint(ckpt, data)
+        handed = bytes(data)
+        store_dir = tmp_path / repr(val_loss)
+        store_dir.mkdir()
+        measured = finish_checkpoint(data, 20, store_dir, task)
+        handover = engine.Handover(bytearray(size), None, task)
+        handover.save(ckpt)
+        settled = handover.settle()
+        if math.isfinite(val_loss):
+            assert measured is None and settled is None
+            assert bytes(data) == handed
+            assert taken == []
+        else:
+            assert measured[0] == settled[1] == loss
+            assert measured[1].tobytes() == settled[2].tobytes() == fingerprint.tobytes()
+            assert settled[0] == 20
+            trajectory.encode_checkpoint(replace(ckpt, val_loss=loss), handed := bytearray(size))
+            assert data == handed  # the loss is packed in
+            assert len(taken) == 2
+        assert (store_dir / "ckpt_20.lpv").read_bytes() == data
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_producer_measures_only_a_checkpoint_handed_over_with_a_nan_loss(name, tmp_path,
+                                                                          two_cpus):
+    task = make_task(name)
+    theta = task.init_params(3)
+    loss, fingerprint = task.measure(theta)
+    producer = workers.BlockProducer(task, 3, 4 * BATCH_BLOCK, tmp_path)
+    try:
+        producer.save(make_checkpoint(20, theta, val_loss=0.5, seed=3))
+        assert producer.settle() is None
+        producer.save(make_checkpoint(40, theta, val_loss=math.nan, seed=3))
+        step, val_loss, measured = producer.settle()
+    finally:
+        producer.close()
+    assert (step, val_loss, measured.tobytes()) == (40, loss, fingerprint.tobytes())
+    assert load_checkpoint(tmp_path / "ckpt_20.lpv").val_loss == 0.5
+    assert load_checkpoint(tmp_path / "ckpt_40.lpv").val_loss == loss
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_run_without_a_store_dir_is_measured_alike_behind_it(name, cpus, producers,
+                                                              two_cpus):
+    """A calibration run: plain, and storing nothing."""
+    results, taken = [], []
+    for n in (1, 2):
+        cpus(n)
+        task = make_task(name)
+        taken.append(count_the_held_out_losses_taken_here(task))
+        result = train_run(task, 42, total_steps=RUN_STEPS, delta=20, thresholds=PERMISSIVE,
+                           hyper=AdamHyper(lr=task.recommended_lr, total_steps=RUN_STEPS))
+        results.append((result.steps, result.loss_log, result.similarities, result.labels))
+    assert len(producers) == 1
+    # the run measured each checkpoint itself on one CPU, and the producer on two
+    assert (len(taken[0]), len(taken[1])) == (len(results[0][0]), 0)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+def test_a_producer_that_dies_after_finishing_a_checkpoint_leaves_every_output_unchanged(
+        live, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = far_leaps("mlp-reg") if live else None
+    cpus(1)
+    inline = stored_run(make_task("mlp-reg"), tmp_path / "inline", speculation)
+    cpus(2)
+    finish = workers.finish_checkpoint
+
+    def finish_then_die(*args):
+        finish(*args)
+        os._exit(1)  # before it replies, so the run finishes the checkpoint again
+
+    monkeypatch.setattr(workers, "finish_checkpoint", finish_then_die)
+    assert stored_run(make_task("mlp-reg"), tmp_path / "died", speculation) == inline
+    assert len(producers) == 1
 
 
 @pytest.mark.parametrize("how", ["one-cpu", "two-cpus", "killed"])
@@ -816,14 +905,14 @@ def test_every_checkpoint_handed_over_is_encoded_once(live, how, tmp_path, cpus,
 def delay_the_producer_s_measuring(monkeypatch, seconds):
     """Make the producer wait `seconds` before it measures each checkpoint; the
     run, where it measures a checkpoint itself, does not."""
-    run, measure = os.getpid(), engine.Measure.__call__
+    run, measure = os.getpid(), Task.measure
 
     def slow(self, theta):
         if os.getpid() != run:
             time.sleep(seconds)
         return measure(self, theta)
 
-    monkeypatch.setattr(engine.Measure, "__call__", slow)
+    monkeypatch.setattr(Task, "measure", slow)
 
 
 def count_the_steps_trained(task):

@@ -375,6 +375,18 @@ def test_unfinished_runs_are_refused(experiment, tmp_path, stage):
                                          rf"{re.escape(str(run_dir / 'loss_log.csv'))}: "
                                          r"unexpected loss log header 'step,loss,"):
         passes[stage]()
+    # a row cut short, and a loss that is not a number, refused by the line
+    *rows, last = log.decode().splitlines()
+    step, _, similarity, regime = last.split(",")
+    for broken, refusal in ((f"{step},", "not enough values to unpack (expected 4, got 2)"),
+                            (f"{step},x,{similarity},{regime}",
+                             "could not convert string to float: 'x'")):
+        (run_dir / "loss_log.csv").write_text("\n".join([*rows, broken]) + "\n")
+        with pytest.raises(PassError, match=rf"{re.escape(stage)} failed for seed 43: "
+                                             rf"{re.escape(str(run_dir / 'loss_log.csv'))}, line "
+                                             rf"{len(rows) + 1} is not a loss log row: "
+                                             rf"{re.escape(refusal)}; run the train pass again"):
+            passes[stage]()
 
 
 def test_pass3_rows_start_from_stable_checkpoints(experiment):
