@@ -20,19 +20,22 @@ against stage n-1's loss. A live attempt is a depth-1 walk from
 speculate()'s exact prediction, and leap_or_continue only marks its event
 applied; an offline cascade walks deeper and applies nothing.
 
-A training run hands each checkpoint over, and settles that hand-over
-before its next checkpoint and once it ends: the checkpoint is then
-finished (trajectory.finish_checkpoint), written and, if it came with a NaN
-loss, as a plain run's does, measured (Task.measure). A run that has a CPU
-to spare has a producer process pinned to that CPU (batches_drawn_ahead),
+Every run, plain or live, takes one path at each checkpoint: it
+fingerprints the checkpoint itself and records its similarity and label at
+once; it takes the held-out loss itself only to attempt a leap (`attempts`
+decides), since the attempt is verified against that loss and an accepted
+leap changes what the run trains next; and it hands the checkpoint over,
+with that loss or else a NaN one. A plain run is a live run that never
+attempts. The run settles each hand-over before its next checkpoint and
+once it ends: the checkpoint is then finished (trajectory.finish_checkpoint),
+written and, if it came with a NaN loss, measured. A run that has a CPU to
+spare has a producer process pinned to that CPU (batches_drawn_ahead),
 which draws its batch blocks ahead of it and finishes its checkpoints
 behind it while the run trains on; else Handover finishes each one in the
-run's process when it is settled. A run that may leap measures each
-checkpoint itself before its next step, since an accepted leap changes what
-it trains next. The run alone computes each similarity, so every output is
-the same bit for bit whichever process measured. The run writes
-events.jsonl and loss_log.csv last, once every checkpoint is settled, so no
-event or label outlives a checkpoint file left unwritten.
+run's process when it is settled. A held-out loss is the same bit for bit
+whichever process measured it. The run writes events.jsonl and
+loss_log.csv last, once every checkpoint is settled, so no event or label
+outlives a checkpoint file left unwritten.
 """
 
 from __future__ import annotations
@@ -167,6 +170,21 @@ def speculate_grid(
     return [(preds, loss.tolist()) for (_, _, preds), loss in zip(grids, losses)]
 
 
+def attempts(settings: SpeculationSettings | None, window: Sequence[Checkpoint],
+             regime: RegimeLabel, room: int) -> bool:
+    """Whether a run speculating under `settings` attempts a leap at the newest
+    checkpoint of `window`, labelled `regime`, with `room` steps left to train.
+
+    A plain run, without settings, never does. A live run does unless regime
+    gating holds it back, the window is shorter than the predictor's
+    history, or the leap would land past the run's last step.
+    """
+    return (settings is not None and settings.k <= room
+            and not (settings.regime_gating
+                     and regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN))
+            and len(window) >= FORMULAS[settings.predictor].history)
+
+
 def leap_or_continue(
     window: Sequence[Checkpoint],
     delta: int,
@@ -183,13 +201,11 @@ def leap_or_continue(
     `window` is the history at spacing `delta`, oldest first, and `sigma` the
     recent validation-loss std. The attempt is stage 1 of run_cascade's walk
     from speculate()'s exact prediction and loss. Returns (event, prediction),
-    both None when gating or history makes the checkpoint ineligible;
-    event.applied says whether the caller should fast-forward to
-    prediction.theta_hat.
+    both None where `attempts` holds the checkpoint back, the room for the
+    leap aside, which is the caller's to check; event.applied says whether
+    the caller should fast-forward to prediction.theta_hat.
     """
-    if settings.regime_gating and regime in (RegimeLabel.CHAOTIC, RegimeLabel.UNKNOWN):
-        return None, None
-    if len(window) < FORMULAS[settings.predictor].history:
+    if not attempts(settings, window, regime, settings.k):
         return None, None
 
     pred, l_hat = speculate(window, delta, settings.predictor, settings.k, task, hyper)
@@ -203,10 +219,10 @@ class Handover:
     """A run's checkpoints finished in its own process: `save` encodes the
     checkpoint handed over into `slot`, a writable buffer of its file's size,
     and holds it until the run settles it, which finishes the slot's bytes
-    (trajectory.finish_checkpoint), measured where their loss is NaN, as a
-    plain run's is and a live run's never, and written to store_dir, if any.
-    workers.BlockProducer finishes them in a process beside the run instead,
-    and falls back on this once it is gone.
+    (trajectory.finish_checkpoint), measured where their loss is NaN, as
+    that of a checkpoint the run attempts no leap from is, and written to
+    store_dir, if any. workers.BlockProducer finishes them in a process
+    beside the run instead, and falls back on this once it is gone.
     """
 
     def __init__(self, slot: bytearray | np.ndarray, store_dir: Path | None, task: Task):
@@ -219,14 +235,13 @@ class Handover:
         encode_checkpoint(ckpt, self.slot)
         self.pending = ckpt
 
-    def settle(self) -> tuple[int, float, np.ndarray | None] | None:
-        """Finish the checkpoint handed over last: its step, held-out loss and
-        fingerprint (Task.measure's) where it was measured then, else None."""
+    def settle(self) -> float | None:
+        """Finish the checkpoint handed over last: its held-out loss where it
+        was measured then, else None."""
         ckpt, self.pending = self.pending, None
         if ckpt is None:
             return None
-        measured = finish_checkpoint(self.slot, ckpt.step, self.store_dir, self.task)
-        return None if measured is None else (ckpt.step, *measured)
+        return finish_checkpoint(self.slot, ckpt.step, self.store_dir, self.task)
 
 
 def usable_cpus() -> int:
@@ -249,7 +264,7 @@ def batches_drawn_ahead(task: Task, seed: int, total_steps: int,
     run on two CPUs or more and is not itself a seed worker, since the
     workers already fill the CPUs. Else, and once the producer is gone, the
     task draws every block itself and the run finishes every checkpoint
-    itself: the same stream, measurements and files bit for bit. When the
+    itself: the same stream, losses and files bit for bit. When the
     block ends, however it ends, the checkpoint handed over last is
     settled, and only then is the producer stopped.
     """
@@ -294,14 +309,14 @@ def train_run(
     """Train with checkpointing every delta steps; optionally speculate live.
 
     Without thresholds every checkpoint is labeled `unknown` (calibration
-    runs). With `speculation` set, each eligible checkpoint attempts one
-    leap; accepted leaps fast-forward the run under `ff_policy`, and
-    `momentum_variant` picks the formula of a `momentum` predictor, through
-    predict.resolve_predictor. Checkpoints are persisted to store_dir when
-    given, and once every one is settled the run writes events.jsonl, if it
-    made an attempt, and loss_log.csv there last, so a run that fails
-    leaves neither. In memory a live run keeps only its history window, and
-    a plain run only the checkpoint it handed over last.
+    runs). With `speculation` set, each checkpoint that `attempts` lets
+    attempts one leap; accepted leaps fast-forward the run under
+    `ff_policy`, and `momentum_variant` picks the formula of a `momentum`
+    predictor, through predict.resolve_predictor. A plain run is a live run
+    that never attempts. Checkpoints are persisted to store_dir when given,
+    and once every one is settled the run writes events.jsonl, if it made an
+    attempt, and loss_log.csv there last, so a run that fails leaves
+    neither. In memory the run keeps only its history window.
 
     The run owns one writable parameter buffer, one gradient buffer and its
     optimizer state's moment buffers, and every step updates them in place:
@@ -311,17 +326,21 @@ def train_run(
     checkpoint stores frozen copies of the parameters and moments, and a
     landing leap copies the predicted parameters into the buffer.
 
-    A producer process (batches_drawn_ahead) may draw its batches ahead of it
-    and finish its checkpoints behind it while it trains on; else Handover
-    finishes each one when the run settles it. A plain run's checkpoint,
-    handed over with a NaN loss, is measured as it is finished, and the run
-    settles each hand-over, recording the checkpoint's loss, similarity and
-    label, before its next checkpoint, before it returns, and before it
+    Every checkpoint takes one path. The run settles the last hand-over,
+    recording its loss if it was measured then, and fingerprints the
+    checkpoint, recording its similarity and label. It takes the
+    checkpoint's held-out loss itself only to attempt a leap, which must
+    land before the next step and is verified against that loss; it then
+    hands the checkpoint over, with that loss or else a NaN one, and makes
+    the attempt. A producer process (batches_drawn_ahead) may draw its
+    batches ahead of it and finish its checkpoints, measuring those handed
+    over with a NaN loss, behind it while it trains on; else Handover
+    finishes each one when the run settles it. The run settles each
+    hand-over before its next checkpoint, before it returns, and before it
     raises, so that a checkpoint's non-finite held-out loss still stops the
-    run at that checkpoint. A live run measures each checkpoint and makes its
-    attempt itself, since a leap must land before the next step, and hands
-    over only finite losses. The run computes each similarity itself. The
-    producer is stopped before the run returns or raises.
+    run at that checkpoint, and the recent loss std that an attempt reads
+    holds every loss up to its checkpoint. The producer is stopped before
+    the run returns or raises.
     """
     if ff_policy not in FF_POLICIES:
         raise ValueError(f"unknown fast-forward policy {ff_policy!r}")
@@ -347,30 +366,33 @@ def train_run(
     last_fingerprint: np.ndarray | None = None  # of the last checkpoint recorded
     skipped = 0
 
-    def record(step: int, val_loss: float, fingerprint: np.ndarray | None) -> RegimeLabel:
-        """Add checkpoint `step`'s measurements to the run's, with its
-        fingerprint's similarity to the last one's; its regime label."""
+    def record(step: int, fingerprint: np.ndarray) -> RegimeLabel:
+        """Add checkpoint `step` to the run's, with its fingerprint's
+        similarity to the last one's; its regime label."""
         nonlocal last_fingerprint
-        if not math.isfinite(val_loss):
-            raise RunDivergedError(f"non-finite validation loss at step {step} (seed {seed})")
         sim = None if last_fingerprint is None else similarity_at(fingerprint, last_fingerprint)
         last_fingerprint = fingerprint
         label = (classify(sim, thresholds) if sim is not None and thresholds is not None
                  else RegimeLabel.UNKNOWN)
         ckpt_steps.append(step)
-        loss_log.append(val_loss)
         sims.append(sim)
         labels.append(label)
         return label
 
+    def record_loss(val_loss: float) -> None:
+        """Add the held-out loss of the checkpoint recorded last, raising if it diverged."""
+        if not math.isfinite(val_loss):
+            raise RunDivergedError(
+                f"non-finite validation loss at step {ckpt_steps[-1]} (seed {seed})")
+        loss_log.append(val_loss)
+
     with batches_drawn_ahead(task, seed, total_steps, store_path) as checkpoints:
 
         def settle() -> None:
-            """Settle the last hand-over; record it if it was measured then,
-            raising if it diverged."""
-            measured = checkpoints.settle()
-            if measured is not None:
-                record(*measured)
+            """Settle the last hand-over; record its loss if it was measured then."""
+            val_loss = checkpoints.settle()
+            if val_loss is not None:
+                record_loss(val_loss)
 
         step = 0
         next_ckpt = delta
@@ -391,34 +413,26 @@ def train_run(
             m, v = snapshot_moments(state)
             ckpt = Checkpoint(step=step, theta=freeze(theta.copy()), m=m, v=v,
                               val_loss=math.nan, seed=seed)
-            # measured behind, a plain run trains on (char-seq, 2000 steps: 0.741 s, inline
-            # 0.821 s); a live run must not wait for a reply to leap (0.819 s, inline 0.702 s)
-            if speculation is None:
-                checkpoints.save(ckpt)  # its NaN loss: measured when it is settled
-                next_ckpt += delta
-                continue
-            val_loss, fingerprint = task.measure(ckpt.theta)
-            label = record(step, val_loss, fingerprint)
-            ckpt = replace(ckpt, val_loss=val_loss)
-            if store_path is not None:
-                checkpoints.save(ckpt)
+            label = record(step, task.fingerprint(ckpt.theta))
             window.append(ckpt)
-
-            if step + speculation.k <= total_steps:
+            attempt = attempts(speculation, window, label, total_steps - step)
+            if attempt:  # the loss the leap is verified against, before the next step
+                ckpt = window[-1] = replace(ckpt, val_loss=task.validation_loss(ckpt.theta))
+                record_loss(ckpt.val_loss)
+            checkpoints.save(ckpt)  # else its NaN loss is measured where it is finished
+            if attempt:
                 event, pred = leap_or_continue(
                     window, delta, task, hyper, speculation,
                     regime=label, sigma=recent_loss_std(loss_log, adaptive_window),
                     epsilon=epsilon,
                 )
-                if event is not None:
-                    events.append(event)
-                    if event.applied:
-                        assert pred is not None
-                        np.copyto(theta, pred.theta_hat)
-                        fast_forward(state, speculation.k, ff_policy)
-                        step += speculation.k
-                        skipped += speculation.k
-                        window.clear()
+                events.append(event)
+                if event.applied:
+                    np.copyto(theta, pred.theta_hat)
+                    fast_forward(state, speculation.k, ff_policy)
+                    step += speculation.k
+                    skipped += speculation.k
+                    window.clear()
             next_ckpt = (step // delta + 1) * delta
         settle()
 

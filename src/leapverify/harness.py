@@ -209,7 +209,10 @@ def read_thresholds(path: str | Path) -> Thresholds:
                 raise ValueError(f"{path}, line {number}: {exc}") from exc
     if set(values) != {"tau_low", "tau_high"}:
         raise ValueError(f"{path}: expected tau_low and tau_high entries")
-    return Thresholds(tau_low=values["tau_low"], tau_high=values["tau_high"])
+    try:
+        return Thresholds(tau_low=values["tau_low"], tau_high=values["tau_high"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def stored_thresholds(cfg: RunConfig, out_root: str | Path) -> Thresholds | None:

@@ -20,15 +20,15 @@ handed out earlier never changes. While a training run has a producer
 process drawing its blocks ahead (engine.batches_drawn_ahead), the task
 takes each block from it instead when it has one; the producer draws through
 the same `draw_block`, so the stream is the same bit for bit. The held-out
-validation set and the probe set used for activation fingerprints (of
-fingerprint_dim values, which size the producer's ring) are fixed at
-construction, so `measure` labels a checkpoint alike in any process.
+validation set and the probe set used for activation fingerprints are
+fixed at construction, so a checkpoint's held-out loss is the same in any
+process: the run takes it where it attempts a leap, else the producer
+does, and the run fingerprints every checkpoint itself.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from collections.abc import Sequence
 from itertools import chain
 from dataclasses import dataclass
@@ -63,7 +63,6 @@ class Task:
     recommended_lr: float
     data_seed: int
     batch_size: int  # rows of one batch drawn from one generator
-    fingerprint_dim: int  # values in a fingerprint
     producer: BlockProducer | None = None  # drawing this task's blocks ahead of a run
 
     def init_params(self, seed: int) -> np.ndarray:
@@ -92,12 +91,6 @@ class Task:
     def fingerprint(self, theta: np.ndarray) -> np.ndarray:
         """Concatenated final-layer activations over the fixed probe set."""
         raise NotImplementedError
-
-    def measure(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Theta's held-out loss and, where that is finite, fingerprint, else None:
-        what labels a checkpoint, alike in any process. No task overrides it."""
-        val_loss = self.validation_loss(theta)
-        return val_loss, self.fingerprint(theta) if math.isfinite(val_loss) else None
 
     def affine_losses(self, theta: np.ndarray,
                       grids: Sequence[tuple[Sequence[np.ndarray], np.ndarray]],
@@ -189,7 +182,7 @@ class QuadBowl(Task):
     batch_size = 1  # a batch is one noise row
 
     def __init__(self, dim: int = 20, noise: float = 0.01, data_seed: int = 7):
-        self.param_dim = self.fingerprint_dim = dim
+        self.param_dim = dim
         self.noise = float(noise)
         self.data_seed = int(data_seed)
         self.curvature = freeze(np.geomspace(0.1, 2.0, dim))
@@ -264,10 +257,6 @@ class TanhNetwork(Task):
         self.data_seed = int(data_seed)
         i, h, o = self.in_dim, self.hidden_dim, self.out_dim
         self.param_dim = i * h + h + h * o + o
-
-    @property
-    def fingerprint_dim(self) -> int:
-        return len(self._x_probe) * self.out_dim
 
     def batch(self, seed: int, step: int):
         block, i = self._batch_block(seed, step)

@@ -22,9 +22,9 @@ Round-trips are bit-exact for every float payload. encode_checkpoint is the
 one writer of these bytes, into the slot of a run's engine.Handover, and
 finish_checkpoint the one path from them to a file, taken by the run's
 batch producer behind the run (workers.BlockProducer), else in the run. A
-plain run's checkpoint comes encoded with a NaN loss: finish_checkpoint
-measures the parameters in place, packs the loss in and returns it with the
-fingerprint. Only a checkpoint with a finite loss is written. write_atomic
+checkpoint the run attempts no leap from comes encoded with a NaN loss:
+finish_checkpoint measures the parameters in place, packs the loss in and
+returns it. Only a checkpoint with a finite loss is written. write_atomic
 writes every file of a run through its `.tmp` name, so none is ever
 partial. The run writes loss_log.csv last, so read_loss_log refuses a run
 dir without it as unfinished. write_jsonl writes events.jsonl and
@@ -150,20 +150,19 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
     write_atomic(path, "".join(json.dumps(record, default=vars) + "\n" for record in records))
 
 
-def finish_checkpoint(data, step: int, store_dir: Path | None,
-                      task: Task) -> tuple[float, np.ndarray | None] | None:
+def finish_checkpoint(data, step: int, store_dir: Path | None, task: Task) -> float | None:
     """Finish a run's checkpoint at `step`, encoded in the writable buffer `data`.
 
-    A NaN loss in `data`, which a plain run hands over and a live run never
-    does, has the parameters measured where they lie, and their loss packed
-    in. The file goes to store_dir, if any, unless that loss is not finite:
-    a diverged run stores no checkpoint of its own. Returns Task.measure's
-    loss and fingerprint if it measured, else None.
+    A NaN loss in `data`, which the run hands over where it attempts no
+    leap, has the parameters measured where they lie, and their held-out
+    loss packed in. The file goes to store_dir, if any, unless that loss is
+    not finite: a diverged run stores no checkpoint of its own. Returns the
+    loss if it measured, else None.
     """
     loss, measured = struct.unpack_from("<d", data, len(data) - 16)[0], None
     if math.isnan(loss):
-        measured = task.measure(np.ndarray(task.param_dim, "<f8", data, 24))
-        struct.pack_into("<d", data, len(data) - 16, loss := measured[0])
+        loss = measured = task.validation_loss(np.ndarray(task.param_dim, "<f8", data, 24))
+        struct.pack_into("<d", data, len(data) - 16, loss)
     if store_dir is not None and math.isfinite(loss):
         write_atomic(checkpoint_path(store_dir, step), data)
     return measured

@@ -15,8 +15,9 @@ fails instead of leaving the command waiting.
 A batch producer (BlockProducer) works beside one training run on another
 CPU, through a shared ring: it draws the run's batch blocks ahead of it, and
 behind it finishes the checkpoints whose bytes the run encodes into the ring
-(trajectory.finish_checkpoint), sending back the loss and fingerprint of each
-one it measures: each one a plain run hands over with a NaN loss.
+(trajectory.finish_checkpoint), sending back the held-out loss of each one
+it measures: each one the run hands over with a NaN loss, having attempted
+no leap from it. The run fingerprints every checkpoint itself.
 
 Every child is forked by `fork` and set up alike: it ignores Ctrl-C, which
 stops the command, dies with the command, and runs OpenBLAS on one thread.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import heapq
+import math
 import mmap
 import multiprocessing
 import os
@@ -51,9 +53,9 @@ if TYPE_CHECKING:
 
 _PR_SET_PDEATHSIG = 1  # linux/prctl.h
 RING_SLOTS = 4  # blocks a producer may hold drawn ahead of its run
-# what the producer sends back for a checkpoint it finished: its held-out loss,
-# and whether it wrote the checkpoint's fingerprint into the ring
-_MEASURED = struct.Struct("<d?")
+# what the producer sends back for a checkpoint it finished: the held-out loss
+# it measured, NaN if the checkpoint came with its loss
+_MEASURED = struct.Struct("<d")
 
 
 class WorkerTraceback(Exception):
@@ -182,15 +184,14 @@ class BlockProducer(Handover):
     producer is gone, it returns None: the run draws the block itself, and
     the producer skips it.
 
-    Handover's slot lies in the ring too, beside one for a fingerprint, and
-    `save` is Handover's plus the step sent down the save pipe. The producer
-    finishes a copy of the slot's bytes (trajectory.finish_checkpoint),
-    copies the fingerprint into its slot and sends the held-out loss, and
-    whether it wrote a fingerprint, down the saved pipe; `settle` waits for
-    that and returns what Handover's does. A checkpoint the producer does
-    not settle, because it died, could not be pinned or met an error,
-    Handover's `settle` finishes from the bytes as the run encoded them, a
-    plain run's NaN loss still in, which meets the error again and raises it.
+    Handover's slot lies in the ring too, and `save` is Handover's plus the
+    step sent down the save pipe. The producer finishes a copy of the slot's
+    bytes (trajectory.finish_checkpoint) and sends the held-out loss it
+    measured down the saved pipe; `settle` waits for that and returns what
+    Handover's does. A checkpoint the producer does not settle, because it
+    died, could not be pinned or met an error, Handover's `settle` finishes
+    from the bytes as the run encoded them, any NaN loss still in, which
+    meets the error again and raises it.
 
     The producer pins itself to the lowest CPU this process may use other
     than the one it runs on, and exits at once where it cannot: woken on the
@@ -202,15 +203,13 @@ class BlockProducer(Handover):
         self._wanted, self._gone = 0, False  # _gone: the ready pipe ended, no block will come
         like, _ = task._batch_block(seed, 0)
         sizes = [array.nbytes for array in like] * RING_SLOTS
-        blocks_size, fingerprint_dim = sum(sizes), task.fingerprint_dim
-        ckpt_size = checkpoint_bytes(task.param_dim)
-        self._ring = mmap.mmap(-1, blocks_size + 8 * fingerprint_dim + ckpt_size)
+        blocks_size, ckpt_size = sum(sizes), checkpoint_bytes(task.param_dim)
+        self._ring = mmap.mmap(-1, blocks_size + ckpt_size)
         offsets = np.cumsum([0, *sizes])
         self._slots = [[np.ndarray(a.shape, a.dtype, self._ring, offsets[s * len(like) + j])
                         for j, a in enumerate(like)] for s in range(RING_SLOTS)]
-        self._fingerprint = np.ndarray(fingerprint_dim, np.float64, self._ring, blocks_size)
-        super().__init__(np.ndarray(ckpt_size, np.uint8, self._ring,
-                                    blocks_size + 8 * fingerprint_dim), store_dir, task)
+        super().__init__(np.ndarray(ckpt_size, np.uint8, self._ring, blocks_size),
+                         store_dir, task)
         sched_getcpu = ctypes.CDLL(None).sched_getcpu
         sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
         cpu = min(os.sched_getaffinity(0) - {sched_getcpu()})
@@ -222,7 +221,7 @@ class BlockProducer(Handover):
         self._process = None
         try:
             self._process = fork(_produce, task, seed, self.firsts, self._slots,
-                                 self._fingerprint, self.slot, store_dir, cpu,
+                                 self.slot, store_dir, cpu,
                                  (wants, ready, saves, saved),
                                  (self._wants, self._ready, self._saves, self._saved))
         except BaseException:
@@ -268,20 +267,17 @@ class BlockProducer(Handover):
         except BrokenPipeError:
             pass  # the producer is gone: settle finishes it here
 
-    def settle(self) -> tuple[int, float, np.ndarray | None] | None:
+    def settle(self) -> float | None:
         """Wait until the producer has finished the checkpoint handed over
-        last, or finish it here if the producer is gone: its step, held-out
-        loss and fingerprint if it was handed over with a NaN loss, else None."""
+        last, or finish it here if the producer is gone: its held-out loss if
+        it was handed over with a NaN loss, else None."""
         if self.pending is None:
             return None
         reply = os.read(self._saved, _MEASURED.size)
         if not reply:
             return super().settle()
         ckpt, self.pending = self.pending, None
-        if not np.isnan(ckpt.val_loss):
-            return None
-        val_loss, fingerprinted = _MEASURED.unpack(reply)
-        return ckpt.step, val_loss, freeze(self._fingerprint.copy()) if fingerprinted else None
+        return _MEASURED.unpack(reply)[0] if math.isnan(ckpt.val_loss) else None
 
     def close(self) -> None:
         """Stop the producer and release the ring and the pipes; idempotent.
@@ -294,13 +290,13 @@ class BlockProducer(Handover):
             _stop(self._process)
         for fd in (self._wants, self._ready, self._saves, self._saved):
             os.close(fd)
-        self._slots, self._fingerprint, self.slot = [], None, None  # views of the ring
+        self._slots, self.slot = [], None  # views of the ring
         self._ring.close()
 
 
 def _produce(task: Task, seed: int, firsts: range, slots: list[list[np.ndarray]],
-             fingerprint_slot: np.ndarray, ckpt_slot: np.ndarray, store_dir: Path | None,
-             cpu: int, fds: tuple[int, int, int, int], theirs: tuple[int, ...]) -> None:
+             ckpt_slot: np.ndarray, store_dir: Path | None, cpu: int,
+             fds: tuple[int, int, int, int], theirs: tuple[int, ...]) -> None:
     """The producer: draw the blocks the run will want into the ring, and
     finish the checkpoints it hands over, until it stops us."""
     wants, ready, saves, saved = fds
@@ -326,10 +322,7 @@ def _produce(task: Task, seed: int, firsts: range, slots: list[list[np.ndarray]]
                     measured = finish_checkpoint(bytearray(ckpt_slot), step, store_dir, task)
                 except Exception:
                     return  # unsettled, so the run does it and meets the error itself
-                val_loss, fingerprint = measured or (0.0, None)  # unmeasured: a bare reply
-                if fingerprint is not None:
-                    np.copyto(fingerprint_slot, fingerprint)
-                os.write(saved, _MEASURED.pack(val_loss, fingerprint is not None))
+                os.write(saved, _MEASURED.pack(math.nan if measured is None else measured))
             if index < ahead:
                 block = task.draw_block(seed, firsts[index])
                 for view, array in zip(slots[index % len(slots)], block):

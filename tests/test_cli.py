@@ -429,6 +429,13 @@ def test_a_thresholds_file_without_both_taus_is_refused_before_force_empties_a_r
     assert (capsys.readouterr().err
             == f"error: {thresholds}, line 1: could not convert string to float: 'abc'\n")
     assert files_under(out) == before
+    # an inverted pair, refused by its file
+    thresholds.write_text("tau_low = 0.9\ntau_high = 0.1\n")
+    before = files_under(out)
+    assert main(["train", *args, "--force"]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {thresholds}: need -1 <= tau_low < tau_high <= 1, got (0.9, 0.1)\n")
+    assert files_under(out) == before
 
 
 def test_calibrate_stores_thresholds(tmp_path, capsys):

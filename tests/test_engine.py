@@ -33,7 +33,7 @@ from leapverify.predict import (
     predict,
 )
 from leapverify.regime import RegimeLabel, Thresholds
-from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, Task, make_task
+from leapverify.tasks import BATCH_BLOCK, TASK_NAMES, QuadBowl, TanhNetwork, make_task
 from leapverify.trajectory import (
     WINDOW_CAPACITY,
     finish_checkpoint,
@@ -340,18 +340,19 @@ def test_leap_realigns_to_the_checkpoint_grid(tmp_path):
 def test_the_window_restarts_after_a_leap(monkeypatch):
     task, hyper = smooth_bowl()
     spec = SpeculationSettings(predictor="linear", k=30, criterion="proximity")
-    windows = []
-    attempt = engine.leap_or_continue
-    monkeypatch.setattr(engine, "leap_or_continue", lambda window, *args, **kwargs: (
-        windows.append([c.step for c in window]), attempt(window, *args, **kwargs))[1])
+    windows = {}  # by checkpoint: the rule sees each one's window, once more in an attempt
+    rule = engine.attempts
+    monkeypatch.setattr(engine, "attempts", lambda settings, window, *args: (
+        windows.update({window[-1].step: [c.step for c in window]}),
+        rule(settings, window, *args))[1])
     res = train_run(task, 42, total_steps=500, delta=50, hyper=hyper,
                     thresholds=PERMISSIVE, epsilon=0.9, speculation=spec)
     assert [e.step_from for e in res.events if e.applied] == [200, 300, 400]
     # trimmed to the newest WINDOW_CAPACITY; after a leap the history holds
     # nothing from before it and grows again from the next trained checkpoint
-    assert windows == [[50], [50, 100], [50, 100, 150], [100, 150, 200],
-                       [250], [250, 300], [350], [350, 400], [450]]
-    assert max(map(len, windows)) == WINDOW_CAPACITY
+    assert list(windows.values()) == [[50], [50, 100], [50, 100, 150], [100, 150, 200],
+                                      [250], [250, 300], [350], [350, 400], [450], [450, 500]]
+    assert max(map(len, windows.values())) == WINDOW_CAPACITY
 
 
 def test_a_run_holds_only_its_window_in_memory(tmp_path):
@@ -618,6 +619,11 @@ def far_leaps(name: str) -> SpeculationSettings:
     return SpeculationSettings(predictor="linear", k=100, criterion=FAR_LEAP_CRITERIA[name])
 
 
+# a quadratic predictor waits for three checkpoints after the run's start and
+# after each leap, and the adaptive criterion reads the recent loss std
+WAITING_ADAPTIVE = SpeculationSettings(predictor="quadratic", k=100, criterion="adaptive")
+
+
 def stored_run(task, store_dir, speculation=None, steps=RUN_STEPS, delta=20):
     result = train_run(task, 42, total_steps=steps, delta=delta,
                        hyper=AdamHyper(lr=task.recommended_lr, total_steps=steps),
@@ -642,7 +648,7 @@ def test_a_producer_leaves_every_output_unchanged(name, live, tmp_path, cpus, pr
     assert producers == []
     cpus(2)
 
-    def refuse(data, step, store_dir, measure):
+    def refuse(data, step, store_dir, task):
         raise AssertionError(f"the run finished checkpoint {step} itself")
 
     monkeypatch.setattr(engine, "finish_checkpoint", refuse)  # the producer finishes every one
@@ -766,28 +772,26 @@ def test_short_runs_and_seed_workers_start_no_producer(cpus, producers, monkeypa
 # ---------------------------------------- checkpoints measured behind the run
 
 @pytest.mark.parametrize("name", TASK_NAMES)
-def test_measure_is_pure(name):
+def test_a_held_out_loss_and_a_fingerprint_are_pure(name):
     task = make_task(name)
     a, b = task.init_params(0), task.init_params(1)
-    alone = task.measure(a)
-    measure = task.measure
-    measure(b)
-    after_another = measure(a)
-    # a loss and a fingerprint, the same whatever was measured before: no similarity
-    for loss, fingerprint in (alone, after_another):
-        assert loss == task.validation_loss(a)
-        assert fingerprint.tobytes() == task.fingerprint(a).tobytes()
-    assert task.measure(np.full(task.param_dim, np.nan))[1] is None  # no finite loss
+    alone = task.validation_loss(a), task.fingerprint(a).tobytes()
+    task.validation_loss(b)
+    task.fingerprint(b)
+    # the same whatever was measured before, and on a task that measured nothing:
+    # the producer takes a checkpoint's loss alike, and the run its fingerprint
+    assert (task.validation_loss(a), task.fingerprint(a).tobytes()) == alone
+    fresh = make_task(name)
+    assert (fresh.validation_loss(a), fresh.fingerprint(a).tobytes()) == alone
 
 
 @pytest.mark.parametrize("name", TASK_NAMES)
-def test_a_nan_loss_is_the_one_sign_that_a_checkpoint_is_measured(name, tmp_path, monkeypatch):
+def test_a_nan_loss_is_the_one_sign_that_a_checkpoint_is_measured(name, tmp_path):
     task = make_task(name)
     theta = task.init_params(3)
-    loss, fingerprint = task.measure(theta)
-    measure, taken = Task.measure, []
-    monkeypatch.setattr(Task, "measure", lambda self, theta: (
-        taken.append(theta), measure(self, theta))[1])
+    loss = task.validation_loss(theta)
+    validation_loss, taken = task.validation_loss, []
+    task.validation_loss = lambda theta: (taken.append(theta), validation_loss(theta))[1]
     size = trajectory.checkpoint_bytes(task.param_dim)
     for val_loss in (0.5, math.nan):  # as a live run and a plain run hand it over
         ckpt = make_checkpoint(20, theta, val_loss=val_loss, seed=3)
@@ -805,9 +809,7 @@ def test_a_nan_loss_is_the_one_sign_that_a_checkpoint_is_measured(name, tmp_path
             assert bytes(data) == handed
             assert taken == []
         else:
-            assert measured[0] == settled[1] == loss
-            assert measured[1].tobytes() == settled[2].tobytes() == fingerprint.tobytes()
-            assert settled[0] == 20
+            assert measured == settled == loss
             trajectory.encode_checkpoint(replace(ckpt, val_loss=loss), handed := bytearray(size))
             assert data == handed  # the loss is packed in
             assert len(taken) == 2
@@ -819,16 +821,16 @@ def test_a_producer_measures_only_a_checkpoint_handed_over_with_a_nan_loss(name,
                                                                           two_cpus):
     task = make_task(name)
     theta = task.init_params(3)
-    loss, fingerprint = task.measure(theta)
+    loss = task.validation_loss(theta)
     producer = workers.BlockProducer(task, 3, 4 * BATCH_BLOCK, tmp_path)
     try:
         producer.save(make_checkpoint(20, theta, val_loss=0.5, seed=3))
         assert producer.settle() is None
         producer.save(make_checkpoint(40, theta, val_loss=math.nan, seed=3))
-        step, val_loss, measured = producer.settle()
+        val_loss = producer.settle()
     finally:
         producer.close()
-    assert (step, val_loss, measured.tobytes()) == (40, loss, fingerprint.tobytes())
+    assert val_loss == loss
     assert load_checkpoint(tmp_path / "ckpt_20.lpv").val_loss == 0.5
     assert load_checkpoint(tmp_path / "ckpt_40.lpv").val_loss == loss
 
@@ -837,17 +839,20 @@ def test_a_producer_measures_only_a_checkpoint_handed_over_with_a_nan_loss(name,
 def test_a_run_without_a_store_dir_is_measured_alike_behind_it(name, cpus, producers,
                                                               two_cpus):
     """A calibration run: plain, and storing nothing."""
-    results, taken = [], []
+    results, taken, fingerprinted = [], [], []
     for n in (1, 2):
         cpus(n)
         task = make_task(name)
         taken.append(count_the_held_out_losses_taken_here(task))
+        fingerprinted.append(count_the_fingerprints_taken_here(task))
         result = train_run(task, 42, total_steps=RUN_STEPS, delta=20, thresholds=PERMISSIVE,
                            hyper=AdamHyper(lr=task.recommended_lr, total_steps=RUN_STEPS))
         results.append((result.steps, result.loss_log, result.similarities, result.labels))
     assert len(producers) == 1
-    # the run measured each checkpoint itself on one CPU, and the producer on two
+    # the run measured each checkpoint itself on one CPU, and the producer on two;
+    # the run fingerprinted every one itself on both
     assert (len(taken[0]), len(taken[1])) == (len(results[0][0]), 0)
+    assert len(fingerprinted[0]) == len(fingerprinted[1]) == len(results[0][0])
     assert results[0] == results[1]
 
 
@@ -903,16 +908,19 @@ def test_every_checkpoint_handed_over_is_encoded_once(live, how, tmp_path, cpus,
 
 
 def delay_the_producer_s_measuring(monkeypatch, seconds):
-    """Make the producer wait `seconds` before it measures each checkpoint; the
-    run, where it measures a checkpoint itself, does not."""
-    run, measure = os.getpid(), Task.measure
+    """Make the producer wait `seconds` before it takes each held-out loss; the
+    run, where it takes one itself, does not."""
+    run = os.getpid()
 
-    def slow(self, theta):
-        if os.getpid() != run:
-            time.sleep(seconds)
-        return measure(self, theta)
+    def delayed(validation_loss):
+        def slow(self, theta):
+            if os.getpid() != run:
+                time.sleep(seconds)
+            return validation_loss(self, theta)
+        return slow
 
-    monkeypatch.setattr(Task, "measure", slow)
+    for cls in (QuadBowl, TanhNetwork):  # where the tasks' validation_loss is defined
+        monkeypatch.setattr(cls, "validation_loss", delayed(cls.validation_loss))
 
 
 def count_the_steps_trained(task):
@@ -930,11 +938,19 @@ def count_the_held_out_losses_taken_here(task):
     return taken
 
 
-@pytest.mark.parametrize("live", [False, True], ids=["plain", "live"])
+def count_the_fingerprints_taken_here(task):
+    """The list to which each fingerprint call in this process appends 1."""
+    here, fingerprint, taken = os.getpid(), task.fingerprint, []
+    task.fingerprint = lambda theta: (
+        taken.append(1) if os.getpid() == here else None, fingerprint(theta))[1]
+    return taken
+
+
+@pytest.mark.parametrize("kind", ["plain", "live", "adaptive"])
 @pytest.mark.parametrize("name", TASK_NAMES)
 def test_a_checkpoint_settled_past_its_step_leaves_every_output_unchanged(
-        name, live, tmp_path, cpus, producers, two_cpus, monkeypatch):
-    speculation = far_leaps(name) if live else None
+        name, kind, tmp_path, cpus, producers, two_cpus, monkeypatch):
+    speculation = {"plain": None, "live": far_leaps(name), "adaptive": WAITING_ADAPTIVE}[kind]
     cpus(1)
     task = make_task(name)
     inline_trained = count_the_steps_trained(task)
@@ -947,13 +963,38 @@ def test_a_checkpoint_settled_past_its_step_leaves_every_output_unchanged(
     taken = count_the_held_out_losses_taken_here(task)
     assert stored_run(task, tmp_path / "late", speculation) == inline
     assert len(producers) == 1
-    # a plain run's checkpoints are all measured behind it; a live run measures
-    # its own, and trains no step it then throws away, so its work repeats exactly
-    assert trained == inline_trained
-    assert len(taken) == (len(inline_taken) if live else 0)
+    # the run takes the held-out losses of an attempt itself, L_t and L_hat,
+    # and trains no step it then throws away, so its work repeats exactly;
+    # every other checkpoint is measured behind it
     result = pickle.loads(inline[0])
+    assert trained == inline_trained
+    assert len(inline_taken) == len(result.steps) + len(result.events)
+    assert len(taken) == 2 * len(result.events)
     assert len(trained) == RUN_STEPS - result.skipped_steps
-    assert (result.skipped_steps > 0) == live
+    assert (result.skipped_steps > 0) == (kind == "live")
+    if kind == "adaptive":
+        # each attempt's sigma reads the losses of the checkpoints before it,
+        # at least two of which made no attempt, and so were measured late
+        assert result.events and len(result.events) < len(result.steps) - 2
+        assert all(event.decision.sigma_l is not None for event in result.events)
+
+
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_a_live_run_takes_a_held_out_loss_itself_only_to_attempt(name, tmp_path, cpus,
+                                                                  producers, two_cpus):
+    cpus(2)
+    task = make_task(name)
+    taken = count_the_held_out_losses_taken_here(task)
+    fingerprinted = count_the_fingerprints_taken_here(task)
+    result = pickle.loads(stored_run(task, tmp_path, WAITING_ADAPTIVE)[0])
+    assert len(producers) == 1
+    # the quadratic's history wait and the last K steps leave checkpoints without an attempt
+    assert 0 < len(result.events) < len(result.steps)
+    assert result.steps[-1] + WAITING_ADAPTIVE.k > RUN_STEPS
+    # L_t and L_hat of each attempt; the producer measures every other checkpoint,
+    # and the run fingerprints every one itself
+    assert len(taken) == 2 * len(result.events)
+    assert len(fingerprinted) == len(result.steps)
 
 
 def poison_the_gradient_at(task, poisoned):
@@ -1088,9 +1129,10 @@ def test_a_live_run_that_fails_leaves_its_checkpoints_and_neither_log(
         store_dir = tmp_path / f"cpus-{n}"
         with pytest.raises(RuntimeError, match="the attempt failed"):
             stored_run(make_task(name), store_dir, speculation)
-        # the checkpoint of the failed attempt was handed over first, so it is written too
+        # every checkpoint up to the failed attempt's, which was handed over first
         assert stored_files(store_dir) == {
-            f"ckpt_{step}.lpv": clean[f"ckpt_{step}.lpv"] for step in attempted}
+            name: data for name, data in clean.items()
+            if name.startswith("ckpt_") and int(name[5:-4]) <= attempted[-1]}
     assert len(producers) == 1
     # an event was logged before the failure, and is not now
     assert json.loads(clean["events.jsonl"].splitlines()[0])["step_from"] < attempted[-1]

@@ -300,14 +300,6 @@ def test_fingerprints():
     assert seq.fingerprint(seq.init_params(2)).shape == (1200,)
 
 
-@pytest.mark.parametrize("name, overrides", [
-    ("quad-bowl", {}), ("quad-bowl", {"dim": 7}), ("mlp-reg", {}), ("mlp-reg", {"probe_count": 13}),
-    ("char-seq", {}), ("char-seq", {"probe_count": 5})])
-def test_fingerprint_dim_is_the_length_of_a_fingerprint(name, overrides):
-    task = make_task(name, **overrides)
-    assert task.fingerprint_dim == len(task.fingerprint(task.init_params(0)))
-
-
 def test_fingerprints_deterministic_given_theta():
     task = make_task("mlp-reg")
     theta = task.init_params(9)
